@@ -1,5 +1,5 @@
 // Command simlint runs the project's determinism lint rules (SL001…
-// SL015, see internal/lint) over the module.
+// SL014, see internal/lint) over the module.
 //
 // Usage:
 //

@@ -1,7 +1,8 @@
-// Package ckpt is the persistent checkpoint container and codec layer
-// (DESIGN.md §5e): a versioned, checksummed on-disk format plus the
-// Encoder/Decoder primitives every subsystem's Encode/Decode methods
-// are written against.
+// Package ckpt is the persistent checkpoint container and state-walk
+// layer (DESIGN.md §5e): a versioned, checksummed on-disk format, the
+// Encoder/Decoder primitives, and the Walker every subsystem's single
+// state method is written against — one field list per type from which
+// fork-clone, encode and decode are all derived (walk.go).
 //
 // The container is deliberately dumb. A file is
 //
@@ -24,7 +25,7 @@
 // cache keyed by initKey, not an interchange format, and a mismatch
 // simply falls back to fresh staging.
 //
-// Determinism contract (MODEL.md §7): Encode must be a pure function
+// Determinism contract (MODEL.md §7): encoding must be a pure function
 // of simulation state — iterate maps in sorted key order, never encode
 // pointers, scratch buffers, or host addresses — so that identical
 // initKeys produce byte-identical images and a loaded image forks into
@@ -47,11 +48,11 @@ import (
 )
 
 // Version is the container format version. Any change to any
-// subsystem's Encode layout must bump it: Load rejects other versions,
+// subsystem's state walk must bump it: Load rejects other versions,
 // which is what invalidates every stale store entry at once (content
 // addressing handles spec changes; the version handles format
 // changes).
-const Version = 1
+const Version = 2
 
 var magic = [8]byte{'G', 'M', 'C', 'K', 'P', 'T', '0', '\n'}
 
@@ -83,7 +84,7 @@ func Path(dir, key string) string {
 
 // Save writes a complete container to w: header, the payload produced
 // by encode, and the length+CRC trailer. It returns the total bytes
-// written. Any Encoder error (I/O or a codec's Failf) aborts the save.
+// written. Any Encoder error (I/O or a walk's Failf) aborts the save.
 func Save(w io.Writer, key string, encode func(*Encoder)) (int64, error) {
 	if len(key) > maxKeyLen {
 		return 0, fmt.Errorf("ckpt: key is %d bytes, limit %d", len(key), maxKeyLen)
@@ -185,7 +186,7 @@ func readRest(r io.Reader, consumed int64) ([]byte, error) {
 
 // Encoder serializes simulation state into a container payload. All
 // methods are no-ops after the first error (I/O failure or Failf), so
-// codecs can encode straight through and let Save report the sticky
+// walks can encode straight through and let Save report the sticky
 // error once.
 type Encoder struct {
 	w   io.Writer
@@ -197,7 +198,7 @@ type Encoder struct {
 // Err returns the sticky error, if any.
 func (e *Encoder) Err() error { return e.err }
 
-// Failf records a codec-level error (state that must not be
+// Failf records a walk-level error (state that must not be
 // serialized, like a live ticker), aborting the save.
 func (e *Encoder) Failf(format string, args ...any) {
 	if e.err == nil {
@@ -260,7 +261,7 @@ func (e *Encoder) Raw(b []byte) { e.write(b) }
 // Decoder reads a verified container payload back. All reads are
 // bounds-checked against the payload and all methods are no-ops
 // (returning zero values) after the first error, so a corrupt or
-// hostile image can never panic a codec or index past the buffer —
+// hostile image can never panic a walk or index past the buffer —
 // the fuzzer in internal/core holds this to account.
 type Decoder struct {
 	buf []byte
@@ -271,7 +272,7 @@ type Decoder struct {
 // Err returns the sticky error, if any.
 func (d *Decoder) Err() error { return d.err }
 
-// Failf records a codec-level validation error (an image whose decoded
+// Failf records a walk-level validation error (an image whose decoded
 // state is internally inconsistent), aborting the load.
 func (d *Decoder) Failf(format string, args ...any) {
 	if d.err == nil {
@@ -283,7 +284,7 @@ func (d *Decoder) Failf(format string, args ...any) {
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
 // Finish errors unless the payload was consumed exactly: leftover
-// bytes mean the image and the decoders disagree about the format.
+// bytes mean the image and the state walks disagree about the format.
 func (d *Decoder) Finish() error {
 	if d.err == nil && d.Remaining() != 0 {
 		d.Failf("%d trailing bytes after decode", d.Remaining())
@@ -384,40 +385,38 @@ func (d *Decoder) Raw(dst []byte) {
 	copy(dst, b)
 }
 
-// View returns the raw bytes of *p. It is how codecs hand fixed-size
-// arrays of pointer-free scalars ([512]uint64 heat counters, [8]uint64
-// swap bitmaps) to Raw without a copy on encode. T must contain no
+// view returns the raw bytes of *p without a copy. T must contain no
 // pointers and no compiler-inserted padding.
-func View[T any](p *T) []byte {
+func view[T any](p *T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(p)), unsafe.Sizeof(*p))
 }
 
-// SliceView returns the raw bytes backing s (nil when s is empty).
-// Same contract as View: pointer-free, padding-free element types.
-func SliceView[T any](s []T) []byte {
+// sliceView returns the raw bytes backing s (nil when s is empty), under
+// view's contract.
+func sliceView[T any](s []T) []byte {
 	if len(s) == 0 {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), uintptr(len(s))*unsafe.Sizeof(s[0]))
 }
 
-// EncodeSlice writes a length-prefixed slice of pointer-free scalars
+// encodeSlice writes a length-prefixed slice of pointer-free scalars
 // as raw host memory — the near-memcpy path for the big flat arrays
 // (frame metadata, page tables, free bitmaps).
-func EncodeSlice[T any](e *Encoder, s []T) {
+func encodeSlice[T any](e *Encoder, s []T) {
 	e.U64(uint64(len(s)))
-	e.Raw(SliceView(s))
+	e.Raw(sliceView(s))
 }
 
-// DecodeSlice reads a slice written by EncodeSlice, bounding the
-// length by the bytes actually remaining before allocating.
-func DecodeSlice[T any](d *Decoder) []T {
+// decodeSlice reads a slice written by encodeSlice, bounding the length
+// by the bytes actually remaining before allocating.
+func decodeSlice[T any](d *Decoder) []T {
 	esz := int(unsafe.Sizeof(*new(T)))
 	n := d.Len(d.Remaining() / esz)
 	if d.err != nil || n == 0 {
 		return nil
 	}
 	s := make([]T, n)
-	d.Raw(SliceView(s))
+	d.Raw(sliceView(s))
 	return s
 }

@@ -16,8 +16,8 @@ func encodeSample(e *Encoder) {
 	e.Bool(false)
 	e.String("graphmem")
 	e.Raw([]byte{1, 2, 3})
-	EncodeSlice(e, []uint64{5, 6, 7})
-	EncodeSlice(e, []uint32(nil))
+	encodeSlice(e, []uint64{5, 6, 7})
+	encodeSlice(e, []uint32(nil))
 }
 
 func decodeSample(t *testing.T, d *Decoder) {
@@ -45,11 +45,11 @@ func decodeSample(t *testing.T, d *Decoder) {
 	if raw != [3]byte{1, 2, 3} {
 		t.Errorf("Raw = %v", raw)
 	}
-	if s := DecodeSlice[uint64](d); len(s) != 3 || s[0] != 5 || s[2] != 7 {
-		t.Errorf("DecodeSlice = %v", s)
+	if s := decodeSlice[uint64](d); len(s) != 3 || s[0] != 5 || s[2] != 7 {
+		t.Errorf("decodeSlice = %v", s)
 	}
-	if s := DecodeSlice[uint32](d); s != nil {
-		t.Errorf("empty DecodeSlice = %v", s)
+	if s := decodeSlice[uint32](d); s != nil {
+		t.Errorf("empty decodeSlice = %v", s)
 	}
 	if err := d.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
@@ -144,7 +144,7 @@ func TestDecoderBoundsAndValidation(t *testing.T) {
 	if v := d.U64(); v != 0 {
 		t.Fatalf("post-error U64 = %d", v)
 	}
-	if s := DecodeSlice[uint64](d); s != nil {
+	if s := decodeSlice[uint64](d); s != nil {
 		t.Fatalf("post-error DecodeSlice = %v", s)
 	}
 }

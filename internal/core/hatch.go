@@ -8,11 +8,11 @@ import (
 
 // Hatch names one of the byte-identity escape hatches: subsystems whose
 // optimized path is observationally invisible by construction (bulk and
-// gather access charging, checkpoint forking, the sharded machine
-// engine) each carry a GRAPHMEM_NO_<hatch>=1 environment variable that
-// forces the reference path instead. CI diffs campaign output with each
-// hatch open against the optimized run byte for byte (scripts/ci.sh
-// steps 9–12) — the hatches exist only to prove equivalence.
+// gather access charging, checkpoint and shard forking) each carry a
+// GRAPHMEM_NO_<hatch>=1 environment variable that forces the reference
+// path instead. CI diffs campaign output with each hatch open against
+// the optimized run byte for byte (scripts/ci.sh steps 9–12) — the
+// hatches exist only to prove equivalence.
 type Hatch string
 
 const (
@@ -25,16 +25,13 @@ const (
 	// dispatch.
 	HatchGather Hatch = "GATHER"
 	// HatchSnapshot gates the checkpoint/fork layer (GRAPHMEM_NO_SNAPSHOT):
-	// open, every fork replays its load phase monolithically.
+	// open, every fork — a checkpoint's and the sharded engine's shard
+	// bring-up alike — replays its load phase monolithically.
 	HatchSnapshot Hatch = "SNAPSHOT"
-	// HatchShard gates the sharded machine engine's fork-based shard
-	// bring-up (GRAPHMEM_NO_SHARD): open, every shard machine replays
-	// the load phase from the spec instead of forking the prepared one.
-	HatchShard Hatch = "SHARD"
 )
 
 // AllHatches lists the escape hatches, in subsystem order.
-var AllHatches = []Hatch{HatchBulk, HatchGather, HatchSnapshot, HatchShard}
+var AllHatches = []Hatch{HatchBulk, HatchGather, HatchSnapshot}
 
 // HatchDisabled reports whether the hatch's environment variable
 // (GRAPHMEM_NO_<hatch>) is set non-empty — the optimized path is then

@@ -39,13 +39,12 @@ func TestHatchDisabled(t *testing.T) {
 
 // TestHatchIndependence: opening one hatch must not open any other.
 func TestHatchIndependence(t *testing.T) {
-	t.Setenv("GRAPHMEM_NO_SHARD", "1")
+	t.Setenv("GRAPHMEM_NO_SNAPSHOT", "1")
 	for _, h := range AllHatches {
-		if h != HatchShard && HatchDisabled(h) {
-			t.Fatalf("GRAPHMEM_NO_SHARD leaked into hatch %s", h)
+		if h != HatchSnapshot && HatchDisabled(h) {
+			t.Fatalf("GRAPHMEM_NO_SNAPSHOT leaked into hatch %s", h)
 		}
 	}
-	t.Setenv("GRAPHMEM_NO_SNAPSHOT", "1")
 	if !SnapshotsDisabled() {
 		t.Fatal("SnapshotsDisabled no longer routes through the snapshot hatch")
 	}

@@ -8,7 +8,6 @@ import (
 	"graphmem/internal/ckpt"
 	"graphmem/internal/machine"
 	"graphmem/internal/memsys"
-	"graphmem/internal/workload"
 )
 
 // This file is the persistent half of the snapshot layer (DESIGN.md
@@ -22,63 +21,18 @@ import (
 // code path either way, and the machine side is cross-checked against
 // it before the checkpoint is handed out.
 
-// External frame-owner subtags written by prepared.encode, mirroring
-// the owner types ForkPair knows how to clone.
-const (
-	ownerMemhog    = 1 // *workload.Memhog
-	ownerPageCache = 2 // *workload.PageCache
-)
-
-func encodeExternalOwner(e *ckpt.Encoder, o memsys.Owner) {
-	switch o := o.(type) {
-	case *workload.Memhog:
-		e.U8(ownerMemhog)
-		o.Encode(e)
-	case *workload.PageCache:
-		e.U8(ownerPageCache)
-		o.Encode(e)
-	default:
-		// The ForkPair rule, applied to disk: an owner without a codec
-		// means the snapshot would be incomplete.
-		e.Failf("core: frame owner %T has no checkpoint codec", o)
-	}
-}
-
-func decodeExternalOwner(d *ckpt.Decoder, mem *memsys.Memory) memsys.Owner {
-	switch tag := d.U8(); tag {
-	case ownerMemhog:
-		h := new(workload.Memhog)
-		h.Decode(d, mem)
-		return h
-	case ownerPageCache:
-		pc := new(workload.PageCache)
-		pc.Decode(d, mem)
-		return pc
-	default:
-		d.Failf("core: external owner subtag %d unknown", tag)
-		return nil
-	}
-}
-
-// encode writes the prepared run's machine half. The spec half — the
-// graph, partition cuts, working-set and node sizes, preprocessing
-// cycles — is stage()'s deterministic output and is recomputed from the
-// spec on load rather than stored.
+// encode writes the prepared run's machine half through walkPair. The
+// spec half — the graph, partition cuts, working-set and node sizes,
+// preprocessing cycles — is stage()'s deterministic output and is
+// recomputed from the spec on load rather than stored.
 func (p *prepared) encode(e *ckpt.Encoder) {
-	_ = p.spec      // the loader's key; re-supplied by the caller
-	_ = p.g         // re-derived by stage (reorder is deterministic)
-	_ = p.wss       // recomputed by stage
-	_ = p.memBytes  // recomputed by stage
-	_ = p.preCycles // recomputed by stage
-	_ = p.cuts      // recomputed by stage (partitioning is deterministic)
 	if len(p.supply) != 0 {
 		// Supply sampling registers a ticker, so such specs are not
 		// SnapshotSafe and never reach Prepare, let alone Save.
 		e.Failf("core: prepared run carries %d supply samples; sampled specs are not checkpointable", len(p.supply))
 		return
 	}
-	p.m.Encode(e, encodeExternalOwner)
-	p.img.Encode(e)
+	walkPair(e.Walker(), &p.m, &p.img, p.g)
 }
 
 // Save writes the checkpoint's frozen post-init machine state to w as a
@@ -100,9 +54,9 @@ func (cp *Checkpoint) Save(w io.Writer, key string) (int64, error) {
 // LoadCheckpoint cross-checks the machine's geometry and cost model
 // against the spec so a mismatched pairing fails loudly instead of
 // producing plausible wrong numbers. The loaded checkpoint's forks are
-// byte-identical to the saving process's: Decode is exact inverse
-// state transfer, and everything not serialized is recomputed through
-// the same stage() path Prepare uses (MODEL.md §7).
+// byte-identical to the saving process's: decoding walks exactly the
+// fields encoding wrote, and everything not serialized is recomputed
+// through the same stage() path Prepare uses (MODEL.md §7).
 func LoadCheckpoint(spec RunSpec, key string, r io.Reader) (*Checkpoint, error) {
 	if !SnapshotSafe(spec) {
 		return nil, fmt.Errorf("core: spec registers machine tickers (churn or supply sampling); it cannot have been checkpointed")
@@ -118,10 +72,9 @@ func LoadCheckpoint(spec RunSpec, key string, r io.Reader) (*Checkpoint, error) 
 	if err != nil {
 		return nil, err
 	}
-	m := new(machine.Machine)
-	m.Decode(d, decodeExternalOwner)
-	img := new(analytics.Image)
-	img.Decode(d, m, p.g)
+	var m *machine.Machine
+	var img *analytics.Image
+	walkPair(d.Walker(), &m, &img, p.g)
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("core: checkpoint %s: %w", key, err)
 	}

@@ -27,7 +27,10 @@ func persistSpec(t *testing.T, pol core.Policy) core.RunSpec {
 // buffer and loaded back in must produce RunResults deeply equal to the
 // resident checkpoint's — every cycle count, fault counter, array
 // statistic, and kernel output bit — and Save must be byte-
-// deterministic so the content-addressed store never flip-flops.
+// deterministic so the content-addressed store never flip-flops. The
+// encoder-level checks see state a kernel phase happens not to read:
+// the loaded checkpoint must re-Save to the same bytes, and a fresh
+// fork of the frozen pair must encode exactly like the pair itself.
 func TestSaveLoadForkMatchesFresh(t *testing.T) {
 	for _, pol := range snapshotConfigs() {
 		t.Run(pol.Name, func(t *testing.T) {
@@ -51,6 +54,13 @@ func TestSaveLoadForkMatchesFresh(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 				t.Fatal("two Saves of one checkpoint produced different bytes")
 			}
+			var forked bytes.Buffer
+			if _, err := cp.SaveFork(&forked, key); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), forked.Bytes()) {
+				t.Fatal("a fork of the checkpoint encodes differently from the checkpoint")
+			}
 			ref, err := cp.Run()
 			if err != nil {
 				t.Fatal(err)
@@ -58,6 +68,13 @@ func TestSaveLoadForkMatchesFresh(t *testing.T) {
 			lcp, err := core.LoadCheckpoint(spec, key, bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
+			}
+			var resaved bytes.Buffer
+			if _, err := lcp.Save(&resaved, key); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), resaved.Bytes()) {
+				t.Fatal("Save of a loaded checkpoint differs from the image it was loaded from")
 			}
 			for i := 0; i < 2; i++ {
 				got, err := lcp.Run()
@@ -149,8 +166,12 @@ func TestLoadCheckpointRejectsCorruption(t *testing.T) {
 // stack. Raw container mutations mostly die at the CRC, so the fuzz
 // input is treated as the PAYLOAD and wrapped in a valid container
 // (correct magic, key, length, checksum) — every mutation then reaches
-// the per-subsystem Decode validation, which must error, never panic,
-// never hand back a half-initialized checkpoint.
+// the per-subsystem validation, which must error, never panic, never
+// hand back a half-initialized checkpoint. A mutation validation
+// accepts is legitimate state (plain counters have no invalid values),
+// so the oracle is the single walk's round trip: an accepted payload
+// must re-Save to exactly the bytes it was loaded from, and must run
+// its kernel phase without panicking.
 func FuzzLoadCheckpoint(f *testing.F) {
 	spec, key, img := savedCheckpoint(f)
 	// Container layout (ckpt package doc): 17 fixed header bytes
@@ -161,23 +182,33 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add(payload)
 	f.Add(payload[:len(payload)/2])
 	f.Add([]byte{})
+	// A plain counter has no invalid values: the payload with the
+	// machine's cycle counter (its first word) bumped must load, re-save
+	// to its own bytes, and run.
+	bumped := append([]byte(nil), payload...)
+	bumped[0]++
+	f.Add(bumped)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var buf bytes.Buffer
 		if _, err := ckpt.Save(&buf, key, func(e *ckpt.Encoder) { e.Raw(data) }); err != nil {
 			t.Fatal(err)
 		}
 		cp, err := core.LoadCheckpoint(spec, key, bytes.NewReader(buf.Bytes()))
-		if err == nil {
-			// Only the exact original payload decodes; anything the
-			// fuzzer changed must have been caught by some validator.
-			if !bytes.Equal(data, payload) {
-				t.Fatalf("LoadCheckpoint accepted a mutated payload (%d bytes)", len(data))
+		if err != nil {
+			if cp != nil {
+				t.Fatal("LoadCheckpoint returned a checkpoint alongside an error")
 			}
-			if _, err := cp.Run(); err != nil {
-				t.Fatal(err)
-			}
-		} else if cp != nil {
-			t.Fatal("LoadCheckpoint returned a checkpoint alongside an error")
+			return
+		}
+		var resaved bytes.Buffer
+		if _, err := cp.Save(&resaved, key); err != nil {
+			t.Fatalf("re-Save of an accepted payload failed: %v", err)
+		}
+		if !bytes.Equal(resaved.Bytes(), buf.Bytes()) {
+			t.Fatalf("accepted payload (%d bytes) re-Saves to different bytes", len(data))
+		}
+		if _, err := cp.Run(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -15,10 +15,10 @@ import (
 
 // This file is the core half of the sharded machine engine (DESIGN.md
 // §5c): shard bring-up (forking the prepared machine once per extra
-// shard, or replaying the load phase when the GRAPHMEM_NO_SHARD or
-// GRAPHMEM_NO_SNAPSHOT hatch is open), the worker pool that drives the
-// shards between barriers, and the deterministic merge of per-shard
-// statistics into one RunResult. The shard count is part of the spec
+// shard, or replaying the load phase when the GRAPHMEM_NO_SNAPSHOT
+// hatch is open), the worker pool that drives the shards between
+// barriers, and the deterministic merge of per-shard statistics into
+// one RunResult. The shard count is part of the spec
 // (RunSpec.Shards — it changes the modeled system); the worker count
 // is not (GRAPHMEM_SHARD_WORKERS — it may only change wall-clock
 // time), so a sharded run's output is byte-identical at any worker
@@ -52,9 +52,9 @@ func shardWorkers(shards int) int {
 // shards and merges the per-shard outcomes into one RunResult. m/img
 // are the prepared (or forked) pair positioned at the end of the load
 // phase; they become shard 0, and every extra shard is a ForkPair of
-// them — or, with the GRAPHMEM_NO_SHARD hatch open (or snapshots
-// disabled entirely), an independent replay of the load phase, the
-// reference bring-up the CI equivalence gate diffs against.
+// them — or, with the GRAPHMEM_NO_SNAPSHOT hatch open, an independent
+// replay of the load phase, the reference bring-up the CI equivalence
+// gate diffs against.
 func (p *prepared) finishSharded(m *machine.Machine, img *analytics.Image, opts analytics.RunOptions) *RunResult {
 	s := p.spec.Shards
 
@@ -66,9 +66,8 @@ func (p *prepared) finishSharded(m *machine.Machine, img *analytics.Image, opts 
 	ms := make([]*machine.Machine, s)
 	imgs := make([]*analytics.Image, s)
 	ms[0], imgs[0] = m, img
-	replay := HatchDisabled(HatchShard) || SnapshotsDisabled()
 	for sh := 1; sh < s; sh++ {
-		if replay {
+		if SnapshotsDisabled() {
 			q, err := prepare(p.spec)
 			if err != nil {
 				// Impossible: the identical spec already prepared once,

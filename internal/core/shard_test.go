@@ -52,7 +52,8 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedForkMatchesReplay is the GRAPHMEM_NO_SHARD equivalence:
+// TestShardedForkMatchesReplay is the sharded half of the
+// GRAPHMEM_NO_SNAPSHOT equivalence:
 // fork-based shard bring-up must be byte-identical to bringing every
 // shard up by replaying the load phase from the spec — the property
 // ci.sh step 12 verifies on a whole campaign. The Checkpoint path must
@@ -79,7 +80,7 @@ func TestShardedForkMatchesReplay(t *testing.T) {
 					formatResult(ref), formatResult(got))
 			}
 
-			t.Setenv("GRAPHMEM_NO_SHARD", "1")
+			t.Setenv("GRAPHMEM_NO_SNAPSHOT", "1")
 			got, err = core.Run(spec)
 			if err != nil {
 				t.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"graphmem/internal/analytics"
+	"graphmem/internal/ckpt"
+	"graphmem/internal/graph"
 	"graphmem/internal/machine"
 	"graphmem/internal/memsys"
 	"graphmem/internal/stats"
@@ -14,16 +16,16 @@ import (
 // §5b): a Checkpoint freezes a machine immediately after the init
 // phase, and every kernel that shares that load phase runs on a fork
 // of the frozen state instead of replaying environment staging and
-// init faulting from scratch. Forks are audited deep copies — the
-// machine, its address space, physical node, kernel policy engine, TLB
-// and cache hierarchies are cloned, and frame owners that live outside
-// the machine (memhog, page cache) are cloned and remapped — so a
-// forked kernel produces bit-identical cycles and statistics to the
-// monolithic Run path. The GRAPHMEM_NO_SNAPSHOT escape hatch proves
-// it: with the variable set, Fork replays the load phase monolithically
-// and CI diffs the two campaign outputs byte for byte (scripts/ci.sh),
-// exactly as GRAPHMEM_NO_BULK and GRAPHMEM_NO_GATHER gate the access
-// engines.
+// init faulting from scratch. Forks are audited deep copies derived
+// from the same single state walk per type that save and load use
+// (DESIGN.md §5e) — the machine, its address space, physical node,
+// kernel policy engine, TLB and cache hierarchies, and the frame owners
+// that live outside the machine (memhog, page cache) — so a forked
+// kernel produces bit-identical cycles and statistics to the monolithic
+// Run path. The GRAPHMEM_NO_SNAPSHOT escape hatch proves it: with the
+// variable set, Fork replays the load phase monolithically and CI diffs
+// the two campaign outputs byte for byte (scripts/ci.sh), exactly as
+// GRAPHMEM_NO_BULK and GRAPHMEM_NO_GATHER gate the access engines.
 
 // SnapshotsDisabled reports whether the GRAPHMEM_NO_SNAPSHOT escape
 // hatch is open (HatchDisabled): checkpoints then hold no machine and
@@ -78,11 +80,8 @@ func Prepare(spec RunSpec) (*Checkpoint, error) {
 func (cp *Checkpoint) Spec() RunSpec { return cp.spec }
 
 // Fork returns an independent machine+image pair positioned at the end
-// of the load phase. Snapshot-on, that is a deep copy of the frozen
-// machine: the address space is cloned, frame owners living outside
-// the machine (the memhog's pin list, the page cache's resident set)
-// are cloned and remapped, the image is rebound to the forked space,
-// and the result is audited (under -tags simcheck) before use.
+// of the load phase. Snapshot-on, that is a ForkPair of the frozen
+// machine and its image.
 // Snapshot-off, the load phase is replayed from the spec — identical
 // state by the simulator's determinism, at full load-phase cost.
 func (cp *Checkpoint) Fork() (*machine.Machine, *analytics.Image, error) {
@@ -99,34 +98,59 @@ func (cp *Checkpoint) Fork() (*machine.Machine, *analytics.Image, error) {
 
 // ForkPair deep-copies a machine+image pair positioned anywhere in a
 // run — right after init (what Checkpoint.Fork does) or mid-kernel (the
-// rollout experiment forks a warmed machine once per candidate policy).
-// Frame owners living outside the machine (the memhog's pin list, the
-// page cache's resident set) are cloned exactly once per fork and
-// remapped; an owner type this switch does not know makes the memsys
-// clone panic, because an unaccounted owner means an incomplete
-// snapshot. The image is rebound to the forked space and the result is
-// audited (under -tags simcheck) before use.
+// rollout experiment forks a warmed machine once per candidate policy)
+// — with the same state walk Save and LoadCheckpoint use (walkPair).
+// The result is audited (under -tags simcheck) before use.
 func ForkPair(m *machine.Machine, img *analytics.Image) (*machine.Machine, *analytics.Image) {
-	clones := make(map[memsys.Owner]memsys.Owner)
-	fm := m.Fork(func(old memsys.Owner, mem *memsys.Memory) memsys.Owner {
-		if n, ok := clones[old]; ok {
-			return n
-		}
-		var n memsys.Owner
-		switch o := old.(type) {
-		case *workload.Memhog:
-			n = o.Clone(mem)
-		case *workload.PageCache:
-			n = o.Clone(mem)
-		default:
-			return nil // unknown owner: memsys.Clone fails loudly
-		}
-		clones[old] = n
-		return n
-	})
-	fimg := img.Rebind(fm)
-	auditMachine(fm)
-	return fm, fimg
+	walkPair(ckpt.Cloner(), &m, &img, img.G)
+	auditMachine(m)
+	return m, img
+}
+
+// walkPair is the one state walk behind every fork, save, and load of a
+// machine+image pair: the machine, with frame owners living outside it
+// resolved by externalOwner, then the image bound to the walked machine
+// and to g, the spec's graph.
+func walkPair(w *ckpt.Walker, m **machine.Machine, img **analytics.Image, g *graph.Graph) {
+	machine.Walk(w, m, externalOwner)
+	if !w.Failed() {
+		analytics.Walk(w, img, *m, g)
+	}
+}
+
+// External frame-owner subtags, one per owner type a staged machine can
+// carry outside itself.
+const (
+	ownerMemhog    = 1 // *workload.Memhog
+	ownerPageCache = 2 // *workload.PageCache
+)
+
+// externalOwner is the memsys owner hook for frame owners living outside
+// the machine — the memhog's pin list, the page cache's resident set.
+// memsys calls it once per owner-table slot, so each is forked exactly
+// once per fork. An owner type it does not know fails the walk (a fork
+// panics): an unaccounted owner means an incomplete snapshot.
+func externalOwner(w *ckpt.Walker, o memsys.Owner, mem *memsys.Memory) memsys.Owner {
+	var tag uint8
+	switch o.(type) {
+	case *workload.Memhog:
+		tag = ownerMemhog
+	case *workload.PageCache:
+		tag = ownerPageCache
+	}
+	ckpt.Num(w, &tag)
+	switch tag {
+	case ownerMemhog:
+		h, _ := o.(*workload.Memhog)
+		workload.WalkMemhog(w, &h, mem)
+		return h
+	case ownerPageCache:
+		pc, _ := o.(*workload.PageCache)
+		workload.WalkPageCache(w, &pc, mem)
+		return pc
+	}
+	w.Failf("core: frame owner %T (subtag %d) has no state walk", o, tag)
+	return nil
 }
 
 // Run executes the spec's kernel phase on a fresh Fork and assembles

@@ -25,7 +25,7 @@ import (
 // extShards is the shard count the ext-shard experiment models.
 // Sixteen is large enough that partition balance and barrier overlap
 // are non-trivial on every dataset, and it makes shard bring-up a
-// first-order cost: the NO_SHARD reference replays the load phase per
+// first-order cost: the NO_SNAPSHOT reference replays the load phase per
 // shard where the engine forks it, which is exactly the margin the
 // ci.sh step-12 speedup gate measures.
 const extShards = 16

@@ -11,7 +11,7 @@ import (
 
 // TestShardBringupSpeedup is the ci.sh step-12 performance gate: on a
 // big-memory cell, fork-based shard bring-up must cut single-run
-// wall-clock at least 2x against the GRAPHMEM_NO_SHARD=1 reference,
+// wall-clock at least 2x against the GRAPHMEM_NO_SNAPSHOT=1 reference,
 // which replays the load phase once per shard. The cell is the
 // ext-shard kr25 configuration — the largest working set in the
 // suite, so bring-up dominates and the ratio is stable.
@@ -30,8 +30,8 @@ func TestShardBringupSpeedup(t *testing.T) {
 	if os.Getenv("GRAPHMEM_SPEEDUP_GATE") == "" {
 		t.Skip("set GRAPHMEM_SPEEDUP_GATE=1 to run the wall-clock gate (ci.sh step 12)")
 	}
-	if os.Getenv("GRAPHMEM_NO_SHARD") != "" {
-		t.Fatal("GRAPHMEM_NO_SHARD is set; the gate toggles the hatch itself")
+	if os.Getenv("GRAPHMEM_NO_SNAPSHOT") != "" {
+		t.Fatal("GRAPHMEM_NO_SNAPSHOT is set; the gate toggles the hatch itself")
 	}
 	// Measure at the worker count ci.sh campaigns use (-shards 4). The
 	// worker knob cannot change output and barely moves single-core
@@ -56,9 +56,9 @@ func TestShardBringupSpeedup(t *testing.T) {
 		if d := oneRun(); d < fork {
 			fork = d
 		}
-		os.Setenv("GRAPHMEM_NO_SHARD", "1")
+		os.Setenv("GRAPHMEM_NO_SNAPSHOT", "1")
 		d := oneRun()
-		os.Unsetenv("GRAPHMEM_NO_SHARD")
+		os.Unsetenv("GRAPHMEM_NO_SNAPSHOT")
 		if d < replay {
 			replay = d
 		}

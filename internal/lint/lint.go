@@ -211,6 +211,7 @@ func (r *Runner) loadUncached(importPath, dir string) *checked {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Instances:  make(map[*ast.Ident]types.Instance),
 	}
 	var firstErr error
 	cfg := types.Config{

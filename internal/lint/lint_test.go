@@ -54,17 +54,14 @@ func TestRuleFixtures(t *testing.T) {
 			{"SL011", 12}, {"SL011", 34},
 		}},
 		{dir: "sl012", want: []want{{"SL012", 11}, {"SL012", 12}}},
-		// Tracker.count (line 25) is the seeded gap; note is waived on
-		// its declaration line, and pair's unkeyed literal is exempt.
-		{dir: "sl013", want: []want{{"SL013", 25}}},
+		// Tracker.count (line 26) is the seeded gap, reached fields and
+		// the waived note stay silent; line 44 walks a padded struct as
+		// raw memory.
+		{dir: "sl013", want: []want{{"SL013", 26}, {"SL013", 44}}},
 		// helpers.go:20 is the write scatter reaches through two untagged
 		// hops; worker.go:16 is the direct write in the tagged file.
 		// drain (shard-owned state only) stays silent.
 		{dir: "sl014", want: []want{{"SL014", 20}, {"SL014", 16}}},
-		// Record.checksum (line 34) is the seeded gap; scratch is waived
-		// on its declaration line, and cursor's unkeyed decode literal
-		// plus Header's complete pair stay silent.
-		{dir: "sl015", want: []want{{"SL015", 34}}},
 		{dir: "waiver", want: []want{
 			{"SL001", 24}, {"SL000", 24},
 			{"SL001", 29}, {"SL000", 29},

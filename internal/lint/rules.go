@@ -147,16 +147,18 @@ func AllRules() []Rule {
 		},
 		{
 			ID:   "SL013",
-			Name: "snapshot-completeness",
-			Doc: "every Clone/Fork/Rebind method must reference every field of " +
-				"its receiver struct (selector, composite-literal key, or " +
-				"unkeyed literal), in its own body or a same-package function " +
-				"it transitively reaches — a field the clone never mentions is " +
-				"state a fork silently drops, the exact bug the snapshot " +
-				"equivalence gate exists to catch; machine.Machine must have " +
-				"a Fork method to anchor the contract",
+			Name: "state-completeness",
+			Doc: "every state method (the one field list fork, checkpoint encode " +
+				"and decode are derived from) must reference every field of its " +
+				"receiver struct (selector, composite-literal key, or unkeyed " +
+				"literal), in its own body or a same-package function it " +
+				"transitively reaches — a field the walk never mentions is state " +
+				"every fork and reloaded checkpoint silently drops; every " +
+				"ckpt.Fixed/Num/Slice/Map instantiation must name a pointer-free, " +
+				"padding-free type; machine.Machine must have a state method to " +
+				"anchor the contract",
 			Applies: internalOnly,
-			Check:   checkSnapshotCompleteness,
+			Check:   checkStateCompleteness,
 		},
 		{
 			ID:   "SL014",
@@ -170,20 +172,6 @@ func AllRules() []Rule {
 				"state; diagnostics print the call chain, same as SL010",
 			Applies: internalOnly,
 			Check:   checkShardWorker,
-		},
-		{
-			ID:   "SL015",
-			Name: "codec-completeness",
-			Doc: "every Encode/Decode (and encode/decode) method must reference " +
-				"every field of its receiver struct (selector, composite-literal " +
-				"key, or unkeyed literal), in its own body or a same-package " +
-				"function it transitively reaches — a field a codec never " +
-				"mentions is state a saved checkpoint silently drops, the exact " +
-				"bug the reload equivalence gate exists to catch; " +
-				"machine.Machine must have an Encode/Decode pair to anchor the " +
-				"contract",
-			Applies: internalOnly,
-			Check:   checkCodecCompleteness,
 		},
 	}
 }

@@ -1,43 +1,44 @@
-// Package sl013 exercises SL013: a snapshot method (Clone/Fork/Rebind)
-// must reference every field of its receiver struct, directly or via a
-// same-package function it reaches.
+// Package sl013 exercises SL013: a state method must reference every
+// field of its receiver struct, directly or via a same-package function
+// it reaches, and a raw-memory walk must move a pointer-free,
+// padding-free type.
 package sl013
 
-// Engine's Clone is complete: every field appears as a literal key.
+import "graphmem/internal/ckpt"
+
+// Engine's walk is complete: it lists every field itself.
 type Engine struct {
 	cfg   int
 	ticks []uint64
 }
 
-func (e *Engine) Clone() *Engine {
-	return &Engine{
-		cfg:   e.cfg,
-		ticks: append([]uint64(nil), e.ticks...),
-	}
+func (e *Engine) state(w *ckpt.Walker) {
+	w.Int(&e.cfg)
+	ckpt.Slice(w, &e.ticks)
 }
 
-// Tracker's Fork copies seen through a helper (the transitive-reach
+// Tracker's walk reaches seen through a helper (the transitive-reach
 // case) but never mentions count — the seeded violation — while note
 // carries a reviewed waiver.
 type Tracker struct {
 	id    uint32
 	seen  []uint32
 	count uint64
-	note  string //simlint:ignore SL013 scratch label; deliberately reset on fork
+	note  string //simlint:ignore SL013 scratch label; the bind step resets it
 }
 
-func (t *Tracker) Fork() *Tracker {
-	return &Tracker{id: t.id, seen: copySeen(t)}
+func (t *Tracker) state(w *ckpt.Walker) {
+	w.U32(&t.id)
+	walkSeen(w, t)
 }
 
-func copySeen(t *Tracker) []uint32 {
-	return append([]uint32(nil), t.seen...)
+func walkSeen(w *ckpt.Walker, t *Tracker) { ckpt.Slice(w, &t.seen) }
+
+// header has interior padding, so walking it as raw memory is the
+// seeded raw-walk violation.
+type header struct {
+	flag bool
+	n    uint64
 }
 
-// pair's clone uses an unkeyed literal, which covers every field.
-type pair struct {
-	a int
-	b int
-}
-
-func (p pair) clone() pair { return pair{p.a + 1, p.b} }
+func walkHeader(w *ckpt.Walker, h *header) { ckpt.Fixed(w, h) }

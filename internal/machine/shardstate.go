@@ -11,9 +11,9 @@ import (
 // several machines over disjoint windows of one logical address space
 // (DESIGN.md §5c). It is embedded anonymously in Machine so the access
 // engine's fast paths read the fields through promotion, exactly as
-// before the split; Fork copies it via clone. Region heat is per-shard
-// too, but lives in the VMAs (per-chunk heat counters) and forks with
-// the address space rather than with this struct.
+// before the split; its state walk copies it on fork. Region heat is
+// per-shard too, but lives in the VMAs (per-chunk heat counters) and
+// forks with the address space rather than with this struct.
 //
 // The grouping is the refactor's contract, not a runtime mechanism: a
 // shard is realized as a whole forked Machine, and this struct names
@@ -53,27 +53,4 @@ type shardState struct {
 	done       []PhaseStats
 
 	arrays []ArrayStats
-}
-
-// clone returns a deep copy of the shard state: the TLB and cache
-// hierarchies are cloned, the phase history and array counters copied.
-// Translation-cache entries are copied verbatim — they carry *VMA
-// pointers into the original address space, which Fork remaps after
-// attaching the cloned space (it needs the new space; this struct does
-// not know it).
-func (s *shardState) clone() shardState {
-	return shardState{
-		TLB:        s.TLB.Clone(),
-		Cache:      s.Cache.Clone(),
-		tr:         s.tr,
-		trBase:     s.trBase,
-		trSpan:     s.trSpan,
-		trWide:     s.trWide,
-		trVictim:   s.trVictim,
-		phase:      s.phase,
-		tlbAtPhase: s.tlbAtPhase,
-		cchAtPhase: s.cchAtPhase,
-		done:       append([]PhaseStats(nil), s.done...),
-		arrays:     append([]ArrayStats(nil), s.arrays...),
-	}
 }

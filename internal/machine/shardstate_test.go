@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"graphmem/internal/cache"
+	"graphmem/internal/ckpt"
 	"graphmem/internal/cost"
-	"graphmem/internal/memsys"
 	"graphmem/internal/oskernel"
 	"graphmem/internal/tlb"
 )
@@ -28,7 +28,8 @@ func TestShardFastPathZeroAllocs(t *testing.T) {
 	m.RegisterArray(v)
 	m.Touch(v.Base, v.Bytes)
 
-	f := m.Fork(func(memsys.Owner, *memsys.Memory) memsys.Owner { return nil })
+	f := m
+	Walk(ckpt.Cloner(), &f, nil)
 	fv := f.Space.FindVMA(v.Base)
 	if fv == nil || fv == v {
 		t.Fatal("forked space must carry its own clone of the test VMA")

@@ -1,0 +1,219 @@
+package machine
+
+import (
+	"graphmem/internal/cache"
+	"graphmem/internal/ckpt"
+	"graphmem/internal/memsys"
+	"graphmem/internal/oskernel"
+	"graphmem/internal/tlb"
+	"graphmem/internal/vm"
+)
+
+// State walk (DESIGN.md §5e). Machine.state lists the composed state
+// vector in the order its rebuild dependencies need, identical for fork
+// and decode: the address space first (it needs nothing), then physical
+// memory (whose owner table points back at the space), then the bind
+// step attaches the space to the node and routes its shootdowns here,
+// then the kernel (bound to both), and finally the per-shard simulation
+// state, whose cached translations name VMAs of the bound space.
+//
+// Machines carrying tickers or observers can be neither forked nor
+// saved: both are closures over state outside the machine, which no
+// walk can capture, so the walk fails rather than silently dropping an
+// actor. The campaign layer checks Forkable and routes such cells down
+// the monolithic path.
+
+// Owner-table slot tags: which side of the machine boundary an owner
+// lives on.
+const (
+	ownerSpace    = 1 // the machine's own address space
+	ownerExternal = 2 // a workload structure; the caller's OwnerFunc follows
+)
+
+// Forkable reports whether the machine can be forked or saved: it
+// carries no registered tickers or observers.
+func (m *Machine) Forkable() bool {
+	return len(m.tickers) == 0 && len(m.observers) == 0
+}
+
+// Walk forks, encodes, or decodes the machine *p owns. A fork is an
+// independent deep copy: from the fork point the copy and the original
+// evolve as two machines that happened to reach the same state, so
+// identical access streams produce bit-identical cycle counts and
+// statistics on both, and neither can observe the other. owner walks
+// the frame owners living OUTSIDE the machine — workload structures
+// such as a pinned memhog or a page cache — and may be nil when none
+// exist; the machine's own address space is resolved internally. A
+// decoded machine is validated as it is rebuilt; on any decoder error
+// it must be discarded.
+func Walk(w *ckpt.Walker, p **Machine, owner memsys.OwnerFunc) {
+	ckpt.Ptr(w, p, func(m *Machine, w *ckpt.Walker) { m.state(w, owner) })
+}
+
+func (m *Machine) state(w *ckpt.Walker, owner memsys.OwnerFunc) {
+	if !m.Forkable() {
+		w.Failf("machine: %d tickers and %d observers registered: closure-captured actors cannot be deep-copied or serialized",
+			len(m.tickers), len(m.observers))
+		return
+	}
+	// The access-engine hatches are per-process switches, not state: a
+	// fork's shallow copy keeps the original's, and a loader applies its
+	// own (core's applyAccessHatches).
+	_, _ = m.noBulk, m.noGather
+	w.U64(&m.cycles)
+	w.Bool(&m.simPT)
+	w.U64(&m.nextEvent)
+	ckpt.Fixed(w, &m.Model)
+	orig := m.Space
+	vm.Walk(w, &m.Space)
+	if w.Failed() {
+		return
+	}
+	memsys.Walk(w, &m.Mem, func(w *ckpt.Walker, o memsys.Owner, mem *memsys.Memory) memsys.Owner {
+		tag := uint8(ownerExternal)
+		if o != nil && o == memsys.Owner(orig) {
+			tag = ownerSpace
+		}
+		ckpt.Num(w, &tag)
+		switch {
+		case tag == ownerSpace:
+			return m.Space
+		case tag == ownerExternal && owner != nil:
+			return owner(w, o, mem)
+		case tag != ownerExternal:
+			w.Failf("machine: owner table slot tag %d unknown", tag)
+		}
+		return nil
+	})
+	if w.Failed() {
+		return
+	}
+	if w.Encoder() == nil {
+		m.bind()
+	}
+	if d := w.Decoder(); d != nil {
+		m.Space.CheckFrames(d)
+	}
+	oskernel.Walk(w, &m.Kernel, m.Mem, m.Space)
+	m.shardState.state(w, m.Space)
+	if d := w.Decoder(); d != nil {
+		m.validate(d)
+	}
+}
+
+// bind is the fork and decode bind step: the walked space attaches to
+// the walked node and routes its shootdowns to this machine's
+// translation cache, exactly as New wires them, and the closure actors
+// and the notify scratch buffer start empty.
+func (m *Machine) bind() {
+	m.Space.Bind(m.Mem, m.shootdown)
+	m.tickers = nil
+	m.observers = nil
+	m.ev = AccessEvent{}
+}
+
+// validate fails the decoder unless the per-array attribution and the
+// page-table flag agree with the decoded address space.
+func (m *Machine) validate(d *ckpt.Decoder) {
+	if d.Err() != nil {
+		return
+	}
+	// Per-array attribution indexes m.arrays by VMA.StatsTag without a
+	// bounds check on the fast path.
+	for _, v := range m.Space.VMAs() {
+		if v.StatsTag >= len(m.arrays) {
+			d.Failf("machine: VMA %q stats tag %d beyond %d registered arrays",
+				v.Name, v.StatsTag, len(m.arrays))
+			return
+		}
+	}
+	if m.simPT != m.Space.SimPageTables {
+		d.Failf("machine: page-table simulation flag disagrees with address space")
+	}
+}
+
+func (s *shardState) state(w *ckpt.Walker, space *vm.AddressSpace) {
+	tlb.Walk(w, &s.TLB)
+	cache.Walk(w, &s.Cache)
+	primary := trEntry{base: s.trBase, span: s.trSpan, tr: s.tr}
+	entryState(w, &primary, space, -1)
+	if w.Encoder() == nil {
+		s.tr, s.trBase, s.trSpan = primary.tr, primary.base, primary.span
+	}
+	for i := range s.trWide {
+		entryState(w, &s.trWide[i], space, i)
+	}
+	w.Int(&s.trVictim)
+	if d := w.Decoder(); d != nil && (s.trVictim < 0 || s.trVictim >= trCacheWays) {
+		d.Failf("machine: translation victim cursor %d out of range", s.trVictim)
+	}
+	s.phase.state(w)
+	ckpt.Fixed(w, &s.tlbAtPhase)
+	ckpt.Fixed(w, &s.cchAtPhase)
+	ckpt.Each(w, &s.done, 1<<20, (*PhaseStats).state)
+	ckpt.Each(w, &s.arrays, 1<<20, (*ArrayStats).state)
+}
+
+// entryState walks one translation-cache entry: the primary (victim -1)
+// or a victim way. An empty entry (span 0) may still hold a stale
+// translation from before the last shootdown, even one naming a VMA
+// since unmapped; the walk normalizes it to the zero entry, so no fork
+// or image carries it, and decode rejects any other empty entry. A live
+// entry must be one the fast path can consume without bounds checks:
+// the window sits inside its VMA (accountHeat indexes region heat from
+// it) and the frame inside the node.
+func entryState(w *ckpt.Walker, e *trEntry, space *vm.AddressSpace, victim int) {
+	x := *e
+	if x.span == 0 {
+		x = trEntry{}
+	}
+	w.U64(&x.base)
+	w.U64(&x.span)
+	ckpt.Num(w, &x.tr.Frame)
+	ckpt.Num(w, &x.tr.Size)
+	w.U64(&x.tr.BaseVA)
+	if d := w.Decoder(); d != nil && x.tr.Size > vm.Page2M {
+		d.Failf("machine: translation page size class %d unknown", x.tr.Size)
+		return
+	}
+	vm.WalkRef(w, &x.tr.VMA, space, "machine: cached translation")
+	if w.Encoder() == nil {
+		*e = x
+	}
+	d := w.Decoder()
+	switch {
+	case d == nil || d.Err() != nil:
+	case x.span == 0 && x != (trEntry{}) && victim < 0:
+		d.Failf("machine: empty primary translation entry carries state")
+	case x.span == 0 && x != (trEntry{}):
+		d.Failf("machine: empty translation victim entry %d carries state", victim)
+	case x.span == 0:
+	case x.span != x.tr.Size.Bytes() || x.tr.BaseVA != x.base:
+		d.Failf("machine: cached translation window [%#x,+%d) does not match its page class", x.base, x.span)
+	case x.tr.VMA == nil || x.base < x.tr.VMA.Base || x.base+x.span > x.tr.VMA.End():
+		d.Failf("machine: cached translation window [%#x,+%d) escapes its VMA", x.base, x.span)
+	default:
+		frames := x.span / memsys.PageSize
+		if uint64(x.tr.Frame)%frames != 0 || uint64(x.tr.Frame)+frames > space.Mem().TotalPages() {
+			d.Failf("machine: cached translation frame %d misaligned or out of range", x.tr.Frame)
+		}
+	}
+}
+
+func (p *PhaseStats) state(w *ckpt.Walker) {
+	w.String(&p.Name)
+	w.U64(&p.Cycles)
+	w.U64(&p.Accesses)
+	w.U64(&p.DataCycles)
+	w.U64(&p.TranslationCycles)
+	w.U64(&p.FaultCycles)
+	ckpt.Fixed(w, &p.TLB)
+	ckpt.Fixed(w, &p.Cache)
+}
+
+func (a *ArrayStats) state(w *ckpt.Walker) {
+	w.String(&a.Name)
+	w.U64(&a.Accesses)
+	w.U64(&a.L1Misses)
+	w.U64(&a.Walks)
+}

@@ -98,8 +98,8 @@ type FootprintReporter interface {
 // node hosts a handful of distinct owners (one address space, a memhog,
 // perhaps a page cache) spread across millions of frames, so frames
 // store this small interned handle instead of the two-word interface.
-// That keeps frameInfo pointer-free, which is what makes Clone a flat
-// memmove (no per-frame GC write barriers) with owner remapping done
+// That keeps frameInfo pointer-free, which is what makes a fork's frame
+// copy a flat memmove (no per-frame GC write barriers) with owner remapping done
 // once per table entry instead of once per frame — the property the
 // sharded engine's fork-per-shard bring-up depends on.
 type ownerRef uint16
@@ -114,8 +114,8 @@ type ownerRef uint16
 //	bit  54      allocated
 //	bits 55..63  owner ref (interned; up to maxOwnerRefs owners)
 //
-// The zero value is a free frame. The word stays pointer-free, so Clone
-// still copies the array with one flat memmove.
+// The zero value is a free frame. The word stays pointer-free, so a
+// fork still copies the array with one flat memmove.
 type frameInfo struct{ w uint64 }
 
 // Compile-time budget assertion: the array length underflows (negative

@@ -12,7 +12,7 @@
 # wall-clock pair (the same rollout-bearing subset with checkpoint
 # forking on vs GRAPHMEM_NO_SNAPSHOT=1), and the sharded-engine
 # single-run pair (TestShardBringupSpeedup: the kr25 ext-shard cell
-# with fork bring-up vs GRAPHMEM_NO_SHARD=1 replay), and the
+# with fork bring-up vs GRAPHMEM_NO_SNAPSHOT=1 replay), and the
 # paper-geometry footprint gate (TestFullscaleGeometryGate: the
 # ext-fullscale 128 GB staged campaign, recording bytes_per_frame and
 # the stats.Footprint totals and reduction), and the checkpoint-store
@@ -198,7 +198,7 @@ go run ./cmd/benchjson -file "$out" \
     "campaign_snapshot_wall_seconds=$snap_wall" \
     "campaign_nosnapshot_wall_seconds=$nosnap_wall" \
     "campaign_snapshot_speedup=$speedup" \
-    "shard_single_run=TestShardBringupSpeedup (core.Run of the bench-scale kr25 ext-shard cell at 4 shard workers, fork bring-up vs GRAPHMEM_NO_SHARD=1 replay, min of 3)" \
+    "shard_single_run=TestShardBringupSpeedup (core.Run of the bench-scale kr25 ext-shard cell at 4 shard workers, fork bring-up vs GRAPHMEM_NO_SNAPSHOT=1 replay, min of 3)" \
     "run_shard_wall_seconds=$shard_wall" \
     "run_noshard_wall_seconds=$noshard_wall" \
     "run_shard_speedup=$shard_speedup" \

@@ -3,7 +3,7 @@
 #
 #   1. gofmt            formatting drift
 #   2. go vet           stdlib static checks
-#   3. simlint          project determinism rules (SL001..SL015),
+#   3. simlint          project determinism rules (SL001..SL014),
 #                       timed: the interprocedural facts engine must
 #                       keep the full-module sweep under 60s
 #   4. go build         both build-tag variants compile
@@ -36,8 +36,8 @@
 #                       must cut the subset's wall-clock by >= 2x
 #  12. sharded-engine equivalence
 #                       the ext-shard campaign with fork bring-up
-#                       disabled (GRAPHMEM_NO_SHARD=1, every extra shard
-#                       replays its load phase) must be byte-identical
+#                       disabled (GRAPHMEM_NO_SNAPSHOT=1, every extra
+#                       shard replays its load phase) must be byte-identical
 #                       to the forking run across -shards and -j worker
 #                       counts, and fork bring-up must cut single-run
 #                       wall-clock by >= 2x (TestShardBringupSpeedup,
@@ -63,7 +63,10 @@
 #                       every byte surface must match the store-less
 #                       run of step 8; then the in-process perf gate
 #                       (TestCkptReloadSpeedup) requires loading a
-#                       container to beat re-staging the node by >= 3x
+#                       container to beat re-staging the node by >= 3x,
+#                       and a 30s FuzzLoadCheckpoint run requires every
+#                       payload the loader accepts to re-save to its
+#                       own bytes and run without panicking
 #  16. docsplice -check
 #                       EXPERIMENTS.md's measured blocks match results/
 #
@@ -168,7 +171,7 @@ if [ "$nosnap_elapsed" -lt $(( 2 * snap_elapsed )) ]; then
     exit 1
 fi
 
-echo "== sharded-engine equivalence: GRAPHMEM_NO_SHARD=1 vs fork bring-up"
+echo "== sharded-engine equivalence: GRAPHMEM_NO_SNAPSHOT=1 vs fork bring-up"
 # ext-shard is the sharded-engine experiment: every cell runs its kernel
 # phase as 16 owner-computes shards on a big-memory staged node, so the
 # fork-vs-replay margin the hatch controls is first-order. -shards (the
@@ -182,7 +185,7 @@ mkdir -p "$tmp/csvh1" "$tmp/csvh4" "$tmp/csvnh"
 diff "$tmp/stdouth1.txt" "$tmp/stdouth4.txt"
 diff "$tmp/outh1.md" "$tmp/outh4.md"
 diff -r "$tmp/csvh1" "$tmp/csvh4"
-GRAPHMEM_NO_SHARD=1 "$tmp/expdriver" -scale bench -exp ext-shard -shards 4 -j 1 \
+GRAPHMEM_NO_SNAPSHOT=1 "$tmp/expdriver" -scale bench -exp ext-shard -shards 4 -j 1 \
     -out "$tmp/outnh.md" -csv "$tmp/csvnh" > "$tmp/stdoutnh.txt"
 diff "$tmp/stdouth1.txt" "$tmp/stdoutnh.txt"
 diff "$tmp/outh1.md" "$tmp/outnh.md"
@@ -227,6 +230,9 @@ fi
 # (min-of-3): subprocess wall-clocks would fold compilation, dataset
 # generation, and kernel phases into both sides and drown the margin.
 GRAPHMEM_CKPT_GATE=1 go test -run '^TestCkptReloadSpeedup$' -count=1 -v ./internal/exp
+# Bounded fuzzing of the loader: every payload it accepts must re-save
+# to exactly its own bytes and run without panicking.
+go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 30s ./internal/core
 
 echo "== docsplice -check (EXPERIMENTS.md in sync with results/)"
 go run ./cmd/docsplice -doc EXPERIMENTS.md -results results/expdriver_full.txt -check
