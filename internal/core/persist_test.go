@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"sync"
 	"testing"
@@ -211,4 +213,36 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// imageDigests pins the SHA-256 of the container a checkpoint of the
+// persistence spec (THP) saves to, per checkpoint format version.
+var imageDigests = map[uint32]string{
+	2: "4de349fc2293c1f94247e7590ecf30a7840e7ac4b6987499acaf887cd8ccc80d",
+}
+
+// TestCheckpointFormatDrift guards the image format: a change to any
+// state walk, to the state it walks, or to the container moves these
+// bytes, and stores written before it would then load as garbage or fail.
+// Such a change must bump ckpt.Version, which makes older images fail
+// cleanly, and record the new digest under the new version.
+func TestCheckpointFormatDrift(t *testing.T) {
+	cp, err := core.Prepare(persistSpec(t, core.THPAlways()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := cp.Save(&buf, "format-drift"); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	got := hex.EncodeToString(sum[:])
+	want, ok := imageDigests[ckpt.Version]
+	if !ok {
+		t.Fatalf("no image digest recorded for checkpoint format version %d; record %s", ckpt.Version, got)
+	}
+	if got != want {
+		t.Fatalf("checkpoint image digest is %s, want %s at format version %d: the image bytes changed, so bump ckpt.Version and record the new digest under it",
+			got, want, ckpt.Version)
+	}
 }

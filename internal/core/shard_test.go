@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+	"sync"
 	"testing"
 
 	"graphmem/internal/analytics"
@@ -239,5 +240,42 @@ func TestShardedMakespan(t *testing.T) {
 	}
 	if res.KernelCycles >= sum {
 		t.Fatalf("4-shard makespan %d shows no overlap over serial sum %d", res.KernelCycles, sum)
+	}
+}
+
+// TestConcurrentCheckpointRuns: campaign workers fork one cached
+// checkpoint at once, each fork shares the frozen node's memory pages,
+// and every sharded run copies the pages it writes. Concurrent Runs must
+// each reproduce the serial result (go test -race checks the sharing).
+func TestConcurrentCheckpointRuns(t *testing.T) {
+	t.Setenv("GRAPHMEM_SHARD_WORKERS", "2")
+	cp, err := core.Prepare(shardedSpec(t, analytics.BFS, core.SelectiveTHP(0.5), 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := cp.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runners = 4
+	results := make([]*core.RunResult, runners)
+	errs := make([]error, runners)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = cp.Run()
+		}()
+	}
+	wg.Wait()
+	for i, got := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("concurrent run %d diverged from the serial run:\n--- serial ---\n%s--- concurrent ---\n%s",
+				i, formatResult(ref), formatResult(got))
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"graphmem/internal/analytics"
@@ -217,5 +218,42 @@ func TestForkInterleavingStress(t *testing.T) {
 	// or the "with background ticks" claim is vacuous.
 	if fmA.Kernel.NextTickAt() == next0 {
 		t.Fatal("no khugepaged tick fired during the stress; grow the probe budgets")
+	}
+}
+
+// TestForkCostIsPageDirectories is the fork-cost guard: a fork of a
+// staged 32 GB pressured node shares the node's frame metadata and free
+// bitmaps page by page, so it allocates a small fraction of what the
+// frame table costs (a full copy of it allocates about all of it). The
+// measure is allocated bytes, not time, so the guard is deterministic.
+func TestForkCostIsPageDirectories(t *testing.T) {
+	spec := quickSpec(t, analytics.BFS, core.THPAlways(), core.FreshBoot())
+	spec.Env = core.Pressured(int64(analytics.WSSBytes(spec.App, spec.Graph) / 16))
+	spec.Env.MemoryBytes = 32 << 30
+	cp, err := core.Prepare(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, _ := cp.Footprint()
+	var frames uint64
+	for _, r := range fp.Rows {
+		if r.Subsystem == "memsys/frames" {
+			frames = r.Bytes
+		}
+	}
+	if frames < 64<<20 {
+		t.Fatalf("memsys/frames row is %d bytes, want a 32 GB node's frame table", frames)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, img, err := cp.Fork()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(img)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= frames/32 {
+		t.Fatalf("a fork allocated %d bytes, want under 1/32 of the %d-byte frame table", alloc, frames)
 	}
 }

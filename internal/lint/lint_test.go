@@ -55,9 +55,9 @@ func TestRuleFixtures(t *testing.T) {
 		}},
 		{dir: "sl012", want: []want{{"SL012", 11}, {"SL012", 12}}},
 		// Tracker.count (line 26) is the seeded gap, reached fields and
-		// the waived note stay silent; line 44 walks a padded struct as
-		// raw memory.
-		{dir: "sl013", want: []want{{"SL013", 26}, {"SL013", 44}}},
+		// the waived note stay silent; lines 45 and 56 walk a padded
+		// struct as raw memory, as a fixed value and as paged elements.
+		{dir: "sl013", want: []want{{"SL013", 26}, {"SL013", 45}, {"SL013", 56}}},
 		// helpers.go:20 is the write scatter reaches through two untagged
 		// hops; worker.go:16 is the direct write in the tagged file.
 		// drain (shard-owned state only) stays silent.

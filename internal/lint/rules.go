@@ -154,7 +154,7 @@ func AllRules() []Rule {
 				"literal), in its own body or a same-package function it " +
 				"transitively reaches — a field the walk never mentions is state " +
 				"every fork and reloaded checkpoint silently drops; every " +
-				"ckpt.Fixed/Num/Slice/Map instantiation must name a pointer-free, " +
+				"ckpt.Fixed/Num/Slice/Pages/Map instantiation must name a pointer-free, " +
 				"padding-free type; machine.Machine must have a state method to " +
 				"anchor the contract",
 			Applies: internalOnly,

@@ -24,8 +24,8 @@ import (
 // heard of does not, which is the failure mode this rule is for.
 //
 // The walk helpers that move a value as raw host memory (ckpt.Fixed,
-// Num, Slice and Map) are only sound for pointer-free, padding-free
-// types: a pointer would serialize a host address, and padding bytes
+// Num, Slice, Pages and Map) are only sound for pointer-free,
+// padding-free types: a pointer would serialize a host address, and padding bytes
 // are not guaranteed deterministic. The rule checks every instantiation.
 
 // checkStateCompleteness verifies every state method declared in the
@@ -80,7 +80,7 @@ func checkStateCompleteness(p *Pass) {
 
 // rawWalkers are the ckpt helpers that move their type arguments as raw
 // host memory.
-var rawWalkers = map[string]bool{"Fixed": true, "Num": true, "Slice": true, "Map": true}
+var rawWalkers = map[string]bool{"Fixed": true, "Num": true, "Slice": true, "Pages": true, "Map": true}
 
 // checkRawWalks reports every instantiation of a raw-memory walk helper
 // whose type argument holds a pointer or padding.

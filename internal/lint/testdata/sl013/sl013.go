@@ -35,10 +35,23 @@ func (t *Tracker) state(w *ckpt.Walker) {
 func walkSeen(w *ckpt.Walker, t *Tracker) { ckpt.Slice(w, &t.seen) }
 
 // header has interior padding, so walking it as raw memory is the
-// seeded raw-walk violation.
+// seeded raw-walk violation, both as a fixed value and as the element of
+// a paged array.
 type header struct {
 	flag bool
 	n    uint64
 }
 
 func walkHeader(w *ckpt.Walker, h *header) { ckpt.Fixed(w, h) }
+
+// Log walks two paged arrays: its words pass, and its padded headers
+// are the seeded paged violation.
+type Log struct {
+	words   ckpt.Paged[uint64]
+	headers ckpt.Paged[header]
+}
+
+func (l *Log) state(w *ckpt.Walker) {
+	ckpt.Pages(w, &l.words)
+	ckpt.Pages(w, &l.headers)
+}

@@ -1,9 +1,12 @@
 package memsys
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"graphmem/internal/check"
+	"graphmem/internal/ckpt"
 )
 
 // fuzzOwner is the shadow bookkeeping for tracked order-0 movable
@@ -41,149 +44,220 @@ func (o *fuzzOwner) FrameReclaimed(f Frame, cookie uint64) bool {
 	return true
 }
 
+// fuzzNode is one side of a FuzzAllocFree run: a node and the harness's
+// own record of what it allocated there.
+type fuzzNode struct {
+	m     *Memory
+	owner *fuzzOwner
+	huge  []Frame // movable huge blocks, nil owner: immune to move/reclaim
+	unmov []fuzzBlock
+}
+
+type fuzzBlock struct {
+	frame Frame
+	order int
+}
+
+// fork returns a fork of n whose harness record is a copy of n's, with
+// the tracked owner forked alongside the node.
+func (n *fuzzNode) fork(t *testing.T) *fuzzNode {
+	c := &fuzzNode{
+		owner: &fuzzOwner{t: t, entries: slices.Clone(n.owner.entries)},
+		huge:  slices.Clone(n.huge),
+		unmov: slices.Clone(n.unmov),
+	}
+	c.m = n.m
+	Walk(ckpt.Cloner(), &c.m, func(w *ckpt.Walker, o Owner, mem *Memory) Owner {
+		if o == Owner(n.owner) {
+			return c.owner
+		}
+		return o
+	})
+	return c
+}
+
+// apply runs one fuzzer operation.
+func (n *fuzzNode) apply(op, arg int) {
+	m := n.m
+	switch op {
+	case 0: // tracked order-0 movable alloc
+		fr := m.Alloc(0, Movable, n.owner, uint64(len(n.owner.entries)))
+		if fr != NoFrame {
+			n.owner.entries = append(n.owner.entries, fuzzEntry{frame: fr, live: true})
+		}
+	case 1: // movable huge block, nil owner
+		fr := m.Alloc(HugeOrder, Movable, nil, 0)
+		if fr != NoFrame {
+			n.huge = append(n.huge, fr)
+		}
+	case 2: // unmovable block, any order up to huge
+		order := arg % (HugeOrder + 1)
+		fr := m.Alloc(order, Unmovable, nil, 0)
+		if fr != NoFrame {
+			n.unmov = append(n.unmov, fuzzBlock{fr, order})
+		}
+	case 3: // free a tracked page (unless reclaim already took it)
+		if len(n.owner.entries) == 0 {
+			return
+		}
+		e := &n.owner.entries[arg%len(n.owner.entries)]
+		if e.live {
+			m.Free(e.frame, 0)
+			e.live = false
+		}
+	case 4: // free a huge block
+		if len(n.huge) == 0 {
+			return
+		}
+		j := arg % len(n.huge)
+		m.Free(n.huge[j], HugeOrder)
+		n.huge[j] = n.huge[len(n.huge)-1]
+		n.huge = n.huge[:len(n.huge)-1]
+	case 5: // free an unmovable block
+		if len(n.unmov) == 0 {
+			return
+		}
+		j := arg % len(n.unmov)
+		m.Free(n.unmov[j].frame, n.unmov[j].order)
+		n.unmov[j] = n.unmov[len(n.unmov)-1]
+		n.unmov = n.unmov[:len(n.unmov)-1]
+	case 6: // split an unmovable huge block, keep only its head page
+		for j := range n.unmov {
+			if n.unmov[j].order != HugeOrder {
+				continue
+			}
+			m.SplitAllocated(n.unmov[j].frame, HugeOrder)
+			for k := Frame(1); k < HugePages; k++ {
+				m.Free(n.unmov[j].frame+k, 0)
+			}
+			n.unmov[j].order = 0
+			break
+		}
+	case 7:
+		m.TryCompactHuge()
+	case 8:
+		m.ReclaimPages(1 + arg%64)
+	case 9: // pin/unpin a tracked page (compaction still moves it)
+		if len(n.owner.entries) == 0 {
+			return
+		}
+		e := n.owner.entries[arg%len(n.owner.entries)]
+		if !e.live {
+			return
+		}
+		if m.MigrateTypeOf(e.frame) == Movable {
+			m.SetMigrateType(e.frame, Pinned)
+		} else {
+			m.SetMigrateType(e.frame, Movable)
+		}
+	}
+}
+
+// audit checks the full invariant set (and, through it, the shadow
+// mirror) and that the harness's live pages are allocated.
+func (n *fuzzNode) audit(t *testing.T, step int) {
+	t.Helper()
+	if err := n.m.CheckInvariants(); err != nil {
+		t.Fatalf("op %d: %v", step, err)
+	}
+	check.Audit("memsys", n.m.CheckInvariants)
+	for j, e := range n.owner.entries {
+		if e.live && !n.m.Allocated(e.frame) {
+			t.Fatalf("op %d: tracked entry %d: frame %d live in shadow but free in allocator", step, j, e.frame)
+		}
+	}
+}
+
+// teardown frees everything the harness holds; all memory must return,
+// fully coalesced.
+func (n *fuzzNode) teardown(t *testing.T) {
+	t.Helper()
+	for j := range n.owner.entries {
+		if n.owner.entries[j].live {
+			n.m.Free(n.owner.entries[j].frame, 0)
+		}
+	}
+	for _, fr := range n.huge {
+		n.m.Free(fr, HugeOrder)
+	}
+	for _, b := range n.unmov {
+		n.m.Free(b.frame, b.order)
+	}
+	if err := n.m.CheckInvariants(); err != nil {
+		t.Fatalf("after teardown: %v", err)
+	}
+	if n.m.FreePages() != n.m.TotalPages() {
+		t.Fatalf("leak: %d of %d pages free after teardown", n.m.FreePages(), n.m.TotalPages())
+	}
+}
+
 // FuzzAllocFree replays arbitrary Alloc/Free/split/compaction/reclaim
 // sequences against the buddy allocator and audits the full invariant
 // set (free-list disjointness, buddy coalescing, per-migratetype frame
-// conservation) every few operations. Run it with -tags simcheck to
-// also exercise the check.Audit path.
+// conservation) every few operations. At an op index the input's first
+// byte picks, the node is forked twice: the remaining ops replay on the
+// original and on one fork, which must end byte-identical, while the
+// other fork stays idle and must still encode to its fork-time image.
+// The node spans two frame pages, so forks share pages and copy them on
+// write. Run it with -tags simcheck to also exercise the check.Audit
+// path.
 func FuzzAllocFree(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 7, 3, 0, 4, 8, 5})
 	f.Add([]byte{1, 1, 1, 4, 4, 4})
 	f.Add([]byte{0, 0, 0, 0, 8, 8, 8, 8, 7, 7})
 	f.Add([]byte{2, 0xF2, 6, 5, 2, 0x32, 6, 9, 3})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{9, 0, 0, 0, 1, 2, 0x22, 0, 7, 9, 3, 1, 8, 7, 5, 6, 7, 4})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := New(16 << 20) // 4096 frames
+		orig := &fuzzNode{m: New(32 << 20), owner: &fuzzOwner{t: t}} // 8192 frames: two frame pages
 		// Mirror every metadata write into the unpacked reference
 		// layout: each audit below then also cross-checks the packed
 		// words field by field (shadowCheck via CheckInvariants).
-		m.EnableShadow()
-		owner := &fuzzOwner{t: t}
-		var huge []Frame // movable huge blocks, nil owner: immune to move/reclaim
-		type ublock struct {
-			frame Frame
-			order int
+		orig.m.EnableShadow()
+		forkAt := 0
+		if len(data) > 0 {
+			forkAt = int(data[0]) % (len(data) + 1)
 		}
-		var unmov []ublock
-
-		audit := func(step int) {
-			t.Helper()
-			if err := m.CheckInvariants(); err != nil {
-				t.Fatalf("op %d: %v", step, err)
+		var replay, idle *fuzzNode
+		var idleImage []byte
+		for i := 0; i <= len(data); i++ {
+			if i == forkAt {
+				replay, idle = orig.fork(t), orig.fork(t)
+				idleImage = imageOf(t, idle.m)
+				if !bytes.Equal(imageOf(t, orig.m), idleImage) {
+					t.Fatalf("op %d: a fork encodes differently from its original", i)
+				}
 			}
-			check.Audit("memsys", m.CheckInvariants)
-		}
-
-		for i := 0; i < len(data); i++ {
-			op := data[i] % 10
+			if i == len(data) {
+				break
+			}
+			op := int(data[i] % 10)
 			arg := 0
 			if i+1 < len(data) {
 				arg = int(data[i+1])
 			}
-			switch op {
-			case 0: // tracked order-0 movable alloc
-				fr := m.Alloc(0, Movable, owner, uint64(len(owner.entries)))
-				if fr != NoFrame {
-					owner.entries = append(owner.entries, fuzzEntry{frame: fr, live: true})
-				}
-			case 1: // movable huge block, nil owner
-				fr := m.Alloc(HugeOrder, Movable, nil, 0)
-				if fr != NoFrame {
-					huge = append(huge, fr)
-				}
-			case 2: // unmovable block, any order up to huge
-				order := arg % (HugeOrder + 1)
-				fr := m.Alloc(order, Unmovable, nil, 0)
-				if fr != NoFrame {
-					unmov = append(unmov, ublock{fr, order})
-				}
-			case 3: // free a tracked page (unless reclaim already took it)
-				if len(owner.entries) == 0 {
-					continue
-				}
-				e := &owner.entries[arg%len(owner.entries)]
-				if e.live {
-					m.Free(e.frame, 0)
-					e.live = false
-				}
-			case 4: // free a huge block
-				if len(huge) == 0 {
-					continue
-				}
-				j := arg % len(huge)
-				m.Free(huge[j], HugeOrder)
-				huge[j] = huge[len(huge)-1]
-				huge = huge[:len(huge)-1]
-			case 5: // free an unmovable block
-				if len(unmov) == 0 {
-					continue
-				}
-				j := arg % len(unmov)
-				m.Free(unmov[j].frame, unmov[j].order)
-				unmov[j] = unmov[len(unmov)-1]
-				unmov = unmov[:len(unmov)-1]
-			case 6: // split an unmovable huge block, keep only its head page
-				for j := range unmov {
-					if unmov[j].order != HugeOrder {
-						continue
-					}
-					m.SplitAllocated(unmov[j].frame, HugeOrder)
-					for k := Frame(1); k < HugePages; k++ {
-						m.Free(unmov[j].frame+k, 0)
-					}
-					unmov[j].order = 0
-					break
-				}
-			case 7:
-				m.TryCompactHuge()
-			case 8:
-				m.ReclaimPages(1 + arg%64)
-			case 9: // pin/unpin a tracked page (compaction still moves it)
-				if len(owner.entries) == 0 {
-					continue
-				}
-				j := arg % len(owner.entries)
-				e := owner.entries[j]
-				if !e.live {
-					continue
-				}
-				if m.MigrateTypeOf(e.frame) == Movable {
-					m.SetMigrateType(e.frame, Pinned)
-				} else {
-					m.SetMigrateType(e.frame, Movable)
+			sides := []*fuzzNode{orig}
+			if replay != nil {
+				sides = append(sides, replay)
+			}
+			for _, n := range sides {
+				n.apply(op, arg)
+				if i%16 == 0 {
+					n.audit(t, i)
 				}
 			}
-			if i%16 == 0 {
-				audit(i)
-			}
 		}
-		audit(len(data))
-
-		// Shadow state must agree with the allocator before teardown.
-		for j, e := range owner.entries {
-			if e.live && !m.Allocated(e.frame) {
-				t.Fatalf("tracked entry %d: frame %d live in shadow but free in allocator", j, e.frame)
-			}
+		for _, n := range []*fuzzNode{orig, replay, idle} {
+			n.audit(t, len(data))
 		}
-
-		// Tear down; all memory must return, fully coalesced.
-		for j := range owner.entries {
-			if owner.entries[j].live {
-				m.Free(owner.entries[j].frame, 0)
-			}
+		if !bytes.Equal(imageOf(t, orig.m), imageOf(t, replay.m)) {
+			t.Fatal("the original and its fork diverged replaying the same ops")
 		}
-		for _, fr := range huge {
-			m.Free(fr, HugeOrder)
+		if !bytes.Equal(imageOf(t, idle.m), idleImage) {
+			t.Fatal("the idle fork changed while the original and the other fork ran")
 		}
-		for _, b := range unmov {
-			m.Free(b.frame, b.order)
-		}
-		if err := m.CheckInvariants(); err != nil {
-			t.Fatalf("after teardown: %v", err)
-		}
-		if m.FreePages() != m.TotalPages() {
-			t.Fatalf("leak: %d of %d pages free after teardown", m.FreePages(), m.TotalPages())
-		}
+		orig.teardown(t)
+		replay.teardown(t)
 	})
 }

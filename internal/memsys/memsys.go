@@ -15,6 +15,7 @@ import (
 	"unsafe"
 
 	"graphmem/internal/check"
+	"graphmem/internal/ckpt"
 )
 
 // Fundamental geometry. The simulator uses x86-64 sizes throughout.
@@ -114,13 +115,19 @@ type ownerRef uint16
 //	bit  54      allocated
 //	bits 55..63  owner ref (interned; up to maxOwnerRefs owners)
 //
-// The zero value is a free frame. The word stays pointer-free, so a
-// fork still copies the array with one flat memmove.
+// The zero value is a free frame. The word stays pointer-free, so the
+// frame array can live in copy-on-write pages that move as raw memory.
 type frameInfo struct{ w uint64 }
 
 // Compile-time budget assertion: the array length underflows (negative
 // constant) if frameInfo ever outgrows 8 bytes.
 var _ [8 - unsafe.Sizeof(frameInfo{})]byte
+
+// Compile-time geometry assertion: a frame page holds at least one
+// max-order block, so no block write and no 2MB compaction region (both
+// aligned to their size) straddles a page. The constant overflows uint if
+// the page ever shrinks below that.
+const _ = uint(ckpt.PageLen - 1<<MaxOrder)
 
 const (
 	fiCookieBits = 48
@@ -206,9 +213,23 @@ type Stats struct {
 }
 
 // Memory models one NUMA node's physical memory.
+//
+// The frame array and the free bitmaps are copy-on-write paged arrays
+// (ckpt.Paged) that a fork shares page by page. Every mutator claims the
+// pages it is about to write (own, ownFrame) before the write helpers
+// write them in place; claiming copies a page a fork still shares. Every
+// write a mutator makes for frame f stays inside f's max-order block, so
+// it lands in f's frame page and in the page covering f of each bitmap.
 type Memory struct {
 	nframes Frame
-	frames  []frameInfo
+	frames  ckpt.Paged[frameInfo]
+
+	// forked is set once the node has been forked or is a fork. Forks
+	// set it atomically, since several goroutines may fork one node at
+	// once; the node's own mutators read it plainly, as ckpt.Paged reads
+	// its flags. Until it is set no page can be shared, and claiming is
+	// this one load.
+	forked *uint32
 
 	// shadow, when non-nil, mirrors every frame-metadata write in the
 	// unpacked reference layout (EnableShadow; test-only differential
@@ -217,7 +238,7 @@ type Memory struct {
 	shadow []frameShadow
 
 	// freeBits[o] marks block-start frames of free order-o blocks.
-	freeBits [MaxOrder + 1][]uint64
+	freeBits [MaxOrder + 1]ckpt.Paged[uint64]
 	// freeCount[o] is the number of free blocks of exactly order o.
 	freeCount [MaxOrder + 1]uint32
 	// hint[o] is a search start position (word index) for order o.
@@ -350,11 +371,12 @@ func New(totalBytes uint64) *Memory {
 	n := Frame(totalBytes / PageSize)
 	m := &Memory{
 		nframes: n,
-		frames:  make([]frameInfo, n),
+		frames:  ckpt.NewPaged[frameInfo](int(n)),
+		forked:  new(uint32),
 	}
-	words := (uint32(n) + 63) / 64
+	words := int((uint32(n) + 63) / 64)
 	for o := 0; o <= MaxOrder; o++ {
-		m.freeBits[o] = make([]uint64, words)
+		m.freeBits[o] = ckpt.NewPaged[uint64](words)
 	}
 	for f := Frame(0); f < n; f += 1 << MaxOrder {
 		m.setFree(f, MaxOrder)
@@ -374,13 +396,38 @@ func (m *Memory) Stats() Stats { return m.stats }
 
 // --- metadata write helpers ------------------------------------------
 
+// own claims, for writing, frame f's frame page and the page covering f
+// of every free bitmap.
+func (m *Memory) own(f Frame) {
+	if *m.forked != 0 {
+		m.ownPages(f)
+	}
+}
+
+// ownPages is own's copying half, kept out of line so own inlines.
+func (m *Memory) ownPages(f Frame) {
+	m.frames.Own(int(f))
+	for o := range m.freeBits {
+		m.freeBits[o].Own(int(f / 64))
+	}
+}
+
+// ownFrame claims frame f's frame page alone, for the mutators that leave
+// the free bitmaps untouched.
+func (m *Memory) ownFrame(f Frame) {
+	if *m.forked != 0 {
+		m.frames.Own(int(f))
+	}
+}
+
 // setFrames stamps npages consecutive frames as constituents of one
 // allocated block. Every bulk metadata write funnels through here so the
-// optional shadow mirror stays exact.
+// optional shadow mirror stays exact. A block lies in one frame page.
 func (m *Memory) setFrames(f, npages Frame, order int, mtype MigrateType, ref ownerRef, cookie uint64) {
 	fi := packFrame(order, mtype, ref, cookie)
-	for i := Frame(0); i < npages; i++ {
-		m.frames[f+i] = fi
+	blk := m.frames.Mut(int(f), int(f+npages))
+	for i := range blk {
+		blk[i] = fi
 	}
 	if m.shadow != nil {
 		s := frameShadow{allocated: true, blockOrder: uint8(order), mtype: mtype, owner: ref, cookie: cookie}
@@ -394,7 +441,7 @@ func (m *Memory) setFrames(f, npages Frame, order int, mtype MigrateType, ref ow
 // single range clear (the zero word is a free frame), replacing the
 // per-frame stores the free/evacuate/reclaim paths used to do.
 func (m *Memory) clearFrames(f, npages Frame) {
-	clear(m.frames[f : f+npages])
+	clear(m.frames.Mut(int(f), int(f+npages)))
 	if m.shadow != nil {
 		clear(m.shadow[f : f+npages])
 	}
@@ -407,13 +454,20 @@ func (m *Memory) clearFrames(f, npages Frame) {
 // memory).
 func (m *Memory) EnableShadow() {
 	m.shadow = make([]frameShadow, m.nframes)
-	for f := Frame(0); f < m.nframes; f++ {
-		fi := m.frames[f]
-		if fi.w == 0 {
-			continue
+	for lo, n := 0, m.frames.Len(); lo < n; {
+		s := m.frames.Span(lo, n)
+		for i, fi := range s {
+			if fi.w != 0 {
+				m.shadow[lo+i] = unpack(fi)
+			}
 		}
-		m.shadow[f] = frameShadow{fi.allocated(), fi.blockOrder(), fi.mtype(), fi.owner(), fi.cookie()}
+		lo += len(s)
 	}
+}
+
+// unpack decodes a packed frame word into the shadow's reference layout.
+func unpack(fi frameInfo) frameShadow {
+	return frameShadow{fi.allocated(), fi.blockOrder(), fi.mtype(), fi.owner(), fi.cookie()}
 }
 
 // ShadowCheck compares every frame's decoded packed metadata against the
@@ -427,12 +481,14 @@ func (m *Memory) ShadowCheck() error {
 }
 
 func (m *Memory) shadowCheck() error {
-	for f := Frame(0); f < m.nframes; f++ {
-		fi := m.frames[f]
-		got := frameShadow{fi.allocated(), fi.blockOrder(), fi.mtype(), fi.owner(), fi.cookie()}
-		if got != m.shadow[f] {
-			return fmt.Errorf("frame %d: packed decodes to %+v but shadow reference says %+v", f, got, m.shadow[f])
+	for lo, n := 0, m.frames.Len(); lo < n; {
+		s := m.frames.Span(lo, n)
+		for i, fi := range s {
+			if got, f := unpack(fi), lo+i; got != m.shadow[f] {
+				return fmt.Errorf("frame %d: packed decodes to %+v but shadow reference says %+v", f, got, m.shadow[f])
+			}
 		}
+		lo += len(s)
 	}
 	return nil
 }
@@ -440,17 +496,32 @@ func (m *Memory) shadowCheck() error {
 // --- bitset helpers -------------------------------------------------
 
 func (m *Memory) setFree(f Frame, order int) {
-	m.freeBits[order][f/64] |= 1 << (f % 64)
+	m.freeBits[order].Mut(int(f/64), int(f/64)+1)[0] |= 1 << (f % 64)
 	m.freeCount[order]++
 }
 
 func (m *Memory) clearFree(f Frame, order int) {
-	m.freeBits[order][f/64] &^= 1 << (f % 64)
+	m.freeBits[order].Mut(int(f/64), int(f/64)+1)[0] &^= 1 << (f % 64)
 	m.freeCount[order]--
 }
 
 func (m *Memory) isFree(f Frame, order int) bool {
-	return m.freeBits[order][f/64]&(1<<(f%64)) != 0
+	return m.freeBits[order].At(int(f/64))&(1<<(f%64)) != 0
+}
+
+// firstSetWord returns the index of the first non-zero word of a free
+// bitmap in [lo, hi) and the word itself, or -1.
+func firstSetWord(words *ckpt.Paged[uint64], lo, hi int) (int, uint64) {
+	for lo < hi {
+		s := words.Span(lo, hi)
+		for i, w := range s {
+			if w != 0 {
+				return lo + i, w
+			}
+		}
+		lo += len(s)
+	}
+	return -1, 0
 }
 
 // lowestFree returns the lowest-addressed free block of the given order,
@@ -460,26 +531,23 @@ func (m *Memory) lowestFree(order int) Frame {
 	if m.freeCount[order] == 0 {
 		return NoFrame
 	}
-	words := m.freeBits[order]
-	start := m.hint[order]
-	if start >= uint32(len(words)) {
+	words := &m.freeBits[order]
+	n := words.Len()
+	start := int(m.hint[order])
+	if start >= n {
 		start = 0
 	}
 	// Scan from the hint to the end, then wrap. Because frees can land
 	// below the hint this is a full circular scan in the worst case.
-	for pass := 0; pass < 2; pass++ {
-		lo, hi := start, uint32(len(words))
-		if pass == 1 {
-			lo, hi = 0, start
-		}
-		for w := lo; w < hi; w++ {
-			if words[w] != 0 {
-				m.hint[order] = w
-				return Frame(w*64 + uint32(bits.TrailingZeros64(words[w])))
-			}
-		}
+	w, word := firstSetWord(words, start, n)
+	if w < 0 {
+		w, word = firstSetWord(words, 0, start)
 	}
-	return NoFrame
+	if w < 0 {
+		return NoFrame
+	}
+	m.hint[order] = uint32(w)
+	return Frame(w*64 + bits.TrailingZeros64(word))
 }
 
 // --- allocation ------------------------------------------------------
@@ -530,6 +598,7 @@ func (m *Memory) AllocAt(f Frame, order int, mtype MigrateType, owner Owner, coo
 		return false
 	}
 	checkCookie(cookie)
+	m.own(f)
 	// Find the free block containing f.
 	found := -1
 	var start Frame
@@ -581,6 +650,7 @@ func (m *Memory) allocBlock(order int) Frame {
 		if f == NoFrame {
 			continue
 		}
+		m.own(f)
 		m.clearFree(f, o)
 		// Split down to the requested order, freeing upper halves.
 		for o > order {
@@ -599,10 +669,10 @@ func (m *Memory) Free(f Frame, order int) {
 	if f+npages > m.nframes {
 		panic(check.Failf("memsys: free out of range"))
 	}
-	for i := Frame(0); i < npages; i++ {
-		fi := m.frames[f+i]
+	m.own(f)
+	for i, fi := range m.frames.Span(int(f), int(f+npages)) {
 		if !fi.allocated() {
-			panic(check.Failf("memsys: double free of frame %d", f+i))
+			panic(check.Failf("memsys: double free of frame %d", f+Frame(i)))
 		}
 		m.allocByType[fi.mtype()]--
 	}
@@ -634,12 +704,13 @@ func (m *Memory) freeBlock(f Frame, order int) {
 // or reclaimed one page at a time.
 func (m *Memory) SplitAllocated(f Frame, order int) {
 	npages := Frame(1) << order
-	for i := Frame(0); i < npages; i++ {
-		fi := &m.frames[f+i]
-		if !fi.allocated() {
+	m.ownFrame(f)
+	blk := m.frames.Mut(int(f), int(f+npages))
+	for i := range blk {
+		if !blk[i].allocated() {
 			panic(check.Failf("memsys: SplitAllocated on free frame"))
 		}
-		fi.setBlockOrder(0)
+		blk[i].setBlockOrder(0)
 	}
 	if m.shadow != nil {
 		for i := Frame(0); i < npages; i++ {
@@ -651,7 +722,8 @@ func (m *Memory) SplitAllocated(f Frame, order int) {
 // SetOwner updates the owner callback and cookie for one frame. The VM
 // layer uses this when it remaps a frame (e.g. after promotion).
 func (m *Memory) SetOwner(f Frame, owner Owner, cookie uint64) {
-	fi := &m.frames[f]
+	m.ownFrame(f)
+	fi := &m.frames.Mut(int(f), int(f)+1)[0]
 	if !fi.allocated() {
 		panic(check.Failf("memsys: SetOwner on free frame"))
 	}
@@ -671,7 +743,8 @@ func (m *Memory) SetOwner(f Frame, owner Owner, cookie uint64) {
 
 // SetMigrateType changes the migrate type of one allocated frame.
 func (m *Memory) SetMigrateType(f Frame, mt MigrateType) {
-	fi := &m.frames[f]
+	m.ownFrame(f)
+	fi := &m.frames.Mut(int(f), int(f)+1)[0]
 	if !fi.allocated() {
 		panic(check.Failf("memsys: SetMigrateType on free frame"))
 	}
@@ -684,10 +757,10 @@ func (m *Memory) SetMigrateType(f Frame, mt MigrateType) {
 }
 
 // MigrateTypeOf reports the migrate type of an allocated frame.
-func (m *Memory) MigrateTypeOf(f Frame) MigrateType { return m.frames[f].mtype() }
+func (m *Memory) MigrateTypeOf(f Frame) MigrateType { return m.frames.At(int(f)).mtype() }
 
 // Allocated reports whether frame f is currently allocated.
-func (m *Memory) Allocated(f Frame) bool { return m.frames[f].allocated() }
+func (m *Memory) Allocated(f Frame) bool { return m.frames.At(int(f)).allocated() }
 
 // --- fragmentation metrics -------------------------------------------
 
@@ -722,7 +795,7 @@ func (m *Memory) FragmentationIndex() float64 {
 func (m *Memory) FootprintBytes() (cur, legacy uint64) {
 	var bitsBytes uint64
 	for o := 0; o <= MaxOrder; o++ {
-		bitsBytes += uint64(len(m.freeBits[o])) * 8
+		bitsBytes += uint64(m.freeBits[o].Len()) * 8
 	}
 	qBytes := uint64(cap(m.reclaimQ[0].items)+cap(m.reclaimQ[1].items)) * 4
 	ownBytes := uint64(len(m.owners)) * 16
@@ -780,8 +853,7 @@ func (m *Memory) TryCompactHuge() CompactionResult {
 // all (false if any page is unmovable/reclaimable/pinned-unmovable).
 func (m *Memory) regionCompactionCost(base Frame) (int, bool) {
 	cost := 0
-	for i := Frame(0); i < HugePages; i++ {
-		fi := m.frames[base+i]
+	for _, fi := range m.frames.Span(int(base), int(base+HugePages)) {
 		if !fi.allocated() {
 			continue
 		}
@@ -810,9 +882,10 @@ func (m *Memory) regionCompactionCost(base Frame) (int, bool) {
 // allocations, which is how the kernel's migration allocator behaves
 // under pressure.
 func (m *Memory) evacuateRegion(base Frame) (migrated int, ok bool) {
+	region := m.frames.Span(int(base), int(base+HugePages))
 	for i := Frame(0); i < HugePages; i++ {
 		f := base + i
-		fi := m.frames[f]
+		fi := region[i]
 		if !fi.allocated() {
 			continue
 		}
@@ -828,10 +901,14 @@ func (m *Memory) evacuateRegion(base Frame) (migrated int, ok bool) {
 		if owner != nil {
 			owner.FrameMoved(f, dst, fi.cookie())
 		}
+		m.own(f)
 		m.clearFrames(f, 1)
 		m.freePages++
 		m.freeBlock(f, 0)
 		migrated++
+		// Claiming f may have replaced the region's page with a
+		// private copy.
+		region = m.frames.Span(int(base), int(base+HugePages))
 	}
 	return migrated, true
 }
@@ -853,6 +930,7 @@ func (m *Memory) allocOutside(base Frame) Frame {
 				continue
 			}
 		}
+		m.own(f)
 		m.clearFree(f, o)
 		for o > 0 {
 			o--
@@ -868,17 +946,20 @@ func (m *Memory) allocOutside(base Frame) Frame {
 // lowestFreeExcluding is lowestFree but skips blocks inside the 2MB
 // region at base.
 func (m *Memory) lowestFreeExcluding(order int, base Frame) Frame {
-	words := m.freeBits[order]
-	for w := 0; w < len(words); w++ {
-		word := words[w]
-		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			f := Frame(w*64 + bit)
-			if f < base || f >= base+HugePages {
-				return f
+	words := &m.freeBits[order]
+	for lo, n := 0, words.Len(); lo < n; {
+		s := words.Span(lo, n)
+		for i, word := range s {
+			for word != 0 {
+				bit := bits.TrailingZeros64(word)
+				f := Frame((lo+i)*64 + bit)
+				if f < base || f >= base+HugePages {
+					return f
+				}
+				word &^= 1 << bit
 			}
-			word &^= 1 << bit
 		}
+		lo += len(s)
 	}
 	return NoFrame
 }
@@ -941,7 +1022,7 @@ func (m *Memory) reclaimPass(mt MigrateType, want int) int {
 		if !ok {
 			break
 		}
-		fi := m.frames[f]
+		fi := m.frames.At(int(f))
 		if !fi.allocated() || fi.mtype() != mt || fi.owner() == 0 {
 			continue // stale entry
 		}
@@ -953,11 +1034,12 @@ func (m *Memory) reclaimPass(mt MigrateType, want int) int {
 			continue
 		}
 		// Re-read: the owner's callback may have split the block.
-		fi = m.frames[f]
+		fi = m.frames.At(int(f))
 		if fi.blockOrder() >= HugeOrder {
 			panic(check.Failf("memsys: owner approved freeing a huge block constituent"))
 		}
 		m.allocByType[fi.mtype()]--
+		m.own(f)
 		m.clearFrames(f, 1)
 		m.freePages++
 		m.freeBlock(f, 0)
@@ -969,10 +1051,14 @@ func (m *Memory) reclaimPass(mt MigrateType, want int) int {
 // ForEachAllocated visits every allocated frame in address order. It is
 // intended for diagnostics and tests, not hot paths.
 func (m *Memory) ForEachAllocated(fn func(f Frame, mt MigrateType)) {
-	for f := Frame(0); f < m.nframes; f++ {
-		if m.frames[f].allocated() {
-			fn(f, m.frames[f].mtype())
+	for lo, n := 0, m.frames.Len(); lo < n; {
+		s := m.frames.Span(lo, n)
+		for i, fi := range s {
+			if fi.allocated() {
+				fn(Frame(lo+i), fi.mtype())
+			}
 		}
+		lo += len(s)
 	}
 }
 
@@ -1000,34 +1086,21 @@ func (m *Memory) CheckInvariants() error {
 	var freeFromBits uint64
 	for o := 0; o <= MaxOrder; o++ {
 		var count uint32
-		for w, word := range m.freeBits[o] {
-			for word != 0 {
-				bit := bits.TrailingZeros64(word)
-				word &^= 1 << bit
-				f := Frame(w*64 + bit)
-				count++
-				if f%(1<<o) != 0 {
-					return fmt.Errorf("order-%d free block at unaligned frame %d", o, f)
-				}
-				if o < MaxOrder {
-					buddy := f ^ (Frame(1) << o)
-					if buddy < m.nframes && m.isFree(buddy, o) {
-						return fmt.Errorf("uncoalesced buddies: order-%d blocks %d and %d both free", o, f, buddy)
+		words := &m.freeBits[o]
+		for lo, n := 0, words.Len(); lo < n; {
+			s := words.Span(lo, n)
+			for w, word := range s {
+				for word != 0 {
+					bit := bits.TrailingZeros64(word)
+					word &^= 1 << bit
+					f := Frame((lo+w)*64 + bit)
+					count++
+					if err := m.checkFreeBlock(f, o, covered, cover); err != nil {
+						return err
 					}
-				}
-				for i := Frame(0); i < 1<<o; i++ {
-					if f+i >= m.nframes {
-						return fmt.Errorf("free block %d order %d exceeds memory", f, o)
-					}
-					if m.frames[f+i].allocated() {
-						return fmt.Errorf("frame %d allocated but inside free block %d order %d", f+i, f, o)
-					}
-					if covered(f + i) {
-						return fmt.Errorf("frame %d covered by two free blocks (second: block %d order %d)", f+i, f, o)
-					}
-					cover(f + i)
 				}
 			}
+			lo += len(s)
 		}
 		if count != m.freeCount[o] {
 			return fmt.Errorf("order %d: freeCount=%d but bitset has %d", o, m.freeCount[o], count)
@@ -1039,13 +1112,17 @@ func (m *Memory) CheckInvariants() error {
 	}
 	var allocated uint64
 	var byType [4]uint64
-	for f := Frame(0); f < m.nframes; f++ {
-		if m.frames[f].allocated() {
-			allocated++
-			byType[m.frames[f].mtype()]++
-		} else if !covered(f) {
-			return fmt.Errorf("frame %d neither allocated nor inside any free block", f)
+	for lo, n := 0, m.frames.Len(); lo < n; {
+		s := m.frames.Span(lo, n)
+		for i, fi := range s {
+			if fi.allocated() {
+				allocated++
+				byType[fi.mtype()]++
+			} else if f := Frame(lo + i); !covered(f) {
+				return fmt.Errorf("frame %d neither allocated nor inside any free block", f)
+			}
 		}
+		lo += len(s)
 	}
 	if allocated+m.freePages != uint64(m.nframes) {
 		return fmt.Errorf("allocated %d + free %d != total %d", allocated, m.freePages, m.nframes)
@@ -1060,6 +1137,37 @@ func (m *Memory) CheckInvariants() error {
 		if err := m.shadowCheck(); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkFreeBlock audits one free order-o block at f for CheckInvariants:
+// aligned, coalesced with its buddy, inside memory, holding no allocated
+// frame and overlapping no other free block (covered/cover track the
+// frames earlier blocks claimed). An aligned block lies in one frame
+// page, so its frames are one span.
+func (m *Memory) checkFreeBlock(f Frame, o int, covered func(Frame) bool, cover func(Frame)) error {
+	if f%(1<<o) != 0 {
+		return fmt.Errorf("order-%d free block at unaligned frame %d", o, f)
+	}
+	if o < MaxOrder {
+		buddy := f ^ (Frame(1) << o)
+		if buddy < m.nframes && m.isFree(buddy, o) {
+			return fmt.Errorf("uncoalesced buddies: order-%d blocks %d and %d both free", o, f, buddy)
+		}
+	}
+	if uint64(f)+1<<o > uint64(m.nframes) {
+		return fmt.Errorf("free block %d order %d exceeds memory", f, o)
+	}
+	for i, fi := range m.frames.Span(int(f), int(f)+1<<o) {
+		g := f + Frame(i)
+		if fi.allocated() {
+			return fmt.Errorf("frame %d allocated but inside free block %d order %d", g, f, o)
+		}
+		if covered(g) {
+			return fmt.Errorf("frame %d covered by two free blocks (second: block %d order %d)", g, f, o)
+		}
+		cover(g)
 	}
 	return nil
 }

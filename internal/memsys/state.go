@@ -3,14 +3,17 @@ package memsys
 import (
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"graphmem/internal/ckpt"
 )
 
 // State walk (DESIGN.md §5e). The frame-metadata array is pointer-free
-// 8-byte words (frameInfo), so the bulk of a node forks as one memmove and
-// serializes as one raw slice write — the near-memcpy path fork and the
-// persistent store both depend on. Owners are the one indirection:
+// 8-byte words (frameInfo) in copy-on-write pages, as are the free
+// bitmaps, so the bulk of a node forks as a page-directory copy (the
+// pages are shared until first written) and serializes as raw page
+// writes — the near-memcpy path the persistent store depends on, with the
+// bytes a flat slice would write. Owners are the one indirection:
 // frames hold interned ownerRefs into the owners table, and the table
 // entries live outside this package (an address space, a memhog, a page
 // cache), so the walk hands each distinct owner, in slot order, to the
@@ -40,7 +43,8 @@ func (q *frameQueue) state(w *ckpt.Walker) {
 
 func (m *Memory) state(w *ckpt.Walker, owner OwnerFunc) {
 	ckpt.Num(w, &m.nframes)
-	ckpt.Slice(w, &m.frames)
+	ckpt.Pages(w, &m.frames)
+	m.forkedState(w)
 	if m.shadow != nil {
 		// Test-only differential mirror: forks keep it coherent; a
 		// machine staged for checkpointing never carries one.
@@ -51,7 +55,7 @@ func (m *Memory) state(w *ckpt.Walker, owner OwnerFunc) {
 		}
 	}
 	for o := range m.freeBits {
-		ckpt.Slice(w, &m.freeBits[o])
+		ckpt.Pages(w, &m.freeBits[o])
 	}
 	ckpt.Fixed(w, &m.freeCount)
 	ckpt.Fixed(w, &m.hint)
@@ -62,6 +66,23 @@ func (m *Memory) state(w *ckpt.Walker, owner OwnerFunc) {
 	ckpt.Fixed(w, &m.allocByType)
 	m.ownersState(w, owner)
 	ckpt.Fixed(w, &m.stats)
+}
+
+// forkedState sets the forked flag, which the image does not carry: a
+// clone marks the node it copies as forked — atomically and only once, as
+// several goroutines may fork one node at once — and starts forked
+// itself, since it shares every page; a decoded node owns all its pages.
+func (m *Memory) forkedState(w *ckpt.Walker) {
+	switch {
+	case w.Cloning():
+		if atomic.LoadUint32(m.forked) == 0 {
+			atomic.StoreUint32(m.forked, 1)
+		}
+		forked := uint32(1)
+		m.forked = &forked
+	case w.Decoder() != nil:
+		m.forked = new(uint32)
+	}
 }
 
 // ownersState walks the interned owner table; slot 0, the nil owner, is
@@ -108,8 +129,8 @@ func (m *Memory) validate(d *ckpt.Decoder) {
 	if d.Err() != nil {
 		return
 	}
-	if uint64(len(m.frames)) != uint64(m.nframes) {
-		d.Failf("memsys: %d frame words for %d frames", len(m.frames), m.nframes)
+	if uint64(m.frames.Len()) != uint64(m.nframes) {
+		d.Failf("memsys: %d frame words for %d frames", m.frames.Len(), m.nframes)
 		return
 	}
 	for _, q := range m.reclaimQ {
@@ -127,20 +148,25 @@ func (m *Memory) validate(d *ckpt.Decoder) {
 	words := int((uint32(m.nframes) + 63) / 64)
 	var freeByCount uint64
 	for o := range m.freeBits {
-		if len(m.freeBits[o]) != words {
-			d.Failf("memsys: order-%d bitmap has %d words, want %d", o, len(m.freeBits[o]), words)
+		bm := &m.freeBits[o]
+		if bm.Len() != words {
+			d.Failf("memsys: order-%d bitmap has %d words, want %d", o, bm.Len(), words)
 			return
 		}
 		var pop uint32
-		for w, bitsWord := range m.freeBits[o] {
-			pop += uint32(bits.OnesCount64(bitsWord))
-			for bw := bitsWord; bw != 0; bw &= bw - 1 {
-				f := Frame(w*64 + bits.TrailingZeros64(bw))
-				if f%(1<<o) != 0 || uint64(f)+1<<o > uint64(m.nframes) {
-					d.Failf("memsys: free order-%d block at frame %d misaligned or out of range", o, f)
-					return
+		for lo := 0; lo < words; {
+			s := bm.Span(lo, words)
+			for w, bitsWord := range s {
+				pop += uint32(bits.OnesCount64(bitsWord))
+				for bw := bitsWord; bw != 0; bw &= bw - 1 {
+					f := Frame((lo+w)*64 + bits.TrailingZeros64(bw))
+					if f%(1<<o) != 0 || uint64(f)+1<<o > uint64(m.nframes) {
+						d.Failf("memsys: free order-%d block at frame %d misaligned or out of range", o, f)
+						return
+					}
 				}
 			}
+			lo += len(s)
 		}
 		if pop != m.freeCount[o] {
 			d.Failf("memsys: order-%d free count %d but bitmap has %d blocks", o, m.freeCount[o], pop)
@@ -153,23 +179,27 @@ func (m *Memory) validate(d *ckpt.Decoder) {
 		return
 	}
 	var byType [4]uint64
-	for _, fi := range m.frames {
-		if !fi.allocated() {
-			if fi.w != 0 {
-				d.Failf("memsys: non-zero metadata on unallocated frame")
+	for lo, n := 0, m.frames.Len(); lo < n; {
+		s := m.frames.Span(lo, n)
+		for _, fi := range s {
+			if !fi.allocated() {
+				if fi.w != 0 {
+					d.Failf("memsys: non-zero metadata on unallocated frame")
+					return
+				}
+				continue
+			}
+			if int(fi.blockOrder()) > MaxOrder {
+				d.Failf("memsys: frame block order %d beyond MaxOrder", fi.blockOrder())
 				return
 			}
-			continue
+			if r := fi.owner(); r != 0 && int(r) >= len(m.owners) {
+				d.Failf("memsys: frame owner ref %d beyond %d-entry table", r, len(m.owners))
+				return
+			}
+			byType[fi.mtype()]++
 		}
-		if int(fi.blockOrder()) > MaxOrder {
-			d.Failf("memsys: frame block order %d beyond MaxOrder", fi.blockOrder())
-			return
-		}
-		if r := fi.owner(); r != 0 && int(r) >= len(m.owners) {
-			d.Failf("memsys: frame owner ref %d beyond %d-entry table", r, len(m.owners))
-			return
-		}
-		byType[fi.mtype()]++
+		lo += len(s)
 	}
 	if byType != m.allocByType {
 		d.Failf("memsys: per-type allocation counters %v do not match frame scan %v", m.allocByType, byType)

@@ -66,7 +66,11 @@
 #                       container to beat re-staging the node by >= 3x,
 #                       and a 30s FuzzLoadCheckpoint run requires every
 #                       payload the loader accepts to re-save to its
-#                       own bytes and run without panicking
+#                       own bytes and run without panicking; a 30s
+#                       FuzzAllocFree run forks the node mid-sequence
+#                       and requires the original and a replaying fork
+#                       to end byte-identical and an idle fork to keep
+#                       its fork-time image
 #  16. docsplice -check
 #                       EXPERIMENTS.md's measured blocks match results/
 #
@@ -233,6 +237,9 @@ GRAPHMEM_CKPT_GATE=1 go test -run '^TestCkptReloadSpeedup$' -count=1 -v ./intern
 # Bounded fuzzing of the loader: every payload it accepts must re-save
 # to exactly its own bytes and run without panicking.
 go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 30s ./internal/core
+# Bounded fuzzing of copy-on-write forks of the physical node: a fork and
+# its original never see each other's writes.
+go test -run '^$' -fuzz '^FuzzAllocFree$' -fuzztime 30s ./internal/memsys
 
 echo "== docsplice -check (EXPERIMENTS.md in sync with results/)"
 go run ./cmd/docsplice -doc EXPERIMENTS.md -results results/expdriver_full.txt -check
