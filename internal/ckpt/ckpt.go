@@ -262,7 +262,9 @@ func (e *Encoder) Raw(b []byte) { e.write(b) }
 // bounds-checked against the payload and all methods are no-ops
 // (returning zero values) after the first error, so a corrupt or
 // hostile image can never panic a walk or index past the buffer —
-// the fuzzer in internal/core holds this to account.
+// the fuzzer in internal/core holds this to account. A Decoder owns its
+// payload: only Load builds one, from a fresh read, and Pages adopts the
+// payload's bytes as the pages of the arrays it decodes.
 type Decoder struct {
 	buf []byte
 	off int

@@ -47,10 +47,14 @@ type page[T any] struct {
 
 // NewPaged returns an array of n zero elements. The pages start private
 // and share one backing allocation.
-func NewPaged[T any](n int) Paged[T] {
-	p := Paged[T]{n: n}
-	backing := make([]T, n)
-	p.pages = make([]page[T], (n+PageLen-1)/PageLen)
+func NewPaged[T any](n int) Paged[T] { return pagedOver(make([]T, n)) }
+
+// pagedOver returns an array whose private pages are consecutive
+// PageLen-element windows of backing, each clipped so no write can reach
+// past its page.
+func pagedOver[T any](backing []T) Paged[T] {
+	n := len(backing)
+	p := Paged[T]{n: n, pages: make([]page[T], (n+PageLen-1)/PageLen)}
 	for k := range p.pages {
 		lo := k * PageLen
 		hi := min(lo+PageLen, n)
@@ -125,8 +129,15 @@ func (p *Paged[T]) clone() []page[T] {
 // (simlint SL013 checks every instantiation): clone copies the page
 // directory and shares the pages, encode writes the length and every
 // page's raw memory (the bytes Slice writes for the flat array), and
-// decode reads them back into private pages, bounding the length by the
-// payload left.
+// decode bounds the length by the payload left and adopts the payload's
+// bytes as the pages, without a copy.
+//
+// The adopted pages start private, which is sound because the Decoder
+// owns its buffer: only Load builds one, from a fresh read that nothing
+// else references, so writing a decoded page in place reaches no other
+// array and no caller's bytes. The views keep the whole payload alive as
+// long as the array lives, and they may be misaligned for T, which is
+// legal for pointer-free T (no element is accessed atomically).
 func Pages[T any](w *Walker, p *Paged[T]) {
 	switch {
 	case w.e != nil:
@@ -135,15 +146,18 @@ func Pages[T any](w *Walker, p *Paged[T]) {
 			w.e.Raw(sliceView(p.pages[k].elems))
 		}
 	case w.d != nil:
-		n := w.d.Len(w.d.Remaining() / int(unsafe.Sizeof(*new(T))))
+		esz := int(unsafe.Sizeof(*new(T)))
+		n := w.d.Len(w.d.Remaining() / esz)
+		b := w.d.take(n * esz)
 		if w.d.err != nil {
 			*p = Paged[T]{}
 			return
 		}
-		*p = NewPaged[T](n)
-		for k := range p.pages {
-			w.d.Raw(sliceView(p.pages[k].elems))
+		var elems []T
+		if n > 0 {
+			elems = unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 		}
+		*p = pagedOver(elems)
 	default:
 		p.pages = p.clone()
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // pagedOf returns a Paged array holding vals.
@@ -208,23 +209,107 @@ func TestPagesEncodesLikeSlice(t *testing.T) {
 	}
 }
 
-// TestPagesDecodeBoundsLength: a length larger than the payload left
-// fails the decoder before anything is allocated.
+// TestPagesDecodeBoundsLength: a length larger than the payload left —
+// absurd, or more elements than a truncated section holds — fails the
+// decoder before anything is adopted.
 func TestPagesDecodeBoundsLength(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		encode func(e *Encoder)
+	}{
+		{"absurd", func(e *Encoder) { e.U64(1 << 40); e.U32(1) }},
+		{"truncated", func(e *Encoder) {
+			p := pagedOf(seq(PageLen + 5))
+			e.U64(uint64(p.Len()))
+			e.Raw(sliceView(p.pages[0].elems))
+			e.Raw(sliceView(p.pages[1].elems[:1]))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if _, err := Save(&buf, "k", tc.encode); err != nil {
+				t.Fatal(err)
+			}
+			d, err := Load(&buf, "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var p Paged[uint32]
+			Pages(d.Walker(), &p)
+			if d.Err() == nil || !strings.Contains(d.Err().Error(), "exceeds bound") {
+				t.Fatalf("oversized length: err %v", d.Err())
+			}
+			if p.Len() != 0 {
+				t.Fatalf("failed decode left %d elements", p.Len())
+			}
+		})
+	}
+}
+
+// TestPagesDecodeAdoptsPayload: decode makes the payload's bytes the
+// pages, without a copy — even when they are misaligned for the element
+// type, as they are here behind one byte — and the pages are private:
+// claiming and writing one writes the payload in place, and the array
+// re-encodes to the bytes it was decoded from.
+func TestPagesDecodeAdoptsPayload(t *testing.T) {
+	vals := make([]uint64, 2*PageLen+3)
+	for i := range vals {
+		vals[i] = uint64(i)*0x9E3779B97F4A7C15 + 1
+	}
+	src := NewPaged[uint64](len(vals))
+	for i, v := range vals {
+		src.Mut(i, i+1)[0] = v
+	}
 	var buf bytes.Buffer
-	if _, err := Save(&buf, "k", func(e *Encoder) { e.U64(1 << 40); e.U32(1) }); err != nil {
+	if _, err := Save(&buf, "k", func(e *Encoder) { e.U8(7); Pages(e.Walker(), &src) }); err != nil {
 		t.Fatal(err)
 	}
+	image := bytes.Clone(buf.Bytes())
 	d, err := Load(&buf, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p Paged[uint32]
+	d.U8()
+	var p Paged[uint64]
 	Pages(d.Walker(), &p)
-	if d.Err() == nil || !strings.Contains(d.Err().Error(), "exceeds bound") {
-		t.Fatalf("oversized length: err %v", d.Err())
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
 	}
-	if p.Len() != 0 {
-		t.Fatalf("failed decode left %d elements", p.Len())
+	lo := uintptr(unsafe.Pointer(&d.buf[0]))
+	hi := lo + uintptr(len(d.buf))
+	for k := range p.pages {
+		pg := &p.pages[k]
+		at := uintptr(unsafe.Pointer(&pg.elems[0]))
+		if at < lo || at >= hi || pg.shared != 0 {
+			t.Fatalf("page %d is a copy or starts shared", k)
+		}
+	}
+	if uintptr(unsafe.Pointer(&p.pages[0].elems[0]))%8 == 0 {
+		t.Fatal("the payload layout no longer misaligns the words; the test lost its case")
+	}
+	for i, v := range vals {
+		if p.At(i) != v {
+			t.Fatalf("element %d = %#x, want %#x", i, p.At(i), v)
+		}
+	}
+	var again bytes.Buffer
+	if _, err := Save(&again, "k", func(e *Encoder) { e.U8(7); Pages(e.Walker(), &p) }); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), image) {
+		t.Fatal("the adopted array re-encodes differently")
+	}
+	before := &p.pages[1].elems[0]
+	p.Own(PageLen + 1)
+	p.Mut(PageLen+1, PageLen+2)[0] = 42
+	if &p.pages[1].elems[0] != before || p.At(PageLen+1) != 42 {
+		t.Fatal("writing a decoded page copied it")
+	}
+	c := p
+	Pages(Cloner(), &c)
+	c.Own(0)
+	c.Mut(0, 1)[0] = 99
+	if p.At(0) != vals[0] || c.At(0) != 99 {
+		t.Fatal("a clone of a decoded array and the array saw each other's writes")
 	}
 }

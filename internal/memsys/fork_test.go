@@ -231,27 +231,3 @@ func TestForkOfForkIsolation(t *testing.T) {
 		}
 	}
 }
-
-// TestForkDecodedNode: a decoded node owns its pages, and forking it
-// marks them shared like a staged node's.
-func TestForkDecodedNode(t *testing.T) {
-	orig, o := isoNode(t)
-	img := imageOf(t, orig)
-	d, err := ckpt.Load(bytes.NewReader(img), "memsys")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m *Memory
-	Walk(d.Walker(), &m, isoOwners)
-	if err := d.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if *m.forked != 0 {
-		t.Fatal("a decoded node starts forked")
-	}
-	fork := forkMemory(m)
-	isoMutators[6].run(t, m, o)
-	if !bytes.Equal(imageOf(t, fork), img) {
-		t.Fatal("compacting a decoded node changed its fork")
-	}
-}

@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"bytes"
+	"maps"
 	"slices"
 	"testing"
 
@@ -44,13 +45,42 @@ func (o *fuzzOwner) FrameReclaimed(f Frame, cookie uint64) bool {
 	return true
 }
 
+// fuzzHog owns the frames the bulk-take op allocated. Like the memhog,
+// each frame's cookie is its own number, so a compaction move re-keys the
+// cookie; reclaim is always vetoed.
+type fuzzHog struct {
+	t      *testing.T
+	m      *Memory
+	frames map[Frame]bool
+}
+
+func (h *fuzzHog) FrameMoved(old, new Frame, cookie uint64) {
+	if cookie != uint64(old) || !h.frames[old] {
+		h.t.Fatalf("hog FrameMoved(%d→%d, cookie %d): frame not held under that cookie", old, new, cookie)
+	}
+	delete(h.frames, old)
+	h.frames[new] = true
+	h.m.SetOwner(new, h, uint64(new))
+}
+
+func (h *fuzzHog) FrameReclaimed(f Frame, cookie uint64) bool { return false }
+
 // fuzzNode is one side of a FuzzAllocFree run: a node and the harness's
-// own record of what it allocated there.
+// own record of what it allocated there. On the reference side the
+// bulk-take op runs the per-frame AllocAt loop instead of AllocLowest.
 type fuzzNode struct {
-	m     *Memory
-	owner *fuzzOwner
-	huge  []Frame // movable huge blocks, nil owner: immune to move/reclaim
-	unmov []fuzzBlock
+	m         *Memory
+	owner     *fuzzOwner
+	hog       *fuzzHog
+	huge      []Frame // movable huge blocks, nil owner: immune to move/reclaim
+	unmov     []fuzzBlock
+	reference bool
+}
+
+// newFuzzNode returns a fresh 32 MB node (8192 frames: two frame pages).
+func newFuzzNode(t *testing.T) *fuzzNode {
+	m := New(32 << 20)
+	return &fuzzNode{m: m, owner: &fuzzOwner{t: t}, hog: &fuzzHog{t: t, m: m, frames: map[Frame]bool{}}}
 }
 
 type fuzzBlock struct {
@@ -59,20 +89,25 @@ type fuzzBlock struct {
 }
 
 // fork returns a fork of n whose harness record is a copy of n's, with
-// the tracked owner forked alongside the node.
+// the tracked owners forked alongside the node.
 func (n *fuzzNode) fork(t *testing.T) *fuzzNode {
 	c := &fuzzNode{
 		owner: &fuzzOwner{t: t, entries: slices.Clone(n.owner.entries)},
+		hog:   &fuzzHog{t: t, frames: maps.Clone(n.hog.frames)},
 		huge:  slices.Clone(n.huge),
 		unmov: slices.Clone(n.unmov),
 	}
 	c.m = n.m
 	Walk(ckpt.Cloner(), &c.m, func(w *ckpt.Walker, o Owner, mem *Memory) Owner {
-		if o == Owner(n.owner) {
+		switch o {
+		case Owner(n.owner):
 			return c.owner
+		case Owner(n.hog):
+			return c.hog
 		}
 		return o
 	})
+	c.hog.m = c.m
 	return c
 }
 
@@ -150,6 +185,20 @@ func (n *fuzzNode) apply(op, arg int) {
 		} else {
 			m.SetMigrateType(e.frame, Movable)
 		}
+	case 10: // bulk take of the lowest free frames, pinned or movable
+		mt := Pinned
+		if arg%2 == 1 {
+			mt = Movable
+		}
+		take := (*Memory).AllocLowest
+		if n.reference {
+			take = allocLowestRef
+		}
+		take(m, uint64(arg)*16, mt, n.hog, func(f, npages Frame) {
+			for i := Frame(0); i < npages; i++ {
+				n.hog.frames[f+i] = true
+			}
+		})
 	}
 }
 
@@ -164,6 +213,11 @@ func (n *fuzzNode) audit(t *testing.T, step int) {
 	for j, e := range n.owner.entries {
 		if e.live && !n.m.Allocated(e.frame) {
 			t.Fatalf("op %d: tracked entry %d: frame %d live in shadow but free in allocator", step, j, e.frame)
+		}
+	}
+	for f := range n.hog.frames {
+		if fi := n.m.frames.At(int(f)); !fi.allocated() || fi.cookie() != uint64(f) || n.m.ownerAt(fi.owner()) != Owner(n.hog) {
+			t.Fatalf("op %d: hog frame %d is not allocated to the hog under its own number", step, f)
 		}
 	}
 }
@@ -183,6 +237,14 @@ func (n *fuzzNode) teardown(t *testing.T) {
 	for _, b := range n.unmov {
 		n.m.Free(b.frame, b.order)
 	}
+	hogFrames := make([]Frame, 0, len(n.hog.frames))
+	for f := range n.hog.frames {
+		hogFrames = append(hogFrames, f)
+	}
+	slices.Sort(hogFrames)
+	for _, f := range hogFrames {
+		n.m.Free(f, 0)
+	}
 	if err := n.m.CheckInvariants(); err != nil {
 		t.Fatalf("after teardown: %v", err)
 	}
@@ -191,13 +253,15 @@ func (n *fuzzNode) teardown(t *testing.T) {
 	}
 }
 
-// FuzzAllocFree replays arbitrary Alloc/Free/split/compaction/reclaim
-// sequences against the buddy allocator and audits the full invariant
-// set (free-list disjointness, buddy coalescing, per-migratetype frame
-// conservation) every few operations. At an op index the input's first
-// byte picks, the node is forked twice: the remaining ops replay on the
-// original and on one fork, which must end byte-identical, while the
-// other fork stays idle and must still encode to its fork-time image.
+// FuzzAllocFree replays arbitrary Alloc/Free/split/compaction/reclaim/
+// bulk-take sequences against the buddy allocator and audits the full
+// invariant set (free-list disjointness, buddy coalescing, per-migratetype
+// frame conservation) every few operations. At an op index the input's
+// first byte picks, the node is forked twice: the remaining ops replay on
+// the original and on one fork, which must end byte-identical, while the
+// other fork stays idle and must still encode to its fork-time image. The
+// replaying fork runs the bulk take as the per-frame AllocAt reference,
+// so the byte-identity check is also AllocLowest's differential oracle.
 // The node spans two frame pages, so forks share pages and copy them on
 // write. Run it with -tags simcheck to also exercise the check.Audit
 // path.
@@ -208,9 +272,10 @@ func FuzzAllocFree(f *testing.F) {
 	f.Add([]byte{2, 0xF2, 6, 5, 2, 0x32, 6, 9, 3})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{9, 0, 0, 0, 1, 2, 0x22, 0, 7, 9, 3, 1, 8, 7, 5, 6, 7, 4})
+	f.Add([]byte{2, 9, 10, 8, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 6, 7, 10, 3, 7})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		orig := &fuzzNode{m: New(32 << 20), owner: &fuzzOwner{t: t}} // 8192 frames: two frame pages
+		orig := newFuzzNode(t)
 		// Mirror every metadata write into the unpacked reference
 		// layout: each audit below then also cross-checks the packed
 		// words field by field (shadowCheck via CheckInvariants).
@@ -224,6 +289,7 @@ func FuzzAllocFree(f *testing.F) {
 		for i := 0; i <= len(data); i++ {
 			if i == forkAt {
 				replay, idle = orig.fork(t), orig.fork(t)
+				replay.reference = true
 				idleImage = imageOf(t, idle.m)
 				if !bytes.Equal(imageOf(t, orig.m), idleImage) {
 					t.Fatalf("op %d: a fork encodes differently from its original", i)
@@ -232,7 +298,7 @@ func FuzzAllocFree(f *testing.F) {
 			if i == len(data) {
 				break
 			}
-			op := int(data[i] % 10)
+			op := int(data[i] % 11)
 			arg := 0
 			if i+1 < len(data) {
 				arg = int(data[i+1])

@@ -421,8 +421,9 @@ func (m *Memory) ownFrame(f Frame) {
 }
 
 // setFrames stamps npages consecutive frames as constituents of one
-// allocated block. Every bulk metadata write funnels through here so the
-// optional shadow mirror stays exact. A block lies in one frame page.
+// allocated block. Every bulk metadata write funnels through here or
+// setNumberedFrames so the optional shadow mirror stays exact. A block
+// lies in one frame page.
 func (m *Memory) setFrames(f, npages Frame, order int, mtype MigrateType, ref ownerRef, cookie uint64) {
 	fi := packFrame(order, mtype, ref, cookie)
 	blk := m.frames.Mut(int(f), int(f+npages))
@@ -433,6 +434,22 @@ func (m *Memory) setFrames(f, npages Frame, order int, mtype MigrateType, ref ow
 		s := frameShadow{allocated: true, blockOrder: uint8(order), mtype: mtype, owner: ref, cookie: cookie}
 		for i := Frame(0); i < npages; i++ {
 			m.shadow[f+i] = s
+		}
+	}
+}
+
+// setNumberedFrames stamps npages consecutive frames as order-0
+// allocations whose cookies are their own frame numbers (AllocLowest),
+// mirrored like setFrames. The frames lie in one frame page.
+func (m *Memory) setNumberedFrames(f, npages Frame, mtype MigrateType, ref ownerRef) {
+	fi := packFrame(0, mtype, ref, uint64(f))
+	blk := m.frames.Mut(int(f), int(f+npages))
+	for i := range blk {
+		blk[i] = frameInfo{fi.w + uint64(i)}
+	}
+	if m.shadow != nil {
+		for i := Frame(0); i < npages; i++ {
+			m.shadow[f+i] = frameShadow{allocated: true, mtype: mtype, owner: ref, cookie: uint64(f + i)}
 		}
 	}
 }
@@ -640,6 +657,60 @@ func (m *Memory) AllocAt(f Frame, order int, mtype MigrateType, owner Owner, coo
 		m.stats.Allocs4K++
 	}
 	return true
+}
+
+// AllocLowest allocates the n lowest-addressed free frames as order-0
+// blocks of type mtype owned by owner, each with its own frame number as
+// its cookie, and returns how many it allocated: fewer than n only when
+// the node runs out. It leaves exactly the state AllocAt(f, 0, mtype,
+// owner, uint64(f)) over every free f in ascending order leaves, but takes
+// a whole free buddy block at a time, calling taken with each block's
+// allocated frames [f, f+npages) in ascending order. The walk skips an
+// allocated block by its order and splits only the block where n runs
+// out, whose free upper part is the aligned decomposition AllocAt's
+// splits would leave.
+func (m *Memory) AllocLowest(n uint64, mtype MigrateType, owner Owner, taken func(f, npages Frame)) uint64 {
+	var got uint64
+	var ref ownerRef
+	qi := queueIndexFor(mtype, owner)
+	// f is always the head of a block: allocated and free blocks tile
+	// the node, aligned to their size, and the walk steps over whole ones.
+	for f := Frame(0); f < m.nframes && got < n; {
+		if fi := m.frames.At(int(f)); fi.allocated() {
+			f += 1 << fi.blockOrder()
+			continue
+		}
+		o := min(bits.TrailingZeros32(uint32(f)), MaxOrder)
+		for o >= 0 && !m.isFree(f, o) {
+			o--
+		}
+		if o < 0 {
+			panic(check.Failf("memsys: free frame %d heads no free block", f))
+		}
+		size := Frame(1) << o
+		k := Frame(min(uint64(size), n-got))
+		m.own(f)
+		m.clearFree(f, o)
+		for q := f + k; q < f+size; q += 1 << bits.TrailingZeros32(uint32(q)) {
+			m.setFree(q, bits.TrailingZeros32(uint32(q)))
+		}
+		if got == 0 {
+			ref = m.ownerRefFor(owner)
+		}
+		m.setNumberedFrames(f, k, mtype, ref)
+		if qi >= 0 {
+			for i := Frame(0); i < k; i++ {
+				m.reclaimQ[qi].push(f + i)
+			}
+		}
+		m.allocByType[mtype] += uint64(k)
+		m.freePages -= uint64(k)
+		m.stats.Allocs4K += uint64(k)
+		got += uint64(k)
+		taken(f, k)
+		f += size
+	}
+	return got
 }
 
 // allocBlock finds and removes a free block of at least the given order,

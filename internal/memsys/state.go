@@ -178,15 +178,24 @@ func (m *Memory) validate(d *ckpt.Decoder) {
 		d.Failf("memsys: free pages %d but free blocks sum to %d", m.freePages, freeByCount)
 		return
 	}
+	// The frame scan checks a run of frames sharing their metadata bits
+	// (all but the cookie) once, at its first frame, and counts the run
+	// with one add; the run's other frames cost a compare each.
 	var byType [4]uint64
 	for lo, n := 0, m.frames.Len(); lo < n; {
 		s := m.frames.Span(lo, n)
-		for _, fi := range s {
+		for i := 0; i < len(s); {
+			fi := s[i]
+			j := i + 1
 			if !fi.allocated() {
 				if fi.w != 0 {
 					d.Failf("memsys: non-zero metadata on unallocated frame")
 					return
 				}
+				for j < len(s) && s[j].w == 0 {
+					j++
+				}
+				i = j
 				continue
 			}
 			if int(fi.blockOrder()) > MaxOrder {
@@ -197,7 +206,11 @@ func (m *Memory) validate(d *ckpt.Decoder) {
 				d.Failf("memsys: frame owner ref %d beyond %d-entry table", r, len(m.owners))
 				return
 			}
-			byType[fi.mtype()]++
+			for j < len(s) && s[j].w>>fiCookieBits == fi.w>>fiCookieBits {
+				j++
+			}
+			byType[fi.mtype()] += uint64(j - i)
+			i = j
 		}
 		lo += len(s)
 	}

@@ -73,9 +73,11 @@ func mix64(z uint64) uint64 {
 
 // Memhog pins bytes of memory, like the paper's `memhog ... | mlock`
 // combination: the pages cannot be reclaimed or swapped, but compaction
-// may still migrate them. It allocates from the bottom of memory up
-// (page-at-a-time like the real program's sequential touch), so the
-// remaining free memory is whatever the aged system left at the top.
+// may still migrate them. It holds the lowest-addressed free frames, the
+// footprint the real program's page-at-a-time sequential touch leaves,
+// so the remaining free memory is whatever the aged system left at the
+// top. (The model is that ascending touch; staging takes the frames a
+// free buddy block at a time, memsys.AllocLowest.)
 //
 // The pin set is stored as sorted, disjoint, maximal runs of contiguous
 // frames rather than one entry per page: a hog pinning most of a node
@@ -174,27 +176,25 @@ var _ memsys.FootprintReporter = (*Memhog)(nil)
 // remaining free memory is the top of the node, complete with whatever
 // non-movable litter AgeSystem scattered there. (Letting the buddy
 // allocator choose would have memhog soak up every aged fragment first
-// and hand the application an artificially pristine tail.) It panics if
-// memory cannot satisfy the request — a mis-sized experiment.
+// and hand the application an artificially pristine tail.) The frames are
+// pinned a free buddy block at a time, leaving the node exactly as
+// pinning them one by one in that order would. It panics if memory
+// cannot satisfy the request — a mis-sized experiment.
 func NewMemhog(mem *memsys.Memory, bytes uint64) *Memhog {
-	pages := int(bytes / memsys.PageSize)
+	pages := bytes / memsys.PageSize
 	h := &Memhog{mem: mem}
-	total := memsys.Frame(mem.TotalPages())
-	for f := memsys.Frame(0); h.pages < pages && f < total; f++ {
-		if !mem.AllocAt(f, 0, memsys.Pinned, h, uint64(f)) {
-			continue
-		}
-		// Ascending scan: the new frame either extends the last run or
-		// starts a new one past a skipped (occupied) gap.
-		if n := len(h.runs); n > 0 && h.runs[n-1].start+memsys.Frame(h.runs[n-1].n) == f {
-			h.runs[n-1].n++
+	got := mem.AllocLowest(pages, memsys.Pinned, h, func(f, n memsys.Frame) {
+		// Blocks arrive in ascending order: each one extends the last
+		// run or starts a new one past an occupied gap.
+		if k := len(h.runs); k > 0 && h.runs[k-1].start+memsys.Frame(h.runs[k-1].n) == f {
+			h.runs[k-1].n += uint32(n)
 		} else {
-			h.runs = append(h.runs, pinRun{start: f, n: 1})
+			h.runs = append(h.runs, pinRun{start: f, n: uint32(n)})
 		}
-		h.pages++
-	}
-	if h.pages < pages {
-		panic(check.Failf("workload: memhog pinned only %d/%d pages", h.pages, pages))
+	})
+	h.pages = int(got)
+	if got < pages {
+		panic(check.Failf("workload: memhog pinned only %d/%d pages", got, pages))
 	}
 	return h
 }

@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"testing"
 
+	"graphmem/internal/ckpt"
 	"graphmem/internal/memsys"
 )
 
@@ -75,6 +78,88 @@ func TestMemhogAscendingAndPinned(t *testing.T) {
 	}
 	if err := mem.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refMemhog is the per-frame reference NewMemhog must match: AllocAt on
+// every frame in ascending order until the footprint is pinned.
+func refMemhog(mem *memsys.Memory, bytes uint64) *Memhog {
+	pages := int(bytes / memsys.PageSize)
+	h := &Memhog{mem: mem}
+	total := memsys.Frame(mem.TotalPages())
+	for f := memsys.Frame(0); h.pages < pages && f < total; f++ {
+		if mem.AllocAt(f, 0, memsys.Pinned, h, uint64(f)) {
+			h.runs = extendRuns(h.runs, f)
+			h.pages++
+		}
+	}
+	return h
+}
+
+// extendRuns adds frame f, above every frame in runs, to the maximal runs.
+func extendRuns(runs []pinRun, f memsys.Frame) []pinRun {
+	if n := len(runs); n > 0 && runs[n-1].start+memsys.Frame(runs[n-1].n) == f {
+		runs[n-1].n++
+		return runs
+	}
+	return append(runs, pinRun{start: f, n: 1})
+}
+
+// hogNode is an aged node with a huge movable block and an unmovable
+// order-3 block low in memory, below the cut of the larger hogs.
+func hogNode(t *testing.T) *memsys.Memory {
+	t.Helper()
+	mem := memsys.New(nodeBytes)
+	if !mem.AllocAt(2*memsys.HugePages, memsys.HugeOrder, memsys.Movable, nil, 0) ||
+		!mem.AllocAt(5*memsys.HugePages+64, 3, memsys.Unmovable, nil, 0) {
+		t.Fatal("staging the node failed")
+	}
+	AgeSystem(mem, 0.125, 5)
+	return mem
+}
+
+// hogImage returns the checkpoint bytes of a node whose one owner is h.
+func hogImage(t *testing.T, mem *memsys.Memory, h *Memhog) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	_, err := ckpt.Save(&buf, "hog", func(e *ckpt.Encoder) {
+		memsys.Walk(e.Walker(), &mem, func(w *ckpt.Walker, o memsys.Owner, m *memsys.Memory) memsys.Owner {
+			WalkMemhog(w, &h, m)
+			return h
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestMemhogMatchesPerFrame: on an aged node with allocated blocks below
+// the cut, NewMemhog's runs, page count and node image equal the
+// per-frame reference hog's, and its runs are exactly the maximal runs of
+// the node's pinned frames.
+func TestMemhogMatchesPerFrame(t *testing.T) {
+	for _, hogBytes := range []uint64{0, 4096, 3 << 20, 96 << 20, nodeBytes / 2} {
+		mem, refMem := hogNode(t), hogNode(t)
+		h, ref := NewMemhog(mem, hogBytes), refMemhog(refMem, hogBytes)
+		if h.pages != ref.pages || !slices.Equal(h.runs, ref.runs) {
+			t.Fatalf("%d bytes: %d pages in runs %v, reference %d pages in %v", hogBytes, h.pages, h.runs, ref.pages, ref.runs)
+		}
+		if !bytes.Equal(hogImage(t, mem, h), hogImage(t, refMem, ref)) {
+			t.Fatalf("%d bytes: the node image differs from the per-frame reference's", hogBytes)
+		}
+		var pinned []pinRun
+		mem.ForEachAllocated(func(f memsys.Frame, mt memsys.MigrateType) {
+			if mt == memsys.Pinned {
+				pinned = extendRuns(pinned, f)
+			}
+		})
+		if !slices.Equal(h.runs, pinned) {
+			t.Fatalf("%d bytes: runs %v are not the maximal pinned runs %v", hogBytes, h.runs, pinned)
+		}
+		if err := mem.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

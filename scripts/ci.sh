@@ -16,7 +16,9 @@
 #                       the staged access engine's fast path, the bulk
 #                       AccessRun path, and the gather AccessGather
 #                       path must stay allocation-free, and every
-#                       machine benchmark must still run (-benchtime=1x)
+#                       machine, memsys and workload benchmark (among
+#                       them BenchmarkNewMemhog, paper-node's memhog
+#                       staging) must still run (-benchtime=1x)
 #   8. expdriver -j diff
 #                       a bench-scale campaign subset run at -j 1 and
 #                       -j 4 must be byte-identical on every surface
@@ -117,7 +119,7 @@ go test -tags simcheck ./internal/...
 
 echo "== zero-alloc fast path + bench smoke"
 go test -run 'TestAccessFastPathZeroAllocs|TestAccessRunZeroAllocs|TestAccessGatherZeroAllocs' -count=1 ./internal/machine
-go test -run '^$' -bench '^Benchmark' -benchtime 1x ./internal/machine
+go test -run '^$' -bench '^Benchmark' -benchtime 1x ./internal/machine ./internal/memsys ./internal/workload
 
 echo "== expdriver determinism: bench-scale -j 1 vs -j 4"
 go build -o "$tmp/expdriver" ./cmd/expdriver
