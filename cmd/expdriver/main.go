@@ -154,8 +154,8 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Print(fp.Table().String())
-		fmt.Printf("\nfootprint_total_bytes=%d legacy_bytes=%d reduction=%.3f bytes_per_sim_gb=%.0f\n",
-			fp.TotalBytes(), fp.LegacyBytes(), fp.Reduction(), fp.BytesPerSimGB())
+		fmt.Printf("\nfootprint_total_bytes=%d bytes_per_sim_gb=%.0f\n",
+			fp.TotalBytes(), fp.BytesPerSimGB())
 		var ms runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&ms)

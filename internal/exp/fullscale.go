@@ -22,9 +22,9 @@ import (
 // persistent checkpoint store pay for: with -ckpt-dir set, repeated
 // campaigns reload each staged node instead of re-faulting 100 GB+ of
 // state. The table reports the modeled kernel numbers per cell plus the
-// flagship cell's stats.Footprint totals; the env-gated CI test
-// (GRAPHMEM_FULLSCALE=1) asserts wall-clock, RSS, and ≥2× footprint-
-// reduction budgets on top.
+// flagship cell's stats.Footprint rows. TestFullscaleFootprintCeiling
+// bounds the flagship's bytes per simulated GiB, and the env-gated CI
+// test (GRAPHMEM_FULLSCALE=1) asserts wall-clock and RSS budgets on top.
 
 // fullscaleShards is the shard count of every fullscale cell. Eight
 // keeps shard forks of a paper-geometry node within a few GB of host

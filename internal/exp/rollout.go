@@ -25,9 +25,9 @@ import (
 // Every candidate is scored from the *same* starting state, and the
 // load phase — the expensive part — is paid once instead of once per
 // candidate. This experiment is also the wall-clock witness for the
-// snapshot layer: scripts/ci.sh and scripts/bench.sh time it with
-// GRAPHMEM_NO_SNAPSHOT on and off, diff the outputs byte-for-byte, and
-// record the speedup in BENCH_access.json.
+// snapshot layer: scripts/ci.sh step 11 times it with
+// GRAPHMEM_NO_SNAPSHOT on and off, diffs the outputs byte-for-byte, and
+// requires forking to cut the wall-clock by at least 2x.
 
 // rolloutCandidate is one runtime page-size configuration applied to a
 // fresh fork before probing.

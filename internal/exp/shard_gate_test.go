@@ -25,7 +25,7 @@ import (
 //
 // Wall-clock assertions are meaningless under -race or on an
 // arbitrarily loaded host, so the test skips unless
-// GRAPHMEM_SPEEDUP_GATE is set; ci.sh and bench.sh opt in.
+// GRAPHMEM_SPEEDUP_GATE is set; ci.sh step 12 opts in.
 func TestShardBringupSpeedup(t *testing.T) {
 	if os.Getenv("GRAPHMEM_SPEEDUP_GATE") == "" {
 		t.Skip("set GRAPHMEM_SPEEDUP_GATE=1 to run the wall-clock gate (ci.sh step 12)")
@@ -36,8 +36,9 @@ func TestShardBringupSpeedup(t *testing.T) {
 	// Measure at the worker count ci.sh campaigns use (-shards 4). The
 	// worker knob cannot change output and barely moves single-core
 	// timing; pinning it just makes the recorded figure reproducible.
-	os.Setenv("GRAPHMEM_SHARD_WORKERS", "4")
-	defer os.Unsetenv("GRAPHMEM_SHARD_WORKERS")
+	// t.Setenv restores both variables when the test ends, however it
+	// ends; an empty GRAPHMEM_NO_SNAPSHOT is a closed hatch.
+	t.Setenv("GRAPHMEM_SHARD_WORKERS", "4")
 	s := NewSuite(gen.ScaleBench, nil)
 	spec := s.spec(s.shardCfg(gen.Kron25))
 	oneRun := func() time.Duration {
@@ -56,9 +57,9 @@ func TestShardBringupSpeedup(t *testing.T) {
 		if d := oneRun(); d < fork {
 			fork = d
 		}
-		os.Setenv("GRAPHMEM_NO_SNAPSHOT", "1")
+		t.Setenv("GRAPHMEM_NO_SNAPSHOT", "1")
 		d := oneRun()
-		os.Unsetenv("GRAPHMEM_NO_SNAPSHOT")
+		t.Setenv("GRAPHMEM_NO_SNAPSHOT", "")
 		if d < replay {
 			replay = d
 		}

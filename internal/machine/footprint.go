@@ -15,15 +15,13 @@ import (
 func (m *Machine) Footprint() stats.Footprint {
 	f := stats.Footprint{SimulatedBytes: m.Mem.TotalPages() * memsys.PageSize}
 
-	cur, legacy := m.Mem.FootprintBytes()
-	f.Add("memsys/frames", cur, legacy)
+	f.Add("memsys/frames", m.Mem.FootprintBytes())
 
-	tables, tablesLegacy, heat, heatLegacy := m.Space.FootprintBytes()
-	f.Add("vm/tables", tables, tablesLegacy)
-	f.Add("vm/heat", heat, heatLegacy)
+	tables, heat := m.Space.FootprintBytes()
+	f.Add("vm/tables", tables)
+	f.Add("vm/heat", heat)
 
-	hw := m.TLB.FootprintBytes() + m.Cache.FootprintBytes()
-	f.Add("tlb+cache", hw, hw)
+	f.Add("tlb+cache", m.TLB.FootprintBytes()+m.Cache.FootprintBytes())
 
 	// The machine core: the struct itself (which embeds the translation
 	// cache arrays) plus its dynamic accounting slices.
@@ -32,7 +30,7 @@ func (m *Machine) Footprint() stats.Footprint {
 		uint64(cap(m.arrays))*uint64(unsafe.Sizeof(ArrayStats{})) +
 		uint64(cap(m.observers))*16 +
 		uint64(cap(m.tickers))*uint64(unsafe.Sizeof(ticker{}))
-	f.Add("machine", core, core)
+	f.Add("machine", core)
 
 	// Frame owners outside the machine (memhog, page cache, churner)
 	// report themselves. The address space and its VMAs do not
@@ -40,8 +38,7 @@ func (m *Machine) Footprint() stats.Footprint {
 	// above — so the type assertion skips them.
 	for _, o := range m.Mem.Owners() {
 		if r, ok := o.(memsys.FootprintReporter); ok {
-			label, cur, legacy := r.FootprintReport()
-			f.Add(label, cur, legacy)
+			f.Add(r.FootprintReport())
 		}
 	}
 	return f

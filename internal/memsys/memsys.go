@@ -88,11 +88,10 @@ type Owner interface {
 
 // FootprintReporter is optionally implemented by owners (workload
 // drivers) that can report their simulator-side footprint for the
-// stats.Footprint per-subsystem breakdown. label names the row, cur is
-// the bytes the current representation costs, legacy what the
-// pre-compaction (PR 9) representation would have cost.
+// stats.Footprint per-subsystem breakdown. label names the row, bytes
+// is the host memory the owner's bookkeeping costs.
 type FootprintReporter interface {
-	FootprintReport() (label string, cur, legacy uint64)
+	FootprintReport() (label string, bytes uint64)
 }
 
 // ownerRef is an index into Memory.owners; ref 0 is the nil owner. A
@@ -859,20 +858,16 @@ func (m *Memory) FragmentationIndex() float64 {
 }
 
 // FootprintBytes reports the simulator-side bytes backing this node's
-// physical-memory metadata (cur), alongside what the pre-packing
-// representation would have cost (legacy: 16 B/frame, same bitset and
-// queue overheads), for the stats.Footprint report. Shadow mirroring is
-// test-only and deliberately excluded.
-func (m *Memory) FootprintBytes() (cur, legacy uint64) {
-	var bitsBytes uint64
+// physical-memory metadata — frame words, free bitmaps, reclaim queues
+// and the owner table — for the stats.Footprint report. Shadow
+// mirroring is test-only and deliberately excluded.
+func (m *Memory) FootprintBytes() uint64 {
+	n := uint64(m.nframes) * uint64(unsafe.Sizeof(frameInfo{}))
 	for o := 0; o <= MaxOrder; o++ {
-		bitsBytes += uint64(m.freeBits[o].Len()) * 8
+		n += uint64(m.freeBits[o].Len()) * 8
 	}
-	qBytes := uint64(cap(m.reclaimQ[0].items)+cap(m.reclaimQ[1].items)) * 4
-	ownBytes := uint64(len(m.owners)) * 16
-	fixed := bitsBytes + qBytes + ownBytes
-	n := uint64(m.nframes)
-	return n*uint64(unsafe.Sizeof(frameInfo{})) + fixed, n*16 + fixed
+	n += uint64(cap(m.reclaimQ[0].items)+cap(m.reclaimQ[1].items)) * 4
+	return n + uint64(len(m.owners))*16
 }
 
 // --- compaction -------------------------------------------------------

@@ -3,12 +3,10 @@ package stats
 import "fmt"
 
 // Footprint is the simulator-side memory introspection report: how many
-// host bytes each subsystem spends representing the simulated machine,
-// paired with what the pre-compaction (dense-array) representation
-// would have cost for the same state. It is the first brick of the
-// service-mode MEMORY USAGE endpoint: expdriver -footprint prints it,
-// the fullscale CI gate asserts on its Reduction, and bench.sh records
-// its totals.
+// host bytes each subsystem spends representing the simulated machine.
+// It is the first brick of the service-mode MEMORY USAGE endpoint:
+// expdriver -footprint prints it, and the fullscale footprint test
+// bounds its BytesPerSimGB.
 //
 // Rows are appended in a fixed subsystem order by the machine layer, so
 // the rendered table is deterministic.
@@ -18,20 +16,18 @@ type Footprint struct {
 	Rows           []FootprintRow
 }
 
-// FootprintRow is one subsystem's cost: Bytes under the current
-// representation, Legacy under the pre-compaction one.
+// FootprintRow is one subsystem's cost in host bytes.
 type FootprintRow struct {
 	Subsystem string
 	Bytes     uint64
-	Legacy    uint64
 }
 
 // Add appends one subsystem row.
-func (f *Footprint) Add(subsystem string, bytes, legacy uint64) {
-	f.Rows = append(f.Rows, FootprintRow{Subsystem: subsystem, Bytes: bytes, Legacy: legacy})
+func (f *Footprint) Add(subsystem string, bytes uint64) {
+	f.Rows = append(f.Rows, FootprintRow{Subsystem: subsystem, Bytes: bytes})
 }
 
-// TotalBytes sums the current representation across subsystems.
+// TotalBytes sums the rows.
 func (f *Footprint) TotalBytes() uint64 {
 	var t uint64
 	for _, r := range f.Rows {
@@ -40,26 +36,7 @@ func (f *Footprint) TotalBytes() uint64 {
 	return t
 }
 
-// LegacyBytes sums the pre-compaction representation across subsystems.
-func (f *Footprint) LegacyBytes() uint64 {
-	var t uint64
-	for _, r := range f.Rows {
-		t += r.Legacy
-	}
-	return t
-}
-
-// Reduction returns LegacyBytes/TotalBytes — how many times smaller the
-// current representation is (0 when the current total is 0).
-func (f *Footprint) Reduction() float64 {
-	cur := f.TotalBytes()
-	if cur == 0 {
-		return 0
-	}
-	return float64(f.LegacyBytes()) / float64(cur)
-}
-
-// BytesPerSimGB returns current simulator bytes per simulated GB.
+// BytesPerSimGB returns simulator bytes per simulated GiB.
 func (f *Footprint) BytesPerSimGB() float64 {
 	if f.SimulatedBytes == 0 {
 		return 0
@@ -72,16 +49,11 @@ func (f *Footprint) BytesPerSimGB() float64 {
 func (f *Footprint) Table() *Table {
 	t := NewTable(
 		fmt.Sprintf("simulator footprint (%s simulated)", fmtBytes(f.SimulatedBytes)),
-		"subsystem", "bytes", "legacy", "reduction")
+		"subsystem", "bytes")
 	for _, r := range f.Rows {
-		red := "-"
-		if r.Bytes > 0 {
-			red = fmt.Sprintf("%.2fx", float64(r.Legacy)/float64(r.Bytes))
-		}
-		t.AddRow(r.Subsystem, fmtBytes(r.Bytes), fmtBytes(r.Legacy), red)
+		t.AddRow(r.Subsystem, fmtBytes(r.Bytes))
 	}
-	t.AddRow("total", fmtBytes(f.TotalBytes()), fmtBytes(f.LegacyBytes()),
-		fmt.Sprintf("%.2fx", f.Reduction()))
+	t.AddRow("total", fmtBytes(f.TotalBytes()))
 	return t
 }
 

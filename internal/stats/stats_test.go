@@ -88,3 +88,34 @@ func TestQuickGeomeanBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFootprintTable pins the footprint report's shape: one
+// (subsystem, bytes) row per Add in call order, then a total row that
+// sums them.
+func TestFootprintTable(t *testing.T) {
+	f := Footprint{SimulatedBytes: 128 << 30}
+	f.Add("memsys/frames", 256<<20)
+	f.Add("vm/tables", 1536)
+	f.Add("workload/memhog", 8)
+	if got, want := f.TotalBytes(), uint64(256<<20+1536+8); got != want {
+		t.Fatalf("TotalBytes = %d, want %d", got, want)
+	}
+	if got, want := f.BytesPerSimGB(), float64(256<<20+1536+8)/128; got != want {
+		t.Fatalf("BytesPerSimGB = %v, want %v", got, want)
+	}
+	tb := f.Table()
+	if want := "simulator footprint (128.00 GiB simulated)"; tb.Title != want {
+		t.Fatalf("title = %q, want %q", tb.Title, want)
+	}
+	want := "subsystem,bytes\n" +
+		"memsys/frames,256.00 MiB\n" +
+		"vm/tables,1.50 KiB\n" +
+		"workload/memhog,8 B\n" +
+		"total,256.00 MiB\n"
+	if got := tb.CSV(); got != want {
+		t.Fatalf("table =\n%s\nwant\n%s", got, want)
+	}
+	if (&Footprint{}).BytesPerSimGB() != 0 {
+		t.Fatal("an empty node must report 0 bytes per simulated GiB")
+	}
+}

@@ -6,11 +6,8 @@ import "unsafe"
 // space's mapping state, split into tables (chunk directories,
 // materialized region chunks minus their heat counters, per-page chunks,
 // leaf page-table frame lists, PD map) and heat (the per-region access
-// counters), each paired with what the legacy dense-array representation
-// would have cost: per page 4 B base + 1 B swap, per region 1 B advice +
-// 4 B huge + 2 B present4k + 8 B heat, regardless of how much of the VMA
-// was ever touched. The stats.Footprint report renders the pairs.
-func (as *AddressSpace) FootprintBytes() (tables, tablesLegacy, heat, heatLegacy uint64) {
+// counters). A chunk nothing ever touched costs one directory pointer.
+func (as *AddressSpace) FootprintBytes() (tables, heat uint64) {
 	const (
 		chunkBytes     = uint64(unsafe.Sizeof(vmaChunk{}))
 		pageChunkBytes = uint64(unsafe.Sizeof(pageChunk{}))
@@ -31,14 +28,8 @@ func (as *AddressSpace) FootprintBytes() (tables, tablesLegacy, heat, heatLegacy
 				}
 			}
 		}
-		ptB := uint64(len(v.ptFrames)) * 4
-		tables += ptB
-		regions, pages := uint64(v.Regions()), uint64(v.Pages)
-		tablesLegacy += regions*7 + pages*5 + ptB
-		heatLegacy += regions * 8
+		tables += uint64(len(v.ptFrames)) * 4
 	}
-	pdB := uint64(len(as.pds)) * 16
-	tables += pdB
-	tablesLegacy += pdB
-	return tables, tablesLegacy, heat, heatLegacy
+	tables += uint64(len(as.pds)) * 16
+	return tables, heat
 }

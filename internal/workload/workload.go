@@ -216,9 +216,9 @@ func (h *Memhog) Release() {
 }
 
 // FootprintReport implements memsys.FootprintReporter: the run set's
-// cost versus the dense per-page frame list it replaced.
-func (h *Memhog) FootprintReport() (string, uint64, uint64) {
-	return "workload/memhog", uint64(len(h.runs)) * 8, uint64(h.pages) * 4
+// cost, 8 B per contiguous pinned run.
+func (h *Memhog) FootprintReport() (string, uint64) {
+	return "workload/memhog", uint64(len(h.runs)) * 8
 }
 
 // Fragment reproduces the paper's frag utility: allocate 2MB unmovable
@@ -324,13 +324,10 @@ func (pc *PageCache) FrameReclaimed(f memsys.Frame, cookie uint64) bool {
 	return true
 }
 
-// FootprintReport implements memsys.FootprintReporter. The resident-set
-// map is the same representation before and after the frame-metadata
-// compaction, so current and legacy cost coincide (a rough 16 B per
-// entry for key plus bucket overhead).
-func (pc *PageCache) FootprintReport() (string, uint64, uint64) {
-	b := uint64(len(pc.frames)) * 16
-	return "workload/pagecache", b, b
+// FootprintReport implements memsys.FootprintReporter: the resident-set
+// map at a rough 16 B per entry for key plus bucket overhead.
+func (pc *PageCache) FootprintReport() (string, uint64) {
+	return "workload/pagecache", uint64(len(pc.frames)) * 16
 }
 
 var _ memsys.Owner = (*PageCache)(nil)
@@ -369,11 +366,10 @@ func (c *Churner) FrameMoved(old, new memsys.Frame, cookie uint64) {
 // (it would immediately fault it back), so eviction is vetoed.
 func (c *Churner) FrameReclaimed(f memsys.Frame, cookie uint64) bool { return false }
 
-// FootprintReport implements memsys.FootprintReporter; the churner's
-// frame list is unchanged by the compaction, so both costs coincide.
-func (c *Churner) FootprintReport() (string, uint64, uint64) {
-	b := uint64(cap(c.frames)) * 4
-	return "workload/churner", b, b
+// FootprintReport implements memsys.FootprintReporter: the churner's
+// frame list.
+func (c *Churner) FootprintReport() (string, uint64) {
+	return "workload/churner", uint64(cap(c.frames)) * 4
 }
 
 var _ memsys.Owner = (*Churner)(nil)

@@ -12,13 +12,17 @@
 #                       suite again with runtime invariant audits live
 #                       (buddy allocator, TLB arrays, VM accounting,
 #                       scheduler task conservation, promise quiescence)
-#   7. zero-alloc + bench smoke
+#   7. zero-alloc + bench smoke + engine gate
 #                       the staged access engine's fast path, the bulk
 #                       AccessRun path, and the gather AccessGather
-#                       path must stay allocation-free, and every
-#                       machine, memsys and workload benchmark (among
-#                       them BenchmarkNewMemhog, paper-node's memhog
-#                       staging) must still run (-benchtime=1x)
+#                       path must stay allocation-free, every machine,
+#                       memsys and workload benchmark (among them
+#                       BenchmarkNewMemhog, paper-node's memhog staging)
+#                       must still run (-benchtime=1x), and the bulk and
+#                       gather engines must each cost at most half their
+#                       scalar path per simulated access
+#                       (TestAccessEngineSpeedup: same-host ratios, min
+#                       of 3 interleaved testing.Benchmark runs per side)
 #   8. expdriver -j diff
 #                       a bench-scale campaign subset run at -j 1 and
 #                       -j 4 must be byte-identical on every surface
@@ -52,12 +56,14 @@
 #                       the ext-fullscale campaign ({Kron25,Twit} x
 #                       {BFS,PR} x {THP,4KB}) stages >= 100 GB nodes,
 #                       finishes inside its wall/host-memory budgets,
-#                       and the compact metadata shows >= 2x footprint
-#                       reduction (TestFullscaleGeometryGate); the gate
-#                       points GRAPHMEM_CKPT_DIR at a persistent store
-#                       so repetitions (bench.sh, reruns sharing the
-#                       same GRAPHMEM_CKPT_DIR) reload staged nodes
-#                       instead of re-faulting them
+#                       and renders the flagship node's footprint table
+#                       (TestFullscaleGeometryGate); the gate points
+#                       GRAPHMEM_CKPT_DIR at a persistent store so
+#                       reruns sharing the same GRAPHMEM_CKPT_DIR reload
+#                       staged nodes instead of re-faulting them. The
+#                       footprint's bytes-per-simulated-GiB ceiling is
+#                       TestFullscaleFootprintCeiling, which needs no
+#                       opt-in and runs in step 6 (it skips under -race)
 #  15. persistent checkpoint store
 #                       one expdriver process populates a -ckpt-dir
 #                       store, a second process reloads every load
@@ -75,6 +81,12 @@
 #                       its fork-time image
 #  16. docsplice -check
 #                       EXPERIMENTS.md's measured blocks match results/
+#
+# Steps 8-12 and 15 compare campaigns through one helper, campaign, that
+# runs expdriver into stdout, markdown and CSV and diffs all three
+# against a reference run. The wall-clock gates (steps 7, 11, 12 and 15)
+# are same-host ratios; the Go tests among them run only when
+# GRAPHMEM_SPEEDUP_GATE is set, which this script does.
 #
 # Run from the repository root: ./scripts/ci.sh
 set -eu
@@ -117,60 +129,54 @@ go test -race ./...
 echo "== test -tags simcheck (runtime audits live)"
 go test -tags simcheck ./internal/...
 
-echo "== zero-alloc fast path + bench smoke"
+echo "== zero-alloc fast path + bench smoke + engine gate"
 go test -run 'TestAccessFastPathZeroAllocs|TestAccessRunZeroAllocs|TestAccessGatherZeroAllocs' -count=1 ./internal/machine
 go test -run '^$' -bench '^Benchmark' -benchtime 1x ./internal/machine ./internal/memsys ./internal/workload
+GRAPHMEM_SPEEDUP_GATE=1 go test -run '^TestAccessEngineSpeedup$' -count=1 -v ./internal/machine
+
+go build -o "$tmp/expdriver" ./cmd/expdriver
+expdriver="$tmp/expdriver"
+
+# campaign NAME REF [VAR=value...] EXPDRIVER ARGS...
+# runs a bench-scale expdriver campaign (leading VAR=value words set its
+# environment, as with env(1)) into $tmp/NAME.txt (stdout),
+# $tmp/NAME.md and $tmp/NAME.csv/, then, unless REF is "-", diffs all
+# three surfaces against run REF's.
+campaign() {
+    name=$1 ref=$2
+    shift 2
+    mkdir -p "$tmp/$name.csv"
+    env "$@" -scale bench -out "$tmp/$name.md" -csv "$tmp/$name.csv" > "$tmp/$name.txt"
+    if [ "$ref" != - ]; then
+        diff "$tmp/$ref.txt" "$tmp/$name.txt"
+        diff "$tmp/$ref.md" "$tmp/$name.md"
+        diff -r "$tmp/$ref.csv" "$tmp/$name.csv"
+    fi
+}
 
 echo "== expdriver determinism: bench-scale -j 1 vs -j 4"
-go build -o "$tmp/expdriver" ./cmd/expdriver
 subset="fig5,pagecache"
-mkdir -p "$tmp/csv1" "$tmp/csv4"
-"$tmp/expdriver" -scale bench -exp "$subset" -j 1 \
-    -out "$tmp/out1.md" -csv "$tmp/csv1" > "$tmp/stdout1.txt"
-"$tmp/expdriver" -scale bench -exp "$subset" -j 4 \
-    -out "$tmp/out4.md" -csv "$tmp/csv4" > "$tmp/stdout4.txt"
-diff "$tmp/stdout1.txt" "$tmp/stdout4.txt"
-diff "$tmp/out1.md" "$tmp/out4.md"
-diff -r "$tmp/csv1" "$tmp/csv4"
+campaign j1 - "$expdriver" -exp "$subset" -j 1
+campaign j4 j1 "$expdriver" -exp "$subset" -j 4
 
 echo "== bulk-engine equivalence: GRAPHMEM_NO_BULK=1 vs bulk-enabled"
-mkdir -p "$tmp/csvnb"
-GRAPHMEM_NO_BULK=1 "$tmp/expdriver" -scale bench -exp "$subset" -j 1 \
-    -out "$tmp/outnb.md" -csv "$tmp/csvnb" > "$tmp/stdoutnb.txt"
-diff "$tmp/stdout1.txt" "$tmp/stdoutnb.txt"
-diff "$tmp/out1.md" "$tmp/outnb.md"
-diff -r "$tmp/csv1" "$tmp/csvnb"
+campaign nobulk j1 GRAPHMEM_NO_BULK=1 "$expdriver" -exp "$subset" -j 1
 
 echo "== gather-engine equivalence: GRAPHMEM_NO_GATHER=1 vs gather-enabled"
-mkdir -p "$tmp/csvng"
-GRAPHMEM_NO_GATHER=1 "$tmp/expdriver" -scale bench -exp "$subset" -j 1 \
-    -out "$tmp/outng.md" -csv "$tmp/csvng" > "$tmp/stdoutng.txt"
-diff "$tmp/stdout1.txt" "$tmp/stdoutng.txt"
-diff "$tmp/out1.md" "$tmp/outng.md"
-diff -r "$tmp/csv1" "$tmp/csvng"
+campaign nogather j1 GRAPHMEM_NO_GATHER=1 "$expdriver" -exp "$subset" -j 1
 
 echo "== snapshot-layer equivalence: GRAPHMEM_NO_SNAPSHOT=1 vs forking"
 # ext-rollout is the fork-heavy experiment (one load phase, five forked
 # candidates per dataset); fig5+pagecache ride along so the diff also
 # covers checkpointed full runs and page-cache owner cloning.
 snap_subset="fig5,pagecache,ext-rollout"
-mkdir -p "$tmp/csvs1" "$tmp/csvs4" "$tmp/csvns"
 snap_start=$(date +%s)
-"$tmp/expdriver" -scale bench -exp "$snap_subset" -j 1 \
-    -out "$tmp/outs1.md" -csv "$tmp/csvs1" > "$tmp/stdouts1.txt"
+campaign snap1 - "$expdriver" -exp "$snap_subset" -j 1
 snap_elapsed=$(( $(date +%s) - snap_start ))
-"$tmp/expdriver" -scale bench -exp "$snap_subset" -j 4 \
-    -out "$tmp/outs4.md" -csv "$tmp/csvs4" > "$tmp/stdouts4.txt"
-diff "$tmp/stdouts1.txt" "$tmp/stdouts4.txt"
-diff "$tmp/outs1.md" "$tmp/outs4.md"
-diff -r "$tmp/csvs1" "$tmp/csvs4"
+campaign snap4 snap1 "$expdriver" -exp "$snap_subset" -j 4
 nosnap_start=$(date +%s)
-GRAPHMEM_NO_SNAPSHOT=1 "$tmp/expdriver" -scale bench -exp "$snap_subset" -j 1 \
-    -out "$tmp/outns.md" -csv "$tmp/csvns" > "$tmp/stdoutns.txt"
+campaign nosnap snap1 GRAPHMEM_NO_SNAPSHOT=1 "$expdriver" -exp "$snap_subset" -j 1
 nosnap_elapsed=$(( $(date +%s) - nosnap_start ))
-diff "$tmp/stdouts1.txt" "$tmp/stdoutns.txt"
-diff "$tmp/outs1.md" "$tmp/outns.md"
-diff -r "$tmp/csvs1" "$tmp/csvns"
 echo "snapshot on: ${snap_elapsed}s, off: ${nosnap_elapsed}s"
 if [ "$nosnap_elapsed" -lt $(( 2 * snap_elapsed )) ]; then
     echo "snapshot layer speedup below 2x (on=${snap_elapsed}s off=${nosnap_elapsed}s): forks are not amortizing the load phase" >&2
@@ -183,19 +189,9 @@ echo "== sharded-engine equivalence: GRAPHMEM_NO_SNAPSHOT=1 vs fork bring-up"
 # fork-vs-replay margin the hatch controls is first-order. -shards (the
 # worker knob) and -j (the campaign knob) are both varied to prove
 # neither changes a byte of output.
-mkdir -p "$tmp/csvh1" "$tmp/csvh4" "$tmp/csvnh"
-"$tmp/expdriver" -scale bench -exp ext-shard -shards 4 -j 1 \
-    -out "$tmp/outh1.md" -csv "$tmp/csvh1" > "$tmp/stdouth1.txt"
-"$tmp/expdriver" -scale bench -exp ext-shard -shards 2 -j 4 \
-    -out "$tmp/outh4.md" -csv "$tmp/csvh4" > "$tmp/stdouth4.txt"
-diff "$tmp/stdouth1.txt" "$tmp/stdouth4.txt"
-diff "$tmp/outh1.md" "$tmp/outh4.md"
-diff -r "$tmp/csvh1" "$tmp/csvh4"
-GRAPHMEM_NO_SNAPSHOT=1 "$tmp/expdriver" -scale bench -exp ext-shard -shards 4 -j 1 \
-    -out "$tmp/outnh.md" -csv "$tmp/csvnh" > "$tmp/stdoutnh.txt"
-diff "$tmp/stdouth1.txt" "$tmp/stdoutnh.txt"
-diff "$tmp/outh1.md" "$tmp/outnh.md"
-diff -r "$tmp/csvh1" "$tmp/csvnh"
+campaign shard1 - "$expdriver" -exp ext-shard -shards 4 -j 1
+campaign shard4 shard1 "$expdriver" -exp ext-shard -shards 2 -j 4
+campaign noshard shard1 GRAPHMEM_NO_SNAPSHOT=1 "$expdriver" -exp ext-shard -shards 4 -j 1
 # The speedup gate times a single run in-process (min-of-3 per side):
 # a whole-campaign subprocess wall-clock would fold dataset generation
 # and sibling cells into both sides and drown the margin in host noise.
@@ -205,10 +201,10 @@ echo "== frame-metadata budget: 8 bytes per frame, packed == unpacked"
 go test -run 'TestFrameInfoSize|TestFrameInfoPackRoundTrip' -count=1 ./internal/memsys
 go test -run '^TestPackedFrameInfoDifferential$' -count=1 ./internal/machine
 
-echo "== paper-geometry gate: ext-fullscale wall/footprint/host-memory budgets"
+echo "== paper-geometry gate: ext-fullscale wall/host-memory budgets"
 # GRAPHMEM_CKPT_DIR may be inherited from the environment to persist the
-# staged 100 GB+ node images across CI repetitions (and into bench.sh);
-# by default the store lives and dies with this run's scratch dir.
+# staged 100 GB+ node images across CI repetitions; by default the store
+# lives and dies with this run's scratch dir.
 GRAPHMEM_FULLSCALE=1 GRAPHMEM_CKPT_DIR="${GRAPHMEM_CKPT_DIR:-$tmp/fsckpt}" \
     go test -run '^TestFullscaleGeometryGate$' -count=1 -v -timeout 900s ./internal/exp
 
@@ -216,18 +212,9 @@ echo "== persistent checkpoint store: cross-process reload equivalence + speedup
 # One process stages and saves, a second process reloads from the store;
 # both must render the exact bytes of step 8's store-less run, at -j 1
 # and -j 4. The store directory is shared, content-addressed by initKey.
-mkdir -p "$tmp/csvc0" "$tmp/csvc1" "$tmp/csvc4"
-"$tmp/expdriver" -scale bench -exp "$subset" -j 1 -ckpt-dir "$tmp/store" \
-    -out "$tmp/outc0.md" -csv "$tmp/csvc0" > "$tmp/stdoutc0.txt"
-"$tmp/expdriver" -scale bench -exp "$subset" -j 1 -ckpt-dir "$tmp/store" \
-    -out "$tmp/outc1.md" -csv "$tmp/csvc1" > "$tmp/stdoutc1.txt"
-"$tmp/expdriver" -scale bench -exp "$subset" -j 4 -ckpt-dir "$tmp/store" \
-    -out "$tmp/outc4.md" -csv "$tmp/csvc4" > "$tmp/stdoutc4.txt"
-for v in c0 c1 c4; do
-    diff "$tmp/stdout1.txt" "$tmp/stdout$v.txt"
-    diff "$tmp/out1.md" "$tmp/out$v.md"
-    diff -r "$tmp/csv1" "$tmp/csv$v"
-done
+campaign store0 j1 "$expdriver" -exp "$subset" -j 1 -ckpt-dir "$tmp/store"
+campaign store1 j1 "$expdriver" -exp "$subset" -j 1 -ckpt-dir "$tmp/store"
+campaign store4 j1 "$expdriver" -exp "$subset" -j 4 -ckpt-dir "$tmp/store"
 if [ -z "$(ls "$tmp/store"/*.ckpt 2>/dev/null)" ]; then
     echo "checkpoint store is empty after a populating campaign" >&2
     exit 1
@@ -235,7 +222,7 @@ fi
 # The >= 3x reload-vs-restage gate times both sides in-process
 # (min-of-3): subprocess wall-clocks would fold compilation, dataset
 # generation, and kernel phases into both sides and drown the margin.
-GRAPHMEM_CKPT_GATE=1 go test -run '^TestCkptReloadSpeedup$' -count=1 -v ./internal/exp
+GRAPHMEM_SPEEDUP_GATE=1 go test -run '^TestCkptReloadSpeedup$' -count=1 -v ./internal/exp
 # Bounded fuzzing of the loader: every payload it accepts must re-save
 # to exactly its own bytes and run without panicking.
 go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 30s ./internal/core
