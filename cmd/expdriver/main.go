@@ -4,31 +4,29 @@
 //
 // Usage:
 //
-//	expdriver [-scale full|bench|test] [-exp fig1,fig10,...] [-j N] [-shards N]
+//	expdriver [-scale full|bench|test] [-exp fig1,fig10,...] [-j N]
 //	          [-ckpt-dir DIR] [-out results.md] [-v]
 //	          [-cpuprofile cpu.out] [-memprofile mem.out]
+//
+// The campaign runs in three phases (DESIGN.md §5): it records each
+// selected experiment to learn the simulation cells it requests,
+// simulates the deduplicated cells, then renders every experiment's
+// tables in registry order from the memoized results.
 //
 // -j runs the campaign's simulation cells on N workers (0 = all CPUs).
 // Parallelism changes wall-clock time only: stdout, the markdown file,
 // and the CSV tables are byte-identical for every worker count, because
 // each cell is a pure function of its configuration and rendering is
-// sequential in registry order (see DESIGN.md §5). Timing and progress
-// go to stderr, keeping stdout comparable across runs.
-//
-// -shards sets how many worker goroutines drive each sharded cell's
-// shards (0 = GOMAXPROCS), composing with -j: a campaign can run cells
-// in parallel while each sharded cell also runs its shards in
-// parallel. Like -j it is an execution knob routed through
-// GRAPHMEM_SHARD_WORKERS, never part of any cell's configuration —
-// which shard counts are *modeled* is fixed by the experiments
-// (core.RunSpec.Shards) — so output stays byte-identical for every
-// -shards value (DESIGN.md §5c).
+// sequential in registry order. Timing and progress go to stderr,
+// keeping stdout comparable across runs. Sharded cells drive their
+// shards on GOMAXPROCS workers (clamped to the shard count); that
+// count, like -j, never changes a byte of output (DESIGN.md §5c).
 //
 // -ckpt-dir backs the campaign's checkpoint cache with a persistent
 // content-addressed store in that directory (DESIGN.md §5e): load
 // phases staged by earlier invocations are reloaded from disk instead
-// of replayed, and fresh stagings are saved for later ones. Like -j and
-// -shards it is an execution knob — forks from a loaded machine are
+// of replayed, and fresh stagings are saved for later ones. Like -j it
+// is an execution knob — forks from a loaded machine are
 // byte-identical to forks from a staged one, which CI's reload gate
 // diffs — so output is unchanged whether the store is cold, warm, or
 // absent.
@@ -44,7 +42,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -58,7 +55,6 @@ func main() {
 	outPath := flag.String("out", "", "write markdown tables to this file")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	workers := flag.Int("j", 1, "parallel simulation workers (0 = all CPUs)")
-	shardWorkers := flag.Int("shards", 0, "worker goroutines per sharded cell (0 = all CPUs); execution-only, output is identical for every value")
 	ckptDir := flag.String("ckpt-dir", "", "persistent checkpoint store directory (created if missing); execution-only, output is identical with a cold, warm, or absent store")
 	verbose := flag.Bool("v", false, "log per-worker progress for each simulation cell")
 	listOnly := flag.Bool("list", false, "list experiments and exit")
@@ -122,12 +118,6 @@ func main() {
 	if *workers == 0 {
 		*workers = runtime.NumCPU()
 	}
-	if *shardWorkers > 0 {
-		// core.shardWorkers reads this per run; setting it here keeps
-		// the knob out of every RunSpec, which is what makes output
-		// independent of it.
-		os.Setenv("GRAPHMEM_SHARD_WORKERS", strconv.Itoa(*shardWorkers))
-	}
 
 	var log io.Writer
 	opt := exp.CampaignOptions{Workers: *workers}
@@ -148,11 +138,7 @@ func main() {
 	}
 
 	if *footprint {
-		fp, ok := s.FullscaleFootprint()
-		if !ok {
-			fmt.Fprintln(os.Stderr, "expdriver: no resident machine to introspect (GRAPHMEM_NO_SNAPSHOT set?)")
-			os.Exit(1)
-		}
+		fp := s.FullscaleFootprint()
 		fmt.Print(fp.Table().String())
 		fmt.Printf("\nfootprint_total_bytes=%d bytes_per_sim_gb=%.0f\n",
 			fp.TotalBytes(), fp.BytesPerSimGB())

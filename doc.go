@@ -6,6 +6,7 @@
 //
 // The root package carries only the benchmark suite (bench_test.go),
 // which regenerates every table and figure of the paper's evaluation.
-// The library lives under internal/; cmd/ holds the executables and
-// examples/ the runnable walkthroughs. See README.md and DESIGN.md.
+// The library lives under internal/ and cmd/ holds the executables;
+// internal/core's godoc examples show the public API. See README.md and
+// DESIGN.md.
 package graphmem

@@ -11,6 +11,7 @@ import (
 	"graphmem/internal/analytics"
 	"graphmem/internal/ckpt"
 	"graphmem/internal/core"
+	"graphmem/internal/stats"
 )
 
 // persistSpec is the persistence tests' configuration: the stressed
@@ -244,5 +245,54 @@ func TestCheckpointFormatDrift(t *testing.T) {
 	if got != want {
 		t.Fatalf("checkpoint image digest is %s, want %s at format version %d: the image bytes changed, so bump ckpt.Version and record the new digest under it",
 			got, want, ckpt.Version)
+	}
+}
+
+// TestFootprintIsState proves the footprint report is a function of
+// the machine's state, not of how that state was reached: a staged
+// checkpoint, a fork of it, a saved-then-loaded copy, and a checkpoint
+// prepared with the snapshot hatch open (which replays the load phase
+// to report it) must all report equal rows.
+func TestFootprintIsState(t *testing.T) {
+	spec := persistSpec(t, core.THPAlways())
+	const key = "persist:footprint"
+	cp, err := core.Prepare(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged, ok := cp.Footprint()
+	if !ok {
+		t.Fatal("staged checkpoint reports no footprint")
+	}
+	fm, _, err := cp.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := cp.Save(&buf, key); err != nil {
+		t.Fatal(err)
+	}
+	lcp, err := core.LoadCheckpoint(spec, key, bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, _ := lcp.Footprint()
+	t.Setenv("GRAPHMEM_NO_SNAPSHOT", "1")
+	hcp, err := core.Prepare(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, _ := hcp.Footprint()
+	for _, c := range []struct {
+		name string
+		fp   stats.Footprint
+	}{
+		{"fork", fm.Footprint()},
+		{"saved-then-loaded", loaded},
+		{"hatch-open replay", replayed},
+	} {
+		if !reflect.DeepEqual(c.fp, staged) {
+			t.Errorf("%s footprint differs from the staged checkpoint's:\n%s\nstaged:\n%s", c.name, c.fp.Table(), staged.Table())
+		}
 	}
 }

@@ -125,8 +125,8 @@ type RunSpec struct {
 	// an owner-computes bulk-synchronous program. 0 or 1 runs the
 	// monolithic engine. The shard count is semantic — it changes the
 	// modeled system — while the number of worker goroutines driving
-	// the shards is an execution detail (GRAPHMEM_SHARD_WORKERS,
-	// expdriver -shards) that never changes output. Sharded runs
+	// the shards is an execution detail (GOMAXPROCS, clamped to the
+	// shard count) that never changes output. Sharded runs
 	// require SnapshotSafe specs (no churn co-runner, no supply
 	// sampler).
 	Shards int

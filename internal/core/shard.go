@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 
 	"graphmem/internal/analytics"
 	"graphmem/internal/check"
@@ -20,33 +18,9 @@ import (
 // barriers, and the deterministic merge of per-shard statistics into
 // one RunResult. The shard count is part of the spec
 // (RunSpec.Shards — it changes the modeled system); the worker count
-// is not (GRAPHMEM_SHARD_WORKERS — it may only change wall-clock
-// time), so a sharded run's output is byte-identical at any worker
-// count, which the differential tests and ci.sh step 12 verify.
-
-// shardWorkers picks how many worker goroutines drive a sharded run:
-// the GRAPHMEM_SHARD_WORKERS environment variable when set to a
-// positive integer (the expdriver -shards flag routes through it),
-// otherwise GOMAXPROCS — both clamped to the shard count. Read per run
-// so one process can host differential tests across worker counts.
-func shardWorkers(shards int) int {
-	n := 0
-	if v := os.Getenv("GRAPHMEM_SHARD_WORKERS"); v != "" {
-		if parsed, err := strconv.Atoi(v); err == nil && parsed > 0 {
-			n = parsed
-		}
-	}
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > shards {
-		n = shards
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+// is not (GOMAXPROCS — it may only change wall-clock time), so a
+// sharded run's output is byte-identical at any worker count, which
+// the differential tests and ci.sh step 12 verify.
 
 // finishSharded runs the kernel phase as spec.Shards owner-computes
 // shards and merges the per-shard outcomes into one RunResult. m/img
@@ -86,7 +60,10 @@ func (p *prepared) finishSharded(m *machine.Machine, img *analytics.Image, opts 
 		}
 	}
 	parallel := serial
-	if workers := shardWorkers(s); workers > 1 {
+	// GOMAXPROCS workers, clamped to the shard count, drive the shards.
+	// It is read per run, so tests vary it to prove it cannot change
+	// output.
+	if workers := min(runtime.GOMAXPROCS(0), s); workers > 1 {
 		pool := sched.NewPool(workers)
 		defer pool.Close()
 		parallel = pool.RunN

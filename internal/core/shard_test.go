@@ -3,7 +3,7 @@ package core_test
 import (
 	"math"
 	"reflect"
-	"strconv"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -24,15 +24,17 @@ func shardedSpec(t *testing.T, app analytics.App, p core.Policy, shards int) cor
 // for every standard machine configuration, a 4-shard run must produce
 // a deeply equal RunResult — every cycle count, fault counter, array
 // statistic, per-shard kernel cycle, and output bit — whether 1, 2, 4,
-// or 8 worker goroutines drive the shards. The worker count is an
-// execution knob, never a modeling knob.
+// or 8 worker goroutines drive the shards. The worker count (GOMAXPROCS,
+// clamped to the shard count) is an execution knob, never a modeling
+// knob.
 func TestShardedDeterministicAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, pol := range snapshotConfigs() {
 		t.Run(pol.Name, func(t *testing.T) {
 			spec := shardedSpec(t, analytics.BFS, pol, 4)
 			var ref *core.RunResult
 			for _, workers := range []int{1, 2, 4, 8} {
-				t.Setenv("GRAPHMEM_SHARD_WORKERS", strconv.Itoa(workers))
+				runtime.GOMAXPROCS(workers)
 				got, err := core.Run(spec)
 				if err != nil {
 					t.Fatal(err)
@@ -142,7 +144,7 @@ func TestShardedOutputsCorrect(t *testing.T) {
 // owning shard between barriers; the race detector proves it while the
 // comparison proves the schedule cannot leak into the output).
 func TestShardedWorkerHammer(t *testing.T) {
-	t.Setenv("GRAPHMEM_SHARD_WORKERS", "8")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	for _, app := range analytics.ExtendedApps {
 		spec := shardedSpec(t, app, core.SelectiveTHP(0.5), 8)
 		a, err := core.Run(spec)
@@ -248,7 +250,7 @@ func TestShardedMakespan(t *testing.T) {
 // and every sharded run copies the pages it writes. Concurrent Runs must
 // each reproduce the serial result (go test -race checks the sharing).
 func TestConcurrentCheckpointRuns(t *testing.T) {
-	t.Setenv("GRAPHMEM_SHARD_WORKERS", "2")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cp, err := core.Prepare(shardedSpec(t, analytics.BFS, core.SelectiveTHP(0.5), 4))
 	if err != nil {
 		t.Fatal(err)

@@ -172,12 +172,17 @@ func (cp *Checkpoint) Run() (*RunResult, error) {
 }
 
 // Footprint reports the frozen machine's simulator-side memory
-// breakdown (stats.Footprint). It returns false when snapshotting is
-// disabled — there is no resident machine to introspect until a fork
-// replays the load phase.
-func (cp *Checkpoint) Footprint() (stats.Footprint, bool) {
-	if cp.pre == nil {
-		return stats.Footprint{}, false
+// breakdown (stats.Footprint). With snapshotting disabled the
+// checkpoint holds no machine, so Footprint replays the load phase and
+// reports the replayed machine, whose state is identical. ok is false
+// only when that replay fails.
+func (cp *Checkpoint) Footprint() (fp stats.Footprint, ok bool) {
+	p := cp.pre
+	if p == nil {
+		var err error
+		if p, err = prepare(cp.spec); err != nil {
+			return fp, false
+		}
 	}
-	return cp.pre.m.Footprint(), true
+	return p.m.Footprint(), true
 }

@@ -175,30 +175,12 @@ func TestPromiseCacheUnderRace(t *testing.T) {
 	}
 }
 
-// keySet reduces a cell list to its set of memo keys.
-func keySet(cells []runCfg) map[string]bool {
-	set := make(map[string]bool, len(cells))
-	for _, c := range cells {
-		set[c.key()] = true
-	}
-	return set
-}
-
-func sortedKeys(m map[string]bool) []string {
-	var ks []string
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
 // TestCapsMatchCells proves every registry entry's advertised capability
 // list (what expdriver -list prints) is derived from, not asserted over,
-// its declared cells: snapshot-forkable iff some cell's spec passes
+// its recorded cells: snapshot-forkable iff some cell's spec passes
 // core.SnapshotSafe, sharded iff some cell runs more than one shard, and
 // full-scale-gated reserved for the experiment the CI fullscale gate
-// wraps. Experiments without declarable cells may still claim
+// wraps. Experiments that record no cells may still claim
 // snapshot-forkable when they fork checkpoints outside the cell space
 // (ext-rollout), but never sharded or full-scale-gated.
 func TestCapsMatchCells(t *testing.T) {
@@ -220,15 +202,16 @@ func TestCapsMatchCells(t *testing.T) {
 			if caps[CapFullScale] != (e.ID == "ext-fullscale") {
 				t.Errorf("full-scale-gated = %v, want it on ext-fullscale only", caps[CapFullScale])
 			}
-			if e.Cells == nil {
+			s := testSuite()
+			cells := s.record(e.Run)
+			if len(cells) == 0 {
 				if caps[CapSharded] {
-					t.Error("sharded capability without declarable cells")
+					t.Error("sharded capability without recorded cells")
 				}
 				return
 			}
-			s := testSuite()
 			var snapshot, sharded bool
-			for _, c := range e.Cells(s) {
+			for _, c := range cells {
 				if core.SnapshotSafe(s.spec(c)) {
 					snapshot = true
 				}
@@ -246,12 +229,14 @@ func TestCapsMatchCells(t *testing.T) {
 	}
 }
 
-// TestCellsMatchRuns proves every experiment's declared frontier equals
-// the set of cells its Run method actually requests — the invariant that
-// makes campaign run counts (and the parallel speedup) independent of
-// worker count. Experiments with nil Cells must either request nothing
-// through the suite (table1, table2) or run entirely outside the cell
-// space (ext-grid simulates ad-hoc graphs directly).
+// TestCellsMatchRuns proves every experiment's recording lists exactly
+// the cells its real Run requests — the invariant that makes campaign
+// run counts (and the parallel speedup) independent of worker count. A
+// recorded cell the real Run never requests would waste a simulation;
+// a requested cell the recording missed would serialize into the
+// render phase. Experiments that record nothing must request nothing
+// through the suite (table1, table2, and ext-grid and ext-rollout,
+// which simulate outside the cell space).
 func TestCellsMatchRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
@@ -259,35 +244,47 @@ func TestCellsMatchRuns(t *testing.T) {
 	for _, e := range Registry {
 		t.Run(e.ID, func(t *testing.T) {
 			s := testSuite()
-			var declared map[string]bool
-			if e.Cells != nil {
-				declared = keySet(e.Cells(s))
+			recorded := make(map[string]bool)
+			for _, c := range s.record(e.Run) {
+				recorded[c.key()] = true
 			}
-			requested := make(map[string]bool)
-			var mu sync.Mutex
-			s.onRun = func(c runCfg) {
-				mu.Lock()
-				requested[c.key()] = true
-				mu.Unlock()
-			}
+			// run is the only writer of the run cache, so after a real
+			// Run on a fresh suite the cache holds exactly the cells Run
+			// requested.
 			e.Run(s)
-			if e.Cells == nil {
-				if len(requested) != 0 {
-					t.Errorf("nil Cells but Run requested %d cells:\n  %s",
-						len(requested), strings.Join(sortedKeys(requested), "\n  "))
-				}
-				return
-			}
-			for _, k := range sortedKeys(declared) {
-				if !requested[k] {
-					t.Errorf("declared but never requested: %s", k)
+			var missing []string
+			for k := range recorded {
+				if _, ok := s.runs.Peek(k); !ok {
+					missing = append(missing, k)
 				}
 			}
-			for _, k := range sortedKeys(requested) {
-				if !declared[k] {
-					t.Errorf("requested but not declared (would serialize into the render phase): %s", k)
-				}
+			sort.Strings(missing)
+			for _, k := range missing {
+				t.Errorf("recorded but never requested: %s", k)
+			}
+			if n := s.CachedRunCount(); n != len(recorded) {
+				t.Errorf("Run requested %d distinct cells, the recording listed %d", n, len(recorded))
 			}
 		})
+	}
+}
+
+// TestRecordingSimulatesNothing proves recording is free of simulation:
+// recording every experiment memoizes no run and stages no checkpoint,
+// so the declare phase costs graph generation and nothing more.
+func TestRecordingSimulatesNothing(t *testing.T) {
+	s := testSuite()
+	total := 0
+	for _, e := range Registry {
+		total += len(s.record(e.Run))
+	}
+	if total == 0 {
+		t.Fatal("recording the registry listed no cells")
+	}
+	if n := s.CachedRunCount(); n != 0 {
+		t.Errorf("recording memoized %d runs, want 0", n)
+	}
+	if n := s.inits.Len(); n != 0 {
+		t.Errorf("recording staged %d checkpoints, want 0", n)
 	}
 }

@@ -204,3 +204,43 @@ func TestCkptReloadSpeedup(t *testing.T) {
 		t.Errorf("reload speedup %.2fx, want >= 3x over re-staging", speedup)
 	}
 }
+
+// TestFullscaleSameFromStoreAndHatch renders ext-fullscale, whose
+// footprint table introspects a staged machine, four ways: with no
+// store, from a cold store, from a warm store, and with the snapshot
+// hatch open. The footprint is a function of the staged state, so every
+// rendering must carry the same bytes.
+func TestFullscaleSameFromStoreAndHatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs one experiment four times")
+	}
+	t.Setenv("GRAPHMEM_NO_SNAPSHOT", "")
+	dir := t.TempDir()
+	ids := []string{"ext-fullscale"}
+	refText, refMD, refCSV := renderWithStore(t, "", ids, 1)
+	if !strings.Contains(refText, "simulator footprint") {
+		t.Fatal("ext-fullscale rendered no footprint table")
+	}
+	coldText, coldMD, coldCSV := renderWithStore(t, dir, ids, 1)
+	if saved, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")); len(saved) == 0 {
+		t.Fatal("cold-store campaign saved no checkpoint containers")
+	}
+	warmText, warmMD, warmCSV := renderWithStore(t, dir, ids, 1)
+	t.Setenv("GRAPHMEM_NO_SNAPSHOT", "1")
+	hatchText, hatchMD, hatchCSV := renderWithStore(t, "", ids, 1)
+	for _, c := range []struct {
+		name          string
+		text, md, csv string
+	}{
+		{"cold store", coldText, coldMD, coldCSV},
+		{"warm store", warmText, warmMD, warmCSV},
+		{"snapshot hatch open", hatchText, hatchMD, hatchCSV},
+	} {
+		if c.text != refText {
+			t.Errorf("%s text differs from the store-less rendering:\n%s\nstore-less:\n%s", c.name, c.text, refText)
+		}
+		if c.md != refMD || c.csv != refCSV {
+			t.Errorf("%s markdown or CSV differs from the store-less rendering", c.name)
+		}
+	}
+}

@@ -113,8 +113,13 @@ func (s *Suite) CCWorkload() []*stats.Table {
 // helps — the BFS wavefront streams a footprint far beyond TLB reach —
 // but partial coverage is strictly worse than full coverage and
 // preprocessing is pure overhead. If selective ever beat THP here, the
-// model would be broken.
+// model would be broken. Its graph lies outside the cell space, so it
+// calls core.Run directly and requests no cells; a recording does
+// nothing.
 func (s *Suite) GridControl() []*stats.Table {
+	if s.recording() {
+		return nil
+	}
 	var side int
 	switch s.Scale {
 	case gen.ScaleTest:
@@ -156,7 +161,7 @@ func (s *Suite) GridControl() []*stats.Table {
 // fig6Cfg names one Fig. 6 cell: a pressured BFS/Kron run with the
 // huge-page-economy timeline sampled ~12 times across initialization
 // (interval from the expected init access count — WSS/64 cache lines
-// at tens of cycles each). Shared by Fig6 and its cell declaration.
+// at tens of cycles each).
 func (s *Suite) fig6Cfg(order analytics.AllocOrder) runCfg {
 	e := s.graph(gen.Kron25, false, reorder.Identity)
 	wss := analytics.WSSBytes(analytics.BFS, e.g)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"graphmem/internal/analytics"
+	"graphmem/internal/check"
 	"graphmem/internal/core"
 	"graphmem/internal/gen"
 	"graphmem/internal/reorder"
@@ -68,7 +69,7 @@ func (s *Suite) fullscaleCfg() runCfg {
 	return s.fullscaleCell(analytics.BFS, gen.Kron25, core.THPAlways())
 }
 
-// fullscaleCells declares the campaign grid, flagship first, then the
+// fullscaleCells lists the campaign grid, flagship first, then the
 // remaining dataset × kernel × policy combinations in table order.
 func (s *Suite) fullscaleCells() []runCfg {
 	cells := []runCfg{s.fullscaleCfg()}
@@ -87,15 +88,16 @@ func (s *Suite) fullscaleCells() []runCfg {
 }
 
 // FullscaleFootprint stages (or recalls) the flagship cell's load
-// phase and returns the frozen machine's simulator-footprint report.
-// ok is false when GRAPHMEM_NO_SNAPSHOT is set — there is no resident
-// machine to introspect then.
-func (s *Suite) FullscaleFootprint() (stats.Footprint, bool) {
+// phase and returns the staged machine's simulator-footprint report.
+// With GRAPHMEM_NO_SNAPSHOT set the checkpoint replays the load phase
+// to report it, so the report is the same either way.
+func (s *Suite) FullscaleFootprint() stats.Footprint {
 	c := s.fullscaleCfg()
-	if !core.SnapshotSafe(s.spec(c)) || core.SnapshotsDisabled() {
-		return stats.Footprint{}, false
+	fp, ok := s.checkpoint(c.initKey(), s.spec(c)).Footprint()
+	if !ok {
+		panic(check.Failf("exp: footprint %s: load-phase replay failed", c.initKey()))
 	}
-	return s.checkpoint(c.initKey(), s.spec(c)).Footprint()
+	return fp
 }
 
 // Fullscale renders the paper-geometry campaign: per-cell node geometry
@@ -117,6 +119,9 @@ func (s *Suite) Fullscale() []*stats.Table {
 			base[string(c.app)+"|"+string(c.ds)] = results[i].TotalCycles
 		}
 	}
+	if s.recording() {
+		return nil // the footprint below stages outside run
+	}
 	for i, c := range cells {
 		r := results[i]
 		var sum uint64
@@ -133,9 +138,6 @@ func (s *Suite) Fullscale() []*stats.Table {
 			stats.F(float64(sum)/float64(r.KernelCycles), 3),
 			speedup)
 	}
-	tables := []*stats.Table{t}
-	if fp, ok := s.FullscaleFootprint(); ok {
-		tables = append(tables, fp.Table())
-	}
-	return tables
+	fp := s.FullscaleFootprint()
+	return []*stats.Table{t, fp.Table()}
 }

@@ -11,24 +11,25 @@ import (
 	"graphmem/internal/stats"
 )
 
-// Experiment couples an id with its runner, its declared simulation
-// cells, and a description.
+// Experiment couples an id with its runner and a description.
 type Experiment struct {
 	ID    string
 	Paper string // the paper artifact it reproduces
 	Desc  string
-	Run   func(*Suite) []*stats.Table
 
-	// Cells declares, up front, every simulation cell Run will request,
-	// so RunCampaign can fan the whole campaign frontier over a worker
-	// pool before any table is rendered. Nil means the experiment has
-	// no pre-declarable cells (it either performs no runs, or — like
-	// the grid control — simulates ad-hoc graphs outside the cell
-	// space) and simply computes during rendering. For experiments with
-	// a non-nil Cells, the declared list must equal the set of cells
-	// Run requests — TestCellsMatchRuns enforces the equality, which is
-	// also what makes run counts independent of the worker count.
-	Cells func(*Suite) []runCfg
+	// Run renders the experiment's tables, requesting every simulation
+	// cell through Suite.run. RunCampaign declares the campaign
+	// frontier by first calling Run on a recording view of the suite
+	// (Suite.record), where run lists each cell and returns an empty
+	// *core.RunResult. Recording relies on three rules:
+	//   - Run requests the same cells whatever the results say.
+	//   - Run tolerates empty results.
+	//   - While Suite.recording, Run skips all work it does outside
+	//     Suite.run: ext-rollout's forks and probes, ext-grid's direct
+	//     core.Run calls, ext-fullscale's footprint staging.
+	// TestCellsMatchRuns checks that each recording lists exactly the
+	// cells a real Run requests.
+	Run func(*Suite) []*stats.Table
 
 	// Caps is a comma-separated capability list shown by expdriver
 	// -list. CapSnapshot marks experiments whose cells take the
@@ -36,7 +37,7 @@ type Experiment struct {
 	// marks cells running the sharded machine engine; CapFullScale
 	// marks the experiment whose full-geometry budgets are gated behind
 	// GRAPHMEM_FULLSCALE=1 in CI. TestCapsMatchCells derives the first
-	// two from each experiment's declared cells.
+	// two from each experiment's recorded cells.
 	Caps string
 }
 
@@ -49,30 +50,30 @@ const (
 
 // Registry lists every experiment in presentation order.
 var Registry = []Experiment{
-	{"table1", "Table 1", "simulated system parameters", (*Suite).Table1, nil, ""},
-	{"table2", "Table 2", "applications and inputs", (*Suite).Table2, nil, ""},
-	{"fig1", "Fig. 1", "THP speedup: fresh boot vs memory pressure", (*Suite).Fig1, (*Suite).fig1Cells, CapSnapshot},
-	{"fig2", "Fig. 2", "address translation overhead share", (*Suite).Fig2, (*Suite).fig2Cells, CapSnapshot},
-	{"fig3", "Fig. 3", "TLB miss rates, 4KB vs THP", (*Suite).Fig3, (*Suite).fig2Cells, CapSnapshot},
-	{"fig4", "Fig. 4", "per-data-structure access breakdown", (*Suite).Fig4, (*Suite).fig4Cells, CapSnapshot},
-	{"fig5", "Fig. 5", "per-structure madvise THP speedups (BFS)", (*Suite).Fig5, (*Suite).fig5Cells, CapSnapshot},
-	{"fig6", "Fig. 6", "huge page supply timeline during initialization", (*Suite).Fig6, (*Suite).fig6Cells, ""},
-	{"fig7", "Fig. 7", "high pressure: natural vs optimized allocation order", (*Suite).Fig7, (*Suite).fig7Cells, CapSnapshot},
-	{"sweep", "§4.3.1", "memory pressure sweep incl. oversubscription", (*Suite).PressureSweep, (*Suite).sweepCells, CapSnapshot},
-	{"fig8", "Fig. 8", "50% fragmentation: natural vs optimized order", (*Suite).Fig8, (*Suite).fig8Cells, CapSnapshot},
-	{"fig9", "Fig. 9", "fragmentation level sweep (BFS)", (*Suite).Fig9, (*Suite).fig9Cells, CapSnapshot},
-	{"fig10", "Fig. 10", "DBG + selective THP under pressure+frag", (*Suite).Fig10, (*Suite).fig10Cells, CapSnapshot},
-	{"fig11", "Fig. 11", "selective THP sensitivity sweep (BFS)", (*Suite).Fig11, (*Suite).fig11Cells, CapSnapshot},
-	{"dbg", "§5.1.2", "DBG preprocessing overhead", (*Suite).DBGOverhead, (*Suite).dbgCells, CapSnapshot},
-	{"headline", "Abstract", "headline metrics vs the paper's ranges", (*Suite).Headline, (*Suite).headlineCells, CapSnapshot},
-	{"pagecache", "§4.3", "page cache single-use memory interference", (*Suite).PageCache, (*Suite).pagecacheCells, CapSnapshot},
-	{"ext-baselines", "Related work", "Ingens/HawkEye-style engines vs selective THP", (*Suite).Baselines, (*Suite).baselinesCells, CapSnapshot},
-	{"ext-auto", "§7 future work", "automatic profile-guided madvise plans", (*Suite).AutoSelective, (*Suite).autoSelectiveCells, CapSnapshot},
-	{"ext-cc", "§3.2", "Connected Components extension workload", (*Suite).CCWorkload, (*Suite).ccCells, CapSnapshot},
-	{"ext-grid", "control", "road-network negative control", (*Suite).GridControl, nil, ""},
-	{"ext-rollout", "§7 future work", "online policy rollout via checkpoint forks", (*Suite).Rollout, nil, CapSnapshot},
-	{"ext-shard", "§6 scaling", "sharded machine engine: modeled intra-run scaling", (*Suite).ShardScaling, (*Suite).shardCells, CapSnapshot + "," + CapSharded},
-	{"ext-fullscale", "§4 geometry", "paper-geometry campaign: footprint & sharded kernels at true scale", (*Suite).Fullscale, (*Suite).fullscaleCells, CapSnapshot + "," + CapSharded + "," + CapFullScale},
+	{"table1", "Table 1", "simulated system parameters", (*Suite).Table1, ""},
+	{"table2", "Table 2", "applications and inputs", (*Suite).Table2, ""},
+	{"fig1", "Fig. 1", "THP speedup: fresh boot vs memory pressure", (*Suite).Fig1, CapSnapshot},
+	{"fig2", "Fig. 2", "address translation overhead share", (*Suite).Fig2, CapSnapshot},
+	{"fig3", "Fig. 3", "TLB miss rates, 4KB vs THP", (*Suite).Fig3, CapSnapshot},
+	{"fig4", "Fig. 4", "per-data-structure access breakdown", (*Suite).Fig4, CapSnapshot},
+	{"fig5", "Fig. 5", "per-structure madvise THP speedups (BFS)", (*Suite).Fig5, CapSnapshot},
+	{"fig6", "Fig. 6", "huge page supply timeline during initialization", (*Suite).Fig6, ""},
+	{"fig7", "Fig. 7", "high pressure: natural vs optimized allocation order", (*Suite).Fig7, CapSnapshot},
+	{"sweep", "§4.3.1", "memory pressure sweep incl. oversubscription", (*Suite).PressureSweep, CapSnapshot},
+	{"fig8", "Fig. 8", "50% fragmentation: natural vs optimized order", (*Suite).Fig8, CapSnapshot},
+	{"fig9", "Fig. 9", "fragmentation level sweep (BFS)", (*Suite).Fig9, CapSnapshot},
+	{"fig10", "Fig. 10", "DBG + selective THP under pressure+frag", (*Suite).Fig10, CapSnapshot},
+	{"fig11", "Fig. 11", "selective THP sensitivity sweep (BFS)", (*Suite).Fig11, CapSnapshot},
+	{"dbg", "§5.1.2", "DBG preprocessing overhead", (*Suite).DBGOverhead, CapSnapshot},
+	{"headline", "Abstract", "headline metrics vs the paper's ranges", (*Suite).Headline, CapSnapshot},
+	{"pagecache", "§4.3", "page cache single-use memory interference", (*Suite).PageCache, CapSnapshot},
+	{"ext-baselines", "Related work", "Ingens/HawkEye-style engines vs selective THP", (*Suite).Baselines, CapSnapshot},
+	{"ext-auto", "§7 future work", "automatic profile-guided madvise plans", (*Suite).AutoSelective, CapSnapshot},
+	{"ext-cc", "§3.2", "Connected Components extension workload", (*Suite).CCWorkload, CapSnapshot},
+	{"ext-grid", "control", "road-network negative control", (*Suite).GridControl, ""},
+	{"ext-rollout", "§7 future work", "online policy rollout via checkpoint forks", (*Suite).Rollout, CapSnapshot},
+	{"ext-shard", "§6 scaling", "sharded machine engine: modeled intra-run scaling", (*Suite).ShardScaling, CapSnapshot + "," + CapSharded},
+	{"ext-fullscale", "§4 geometry", "paper-geometry campaign: footprint & sharded kernels at true scale", (*Suite).Fullscale, CapSnapshot + "," + CapSharded + "," + CapFullScale},
 }
 
 // Find returns the experiment with the given id.
@@ -117,13 +118,14 @@ type CampaignOptions struct {
 }
 
 // RunCampaign executes the selected experiments (all when ids is empty)
-// in three phases: declare (collect every experiment's cell list,
-// generating datasets through the graph promise cache), execute (fan
-// the deduplicated frontier over a sched.Pool of opt.Workers workers),
-// and render (run each experiment in registry order against the warmed
-// run cache, streaming text tables to out). Rendering consumes only
-// memoized, deterministic results, so the returned tables and
-// everything written to out are byte-identical for every worker count.
+// in three phases: declare (record each experiment's Run to list the
+// cells it requests, generating datasets through the graph promise
+// cache), execute (fan the deduplicated frontier over a sched.Pool of
+// opt.Workers workers), and render (run each experiment in registry
+// order against the warmed run cache, streaming text tables to out).
+// Rendering consumes only memoized, deterministic results, so the
+// returned tables and everything written to out are byte-identical for
+// every worker count.
 func RunCampaign(s *Suite, ids []string, opt CampaignOptions, out io.Writer) (map[string][]*stats.Table, error) {
 	selected, err := selectExperiments(ids)
 	if err != nil {
@@ -134,15 +136,12 @@ func RunCampaign(s *Suite, ids []string, opt CampaignOptions, out io.Writer) (ma
 	defer pool.Close()
 	auditSuite := func() { check.Audit("exp.suite", func() error { return s.CheckInvariants(true) }) }
 
-	// Phase 1 — declare. Cells functions request graphs through the
-	// promise cache, so dataset generation and reordering parallelize
-	// across experiments here.
+	// Phase 1 — declare. Recordings request graphs through the promise
+	// cache, so dataset generation and reordering parallelize across
+	// experiments here.
 	cellLists := make([][]runCfg, len(selected))
 	for i, e := range selected {
-		if e.Cells == nil {
-			continue
-		}
-		pool.Go(func(int) { cellLists[i] = e.Cells(s) })
+		pool.Go(func(int) { cellLists[i] = s.record(e.Run) })
 	}
 	pool.Wait()
 	auditSuite()

@@ -99,11 +99,13 @@ func probeBudget(n int) int {
 func warmupBudget(n int) int { return 8 * probeBudget(n) }
 
 // Rollout runs the candidate tournament per dataset and reports each
-// candidate's probe score, marking the per-dataset winner. The
-// experiment performs its forks during rendering (its cells are not
-// pre-declarable runs — each fork is probed, not run to completion), so
-// its registry entry declares no cells, like ext-grid.
+// candidate's probe score, marking the per-dataset winner. Its forks
+// are probed, not run to completion, so it requests no cells and does
+// all its work during rendering; a recording does nothing.
 func (s *Suite) Rollout() []*stats.Table {
+	if s.recording() {
+		return nil
+	}
 	t := stats.NewTable(
 		"Extension: online policy rollout on checkpoint forks (BFS, +24GB, 25% frag)",
 		"dataset", "candidate", "cyc/access", "walks/1k", "promoted", "img-huge", "pick")

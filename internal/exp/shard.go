@@ -48,8 +48,7 @@ func (s *Suite) shardNodeBytes() uint64 {
 }
 
 // shardCfg names one ext-shard cell: pressured BFS on a big-memory
-// node with the kernel phase sharded. Shared by ShardScaling and its
-// cell declaration.
+// node with the kernel phase sharded.
 func (s *Suite) shardCfg(ds gen.Dataset) runCfg {
 	env := s.envPressured(analytics.BFS, ds, highPressureGB)
 	env.MemoryBytes = s.shardNodeBytes()
@@ -59,14 +58,6 @@ func (s *Suite) shardCfg(ds gen.Dataset) runCfg {
 		env:    env,
 		shards: extShards,
 	}
-}
-
-func (s *Suite) shardCells() []runCfg {
-	var cells []runCfg
-	for _, ds := range gen.AllDatasets {
-		cells = append(cells, s.shardCfg(ds))
-	}
-	return cells
 }
 
 // ShardScaling renders the modeled intra-run scaling of the sharded

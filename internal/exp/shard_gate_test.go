@@ -2,6 +2,7 @@ package exp
 
 import (
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -33,12 +34,13 @@ func TestShardBringupSpeedup(t *testing.T) {
 	if os.Getenv("GRAPHMEM_NO_SNAPSHOT") != "" {
 		t.Fatal("GRAPHMEM_NO_SNAPSHOT is set; the gate toggles the hatch itself")
 	}
-	// Measure at the worker count ci.sh campaigns use (-shards 4). The
-	// worker knob cannot change output and barely moves single-core
-	// timing; pinning it just makes the recorded figure reproducible.
-	// t.Setenv restores both variables when the test ends, however it
-	// ends; an empty GRAPHMEM_NO_SNAPSHOT is a closed hatch.
-	t.Setenv("GRAPHMEM_SHARD_WORKERS", "4")
+	// Measure with 4 shard workers (GOMAXPROCS 4). The worker count
+	// cannot change output and barely moves single-core timing;
+	// pinning it just makes the recorded figure reproducible. The
+	// deferred call and t.Setenv restore GOMAXPROCS and the hatch when
+	// the test ends, however it ends; an empty GRAPHMEM_NO_SNAPSHOT is a
+	// closed hatch.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	s := NewSuite(gen.ScaleBench, nil)
 	spec := s.spec(s.shardCfg(gen.Kron25))
 	oneRun := func() time.Duration {

@@ -5,13 +5,14 @@
 //
 // Campaigns may execute their simulation cells in parallel: the suite's
 // run and graph memo tables are sched.Cache promise caches (first
-// requester computes, later requesters block on the same result), each
-// experiment declares its cell list up front via Experiment.Cells, and
-// RunCampaign fans the deduplicated frontier over a sched.Pool before
-// rendering tables sequentially in registry order. Because every cell
-// owns its machine and is a pure function of its RunSpec, campaign
-// output is byte-identical for every worker count — see DESIGN.md §5
-// for the protocol and the argument.
+// requester computes, later requesters block on the same result).
+// RunCampaign learns each experiment's cells by running it once on a
+// recording view of the suite, which lists the cells it requests
+// without simulating them, fans the deduplicated frontier over a
+// sched.Pool, and then renders tables sequentially in registry order.
+// Because every cell owns its machine and is a pure function of its
+// RunSpec, campaign output is byte-identical for every worker count —
+// see DESIGN.md §5 for the protocol and the argument.
 //
 // Cells that share a load phase — same graph, machine config, and
 // environment, differing only in kernel-phase knobs — do not each
@@ -41,6 +42,7 @@ import (
 	"graphmem/internal/graph"
 	"graphmem/internal/reorder"
 	"graphmem/internal/sched"
+	"graphmem/internal/stats"
 	"graphmem/internal/tlb"
 )
 
@@ -83,15 +85,21 @@ type Suite struct {
 	// fresh stagings are saved for later ones. Empty disables the store.
 	CkptDir string
 
+	*memo
+
+	// rec is set only on a recording view (record): run appends each
+	// requested cell to it instead of simulating.
+	rec *[]runCfg
+}
+
+// memo holds a suite's promise caches and log lock. A recording view
+// shares its suite's memo, so recordings resolve graphs through the
+// same cache as the campaign they declare.
+type memo struct {
 	logMu  sync.Mutex
 	graphs sched.Cache[graphKey, *graphEntry]
 	runs   sched.Cache[string, *core.RunResult]
 	inits  sched.Cache[string, *core.Checkpoint]
-
-	// onRun, when non-nil, observes every cell request (before
-	// memoization) — the hook the cells-coverage test uses to prove
-	// each experiment's declared frontier matches what it runs.
-	onRun func(runCfg)
 }
 
 // NewSuite constructs a suite. ScaleFull reproduces the paper's
@@ -101,8 +109,24 @@ func NewSuite(scale gen.Scale, log io.Writer) *Suite {
 		Scale:      scale,
 		PRMaxIters: 3,
 		Log:        log,
+		memo:       new(memo),
 	}
 }
+
+// record runs one experiment against a recording view of s and returns
+// the cells it requested, in request order. Nothing is simulated or
+// memoized; the view shares s's caches, so graphs still generate once.
+func (s *Suite) record(run func(*Suite) []*stats.Table) []runCfg {
+	var cells []runCfg
+	view := *s
+	view.rec = &cells
+	run(&view)
+	return cells
+}
+
+// recording reports whether s is a recording view: experiments then
+// skip every simulation they do outside run (see Experiment.Run).
+func (s *Suite) recording() bool { return s.rec != nil }
 
 type graphKey struct {
 	ds       gen.Dataset
@@ -153,8 +177,8 @@ type runCfg struct {
 	// shards, when >1, runs the kernel phase on the sharded machine
 	// engine (core.RunSpec.Shards). Like every other field here it is a
 	// modeling knob — the worker count driving the shards is not part
-	// of the cell (GRAPHMEM_SHARD_WORKERS / expdriver -shards), so cell
-	// results stay byte-identical at any parallelism.
+	// of the cell (it follows GOMAXPROCS), so cell results stay
+	// byte-identical at any parallelism.
 	shards int
 }
 
@@ -243,9 +267,12 @@ func (s *Suite) checkpoint(initKey string, spec core.RunSpec) *core.Checkpoint {
 // tickers replay monolithically via core.Run — and so does everything
 // when GRAPHMEM_NO_SNAPSHOT is set, which is exactly the equivalence
 // CI's byte-diff gate checks (scripts/ci.sh step 11).
+//
+// On a recording view, run only lists c and returns an empty result.
 func (s *Suite) run(c runCfg) *core.RunResult {
-	if s.onRun != nil {
-		s.onRun(c)
+	if s.recording() {
+		*s.rec = append(*s.rec, c)
+		return &core.RunResult{}
 	}
 	return s.runs.Get(c.key(), func() *core.RunResult {
 		spec := s.spec(c)
@@ -301,8 +328,7 @@ func (s *Suite) baseline(app analytics.App, ds gen.Dataset) *core.RunResult {
 	return s.run(baselineCfg(app, ds))
 }
 
-// baselineCfg names the baseline cell so cell declarations and run
-// paths agree on one definition.
+// baselineCfg names the baseline cell.
 func baselineCfg(app analytics.App, ds gen.Dataset) runCfg {
 	return runCfg{
 		app: app, ds: ds, method: reorder.Identity,

@@ -24,12 +24,14 @@ func (m *Machine) Footprint() stats.Footprint {
 	f.Add("tlb+cache", m.TLB.FootprintBytes()+m.Cache.FootprintBytes())
 
 	// The machine core: the struct itself (which embeds the translation
-	// cache arrays) plus its dynamic accounting slices.
+	// cache arrays) plus its dynamic accounting slices. Slices count by
+	// length, not capacity: capacity records how a slice grew, and a
+	// fork or a reload of the same state grows it differently.
 	core := uint64(unsafe.Sizeof(*m)) +
-		uint64(cap(m.done))*uint64(unsafe.Sizeof(PhaseStats{})) +
-		uint64(cap(m.arrays))*uint64(unsafe.Sizeof(ArrayStats{})) +
-		uint64(cap(m.observers))*16 +
-		uint64(cap(m.tickers))*uint64(unsafe.Sizeof(ticker{}))
+		uint64(len(m.done))*uint64(unsafe.Sizeof(PhaseStats{})) +
+		uint64(len(m.arrays))*uint64(unsafe.Sizeof(ArrayStats{})) +
+		uint64(len(m.observers))*16 +
+		uint64(len(m.tickers))*uint64(unsafe.Sizeof(ticker{}))
 	f.Add("machine", core)
 
 	// Frame owners outside the machine (memhog, page cache, churner)

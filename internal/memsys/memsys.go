@@ -859,14 +859,15 @@ func (m *Memory) FragmentationIndex() float64 {
 
 // FootprintBytes reports the simulator-side bytes backing this node's
 // physical-memory metadata — frame words, free bitmaps, reclaim queues
-// and the owner table — for the stats.Footprint report. Shadow
-// mirroring is test-only and deliberately excluded.
+// and the owner table — for the stats.Footprint report. Slices count
+// by length, so the report is a function of state, not of how it was
+// reached. Shadow mirroring is test-only and deliberately excluded.
 func (m *Memory) FootprintBytes() uint64 {
 	n := uint64(m.nframes) * uint64(unsafe.Sizeof(frameInfo{}))
 	for o := 0; o <= MaxOrder; o++ {
 		n += uint64(m.freeBits[o].Len()) * 8
 	}
-	n += uint64(cap(m.reclaimQ[0].items)+cap(m.reclaimQ[1].items)) * 4
+	n += uint64(len(m.reclaimQ[0].items)+len(m.reclaimQ[1].items)) * 4
 	return n + uint64(len(m.owners))*16
 }
 

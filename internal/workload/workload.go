@@ -369,7 +369,7 @@ func (c *Churner) FrameReclaimed(f memsys.Frame, cookie uint64) bool { return fa
 // FootprintReport implements memsys.FootprintReporter: the churner's
 // frame list.
 func (c *Churner) FootprintReport() (string, uint64) {
-	return "workload/churner", uint64(cap(c.frames)) * 4
+	return "workload/churner", uint64(len(c.frames)) * 4
 }
 
 var _ memsys.Owner = (*Churner)(nil)

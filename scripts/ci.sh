@@ -44,7 +44,8 @@
 #                       the ext-shard campaign with fork bring-up
 #                       disabled (GRAPHMEM_NO_SNAPSHOT=1, every extra
 #                       shard replays its load phase) must be byte-identical
-#                       to the forking run across -shards and -j worker
+#                       to the forking run across GOMAXPROCS (which sizes
+#                       each sharded cell's worker pool) and -j worker
 #                       counts, and fork bring-up must cut single-run
 #                       wall-clock by >= 2x (TestShardBringupSpeedup,
 #                       in-process paired timing)
@@ -186,12 +187,12 @@ fi
 echo "== sharded-engine equivalence: GRAPHMEM_NO_SNAPSHOT=1 vs fork bring-up"
 # ext-shard is the sharded-engine experiment: every cell runs its kernel
 # phase as 16 owner-computes shards on a big-memory staged node, so the
-# fork-vs-replay margin the hatch controls is first-order. -shards (the
-# worker knob) and -j (the campaign knob) are both varied to prove
-# neither changes a byte of output.
-campaign shard1 - "$expdriver" -exp ext-shard -shards 4 -j 1
-campaign shard4 shard1 "$expdriver" -exp ext-shard -shards 2 -j 4
-campaign noshard shard1 GRAPHMEM_NO_SNAPSHOT=1 "$expdriver" -exp ext-shard -shards 4 -j 1
+# fork-vs-replay margin the hatch controls is first-order. GOMAXPROCS
+# (which sizes each sharded cell's worker pool) and -j (the campaign
+# knob) are both varied to prove neither changes a byte of output.
+campaign shard1 - GOMAXPROCS=4 "$expdriver" -exp ext-shard -j 1
+campaign shard4 shard1 GOMAXPROCS=2 "$expdriver" -exp ext-shard -j 4
+campaign noshard shard1 GRAPHMEM_NO_SNAPSHOT=1 GOMAXPROCS=4 "$expdriver" -exp ext-shard -j 1
 # The speedup gate times a single run in-process (min-of-3 per side):
 # a whole-campaign subprocess wall-clock would fold dataset generation
 # and sibling cells into both sides and drown the margin in host noise.
