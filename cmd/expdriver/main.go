@@ -22,11 +22,11 @@
 // shards on GOMAXPROCS workers (clamped to the shard count); that
 // count, like -j, never changes a byte of output (DESIGN.md §5c).
 //
-// -ckpt-dir backs the campaign's checkpoint cache with a persistent
-// content-addressed store in that directory (DESIGN.md §5e): load
-// phases staged by earlier invocations are reloaded from disk instead
-// of replayed, and fresh stagings are saved for later ones. Like -j it
-// is an execution knob — forks from a loaded machine are
+// -ckpt-dir keeps each cell's staged load phase in a persistent store
+// in that directory, content-addressed by the cell (DESIGN.md §5e):
+// load phases staged by earlier invocations are reloaded from disk
+// instead of replayed, and fresh stagings are saved for later ones.
+// Like -j it is an execution knob — forks from a loaded machine are
 // byte-identical to forks from a staged one, which CI's reload gate
 // diffs — so output is unchanged whether the store is cold, warm, or
 // absent.

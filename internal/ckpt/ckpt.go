@@ -11,8 +11,8 @@
 //	payloadLen[u64] crc32c[u32]
 //
 // where the payload is whatever the encode callback wrote, the trailer
-// records its exact length and CRC-32C, and the key is the cell's
-// initKey — the full identity of the staged state. Load verifies
+// records its exact length and CRC-32C, and the key is the full
+// identity of the staged state (a campaign's cell key). Load verifies
 // magic, version, endianness, key, length, and checksum before a
 // single payload byte reaches a Decoder, so subsystem decoders only
 // ever face complete, bit-exact images; their own validation exists to
@@ -22,13 +22,13 @@
 // Scalars are little-endian; bulk slices are raw host memory (that is
 // what makes save/load near-memcpy). The endian marker byte rejects
 // cross-endian loads instead of translating them: a checkpoint is a
-// cache keyed by initKey, not an interchange format, and a mismatch
-// simply falls back to fresh staging.
+// cache entry keyed by its staging identity, not an interchange format,
+// and a mismatch simply falls back to fresh staging.
 //
 // Determinism contract (MODEL.md §7): encoding must be a pure function
 // of simulation state — iterate maps in sorted key order, never encode
 // pointers, scratch buffers, or host addresses — so that identical
-// initKeys produce byte-identical images and a loaded image forks into
+// keys produce byte-identical images and a loaded image forks into
 // machines byte-identical to freshly staged ones.
 package ckpt
 
@@ -42,7 +42,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
-	"io/fs"
+	"os"
 	"path/filepath"
 	"unsafe"
 )
@@ -75,7 +75,7 @@ const maxKeyLen = 64 << 10
 
 // Path returns the store path for a checkpoint key: the hex SHA-256 of
 // the key under dir. Content addressing by hash keeps arbitrarily long
-// initKeys (they spell out the whole spec) out of filenames while
+// keys (they spell out the whole spec) out of filenames while
 // keeping the mapping collision-free in practice.
 func Path(dir, key string) string {
 	sum := sha256.Sum256([]byte(key))
@@ -149,7 +149,7 @@ func Load(r io.Reader, wantKey string) (*Decoder, error) {
 	if string(key) != wantKey {
 		return nil, fmt.Errorf("ckpt: image key %q does not match %q", key, wantKey)
 	}
-	rest, err := readRest(r, int64(len(fixed))+int64(keyLen))
+	rest, err := readRest(r)
 	if err != nil {
 		return nil, err
 	}
@@ -168,16 +168,25 @@ func Load(r io.Reader, wantKey string) (*Decoder, error) {
 	return &Decoder{buf: payload}, nil
 }
 
-// readRest slurps everything after the header, presizing the buffer
-// when r can report its total size (an *os.File can), so multi-GB
-// loads do one allocation instead of log-many regrows.
-func readRest(r io.Reader, consumed int64) ([]byte, error) {
-	var buf bytes.Buffer
-	if s, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
-		if fi, err := s.Stat(); err == nil && fi.Size() > consumed {
-			buf.Grow(int(fi.Size() - consumed))
+// readRest reads everything after the header. A regular file is read
+// with one ReadFull into a buffer of exactly the bytes left: a loaded
+// node adopts this buffer (Pages decode) and keeps it alive, and a
+// presized bytes.Buffer doubles whenever its allocation leaves less
+// than bytes.MinRead of slack for the final read. Other readers drain
+// through a bytes.Buffer.
+func readRest(r io.Reader) ([]byte, error) {
+	if f, ok := r.(*os.File); ok {
+		fi, serr := f.Stat()
+		pos, perr := f.Seek(0, io.SeekCurrent)
+		if serr == nil && perr == nil && fi.Mode().IsRegular() && pos <= fi.Size() {
+			buf := make([]byte, fi.Size()-pos)
+			if _, err := io.ReadFull(f, buf); err != nil {
+				return nil, fmt.Errorf("ckpt: reading payload: %w", err)
+			}
+			return buf, nil
 		}
 	}
+	var buf bytes.Buffer
 	if _, err := io.Copy(&buf, r); err != nil {
 		return nil, fmt.Errorf("ckpt: reading payload: %w", err)
 	}

@@ -2,6 +2,8 @@ package ckpt
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -67,6 +69,38 @@ func saveSample(t *testing.T, key string) []byte {
 		t.Fatalf("Save reported %d bytes, wrote %d", n, buf.Len())
 	}
 	return buf.Bytes()
+}
+
+// TestFileLoadBufferIsExact loads, from a file, a container whose tail
+// (payload plus 12-byte trailer) is exactly 8 MiB. The Decoder adopts
+// the read buffer, so the buffer must carry no slack; a bytes.Buffer
+// presized to the tail would double before its final read.
+func TestFileLoadBufferIsExact(t *testing.T) {
+	const tail = 8 << 20
+	path := filepath.Join(t.TempDir(), "tail.ckpt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Save(f, "cell-key", func(e *Encoder) { e.Raw(make([]byte, tail-12)) })
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if f, err = os.Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	d, err := Load(f, "cell-key")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	// d.buf is the read buffer with the trailer sliced off.
+	if got, want := cap(d.buf), len(d.buf)+12; got != want {
+		t.Errorf("read buffer holds %d bytes with capacity %d, want capacity = length", want, got)
+	}
 }
 
 func TestRoundTrip(t *testing.T) {

@@ -37,7 +37,7 @@ func (p *prepared) encode(e *ckpt.Encoder) {
 
 // Save writes the checkpoint's frozen post-init machine state to w as a
 // versioned, checksummed ckpt container under the given key (the
-// campaign's staging identity — exp uses the initKey hash). It returns
+// staging identity — exp uses the cell key). It returns
 // the container size in bytes. Saving requires a resident machine:
 // with GRAPHMEM_NO_SNAPSHOT open there is nothing to persist.
 func (cp *Checkpoint) Save(w io.Writer, key string) (int64, error) {

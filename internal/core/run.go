@@ -199,8 +199,8 @@ func (r *RunResult) HugeShareOfFootprint() float64 {
 
 // Run executes one configuration end to end: the load phase
 // (environment staging, mmap, madvise, init faulting) followed by the
-// kernel phase on the same machine. Campaign cells that share a load
-// phase can instead Prepare once and fork per kernel (snapshot.go);
+// kernel phase on the same machine. Prepare instead freezes the load
+// phase so that it can be saved, reloaded and forked (snapshot.go);
 // Run remains the monolithic reference path the fork layer is diffed
 // against.
 func Run(spec RunSpec) (*RunResult, error) {
@@ -404,9 +404,8 @@ func prepare(spec RunSpec) (*prepared, error) {
 
 // finish runs the kernel phase on m/img — either the prepared machine
 // itself (the monolithic Run path) or a Fork of it (the Checkpoint
-// path; forking is what lets several kernels share one load phase) —
-// and assembles the RunResult. It reads the prepared state but never
-// mutates it, so one Checkpoint can finish any number of forks.
+// path) — and assembles the RunResult. It reads the prepared state but
+// never mutates it, so one Checkpoint can finish any number of forks.
 func (p *prepared) finish(m *machine.Machine, img *analytics.Image) *RunResult {
 	opts := p.spec.Run
 	if opts.Root == 0 && opts.PRMaxIters == 0 {

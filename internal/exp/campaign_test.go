@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -11,13 +12,22 @@ import (
 	"graphmem/internal/core"
 	"graphmem/internal/gen"
 	"graphmem/internal/reorder"
+	"graphmem/internal/stats"
 )
 
-// renderAll runs the full campaign on n workers at the given scale and
-// returns every byte surface expdriver exposes — streamed text, the
-// markdown tables, and the CSV tables, all in registry order — plus the
-// distinct-run count (which the markdown header embeds).
-func renderAll(t *testing.T, scale gen.Scale, ids []string, workers int) (text, markdown, csv string, runs int) {
+// rendered is one campaign's output: the tables by experiment, every
+// byte surface expdriver exposes — streamed text, the markdown tables,
+// and the CSV tables, all in registry order — and the distinct-run
+// count (which the markdown header embeds).
+type rendered struct {
+	res                 map[string][]*stats.Table
+	text, markdown, csv string
+	runs                int
+}
+
+// renderAll runs the campaign on n workers at the given scale (the full
+// registry when ids is empty) and returns its output.
+func renderAll(t *testing.T, scale gen.Scale, ids []string, workers int) *rendered {
 	t.Helper()
 	s := NewSuite(scale, nil)
 	s.PRMaxIters = 2
@@ -37,12 +47,32 @@ func renderAll(t *testing.T, scale gen.Scale, ids []string, workers int) (text, 
 			fmt.Fprintf(&cs, "-- %s_%d --\n%s", e.ID, i, tb.CSV())
 		}
 	}
-	return out.String(), md.String(), cs.String(), s.CachedRunCount()
+	return &rendered{res, out.String(), md.String(), cs.String(), s.CachedRunCount()}
 }
 
-// TestCampaignDeterministicAcrossWorkers is the tentpole regression
-// test: the full registry, rendered through every output surface, must
-// be byte-identical for every worker count.
+var (
+	registryRefMu sync.Mutex
+	registryRef   *rendered
+)
+
+// registryReference renders the full registry at test scale on one
+// worker, once per test binary. TestFullRegistryAtTestScale smoke-checks
+// that pass and TestCampaignDeterministicAcrossWorkers compares the
+// other worker counts against it, so the package pays for one -j 1
+// full-registry pass. A pass that fails caches nothing.
+func registryReference(t *testing.T) *rendered {
+	t.Helper()
+	registryRefMu.Lock()
+	defer registryRefMu.Unlock()
+	if registryRef == nil {
+		registryRef = renderAll(t, gen.ScaleTest, nil, 1)
+	}
+	return registryRef
+}
+
+// TestCampaignDeterministicAcrossWorkers: the full registry, rendered
+// through every output surface, must be byte-identical for every
+// worker count.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full registry several times")
@@ -50,19 +80,19 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("several full-registry passes overrun the race-instrumented timeout; TestPromiseCacheUnderRace covers the concurrency")
 	}
-	refText, refMD, refCSV, refRuns := renderAll(t, gen.ScaleTest, nil, 1)
+	ref := registryReference(t)
 	for _, workers := range []int{2, 4, 8} {
-		text, md, csv, runs := renderAll(t, gen.ScaleTest, nil, workers)
-		if runs != refRuns {
-			t.Errorf("-j %d executed %d distinct runs, -j 1 executed %d", workers, runs, refRuns)
+		got := renderAll(t, gen.ScaleTest, nil, workers)
+		if got.runs != ref.runs {
+			t.Errorf("-j %d executed %d distinct runs, -j 1 executed %d", workers, got.runs, ref.runs)
 		}
-		if text != refText {
-			t.Errorf("-j %d text output differs from -j 1 (%d vs %d bytes)", workers, len(text), len(refText))
+		if got.text != ref.text {
+			t.Errorf("-j %d text output differs from -j 1 (%d vs %d bytes)", workers, len(got.text), len(ref.text))
 		}
-		if md != refMD {
+		if got.markdown != ref.markdown {
 			t.Errorf("-j %d markdown differs from -j 1", workers)
 		}
-		if csv != refCSV {
+		if got.csv != ref.csv {
 			t.Errorf("-j %d CSV differs from -j 1", workers)
 		}
 	}
@@ -79,14 +109,14 @@ func TestCampaignDeterministicAtBenchScale(t *testing.T) {
 		t.Skip("bench-scale under race instrumentation is too slow")
 	}
 	ids := []string{"fig5", "pagecache"}
-	text1, md1, csv1, runs1 := renderAll(t, gen.ScaleBench, ids, 1)
-	text4, md4, csv4, runs4 := renderAll(t, gen.ScaleBench, ids, 4)
-	if runs1 != runs4 {
-		t.Errorf("distinct runs: -j 1 %d, -j 4 %d", runs1, runs4)
+	r1 := renderAll(t, gen.ScaleBench, ids, 1)
+	r4 := renderAll(t, gen.ScaleBench, ids, 4)
+	if r1.runs != r4.runs {
+		t.Errorf("distinct runs: -j 1 %d, -j 4 %d", r1.runs, r4.runs)
 	}
-	if text1 != text4 || md1 != md4 || csv1 != csv4 {
+	if r1.text != r4.text || r1.markdown != r4.markdown || r1.csv != r4.csv {
 		t.Errorf("bench-scale output differs between -j 1 and -j 4 (text %v, md %v, csv %v)",
-			text1 == text4, md1 == md4, csv1 == csv4)
+			r1.text == r4.text, r1.markdown == r4.markdown, r1.csv == r4.csv)
 	}
 }
 
@@ -270,10 +300,12 @@ func TestCellsMatchRuns(t *testing.T) {
 }
 
 // TestRecordingSimulatesNothing proves recording is free of simulation:
-// recording every experiment memoizes no run and stages no checkpoint,
-// so the declare phase costs graph generation and nothing more.
+// recording every experiment memoizes no run and, with a store set,
+// writes no checkpoint container, so the declare phase costs graph
+// generation and nothing more.
 func TestRecordingSimulatesNothing(t *testing.T) {
 	s := testSuite()
+	s.CkptDir = t.TempDir()
 	total := 0
 	for _, e := range Registry {
 		total += len(s.record(e.Run))
@@ -284,7 +316,7 @@ func TestRecordingSimulatesNothing(t *testing.T) {
 	if n := s.CachedRunCount(); n != 0 {
 		t.Errorf("recording memoized %d runs, want 0", n)
 	}
-	if n := s.inits.Len(); n != 0 {
-		t.Errorf("recording staged %d checkpoints, want 0", n)
+	if saved, err := os.ReadDir(s.CkptDir); err != nil || len(saved) != 0 {
+		t.Errorf("recording wrote %d files to the store (err %v), want 0", len(saved), err)
 	}
 }

@@ -10,9 +10,8 @@ import (
 )
 
 // The persistent checkpoint store (DESIGN.md §5e): when Suite.CkptDir
-// is set, the suite's in-memory checkpoint cache is backed by ckpt
-// containers on disk, content-addressed by initKey — the exact string
-// that already names a load phase for the in-memory cache. A campaign
+// is set, each cell's staged load phase is saved as a ckpt container
+// on disk, content-addressed by the cell key (runCfg.key). A campaign
 // in a fresh process then forks loaded machines instead of replaying
 // environment staging and init faulting; CI's reload gate proves the
 // two are byte-identical and ≥3× faster at bench scale.
@@ -40,19 +39,19 @@ func (s *Suite) storeLog(format string, args ...any) {
 	s.logMu.Unlock()
 }
 
-// loadCheckpoint tries the store for initKey's staged state. It returns
+// loadCheckpoint tries the store for key's staged state. It returns
 // nil — stage from the spec — on any miss or failure.
-func (s *Suite) loadCheckpoint(initKey string, spec core.RunSpec) *core.Checkpoint {
+func (s *Suite) loadCheckpoint(key string, spec core.RunSpec) *core.Checkpoint {
 	if !s.storeEnabled() {
 		return nil
 	}
-	path := ckpt.Path(s.CkptDir, initKey)
+	path := ckpt.Path(s.CkptDir, key)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil // store miss
 	}
 	defer f.Close()
-	cp, err := core.LoadCheckpoint(spec, initKey, f)
+	cp, err := core.LoadCheckpoint(spec, key, f)
 	if err != nil {
 		// Stale version, corruption, or a hash collision with a
 		// different key: restage (and let the save below overwrite).
@@ -65,17 +64,17 @@ func (s *Suite) loadCheckpoint(initKey string, spec core.RunSpec) *core.Checkpoi
 // saveCheckpoint writes a freshly staged checkpoint to the store. The
 // image is written to a temp file and renamed so concurrent campaigns
 // sharing one store directory only ever observe complete containers.
-func (s *Suite) saveCheckpoint(initKey string, cp *core.Checkpoint) {
+func (s *Suite) saveCheckpoint(key string, cp *core.Checkpoint) {
 	if !s.storeEnabled() {
 		return
 	}
-	path := ckpt.Path(s.CkptDir, initKey)
+	path := ckpt.Path(s.CkptDir, key)
 	tmp, err := os.CreateTemp(s.CkptDir, ".ckpt-*")
 	if err != nil {
 		s.storeLog("save %s failed: %v", filepath.Base(path), err)
 		return
 	}
-	_, err = cp.Save(tmp, initKey)
+	_, err = cp.Save(tmp, key)
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}

@@ -142,7 +142,7 @@ func TestCkptReloadSpeedup(t *testing.T) {
 	s := NewSuite(gen.ScaleBench, nil)
 	c := s.fullscaleCfg()
 	spec := s.spec(c) // generates the graph outside the timers
-	key := c.initKey()
+	key := c.key()
 
 	const reps = 3
 	stageMin := time.Duration(1 << 62)

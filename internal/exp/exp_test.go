@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"io"
 	"strings"
 	"testing"
 
@@ -71,10 +70,20 @@ func TestFindAndRegistry(t *testing.T) {
 	}
 }
 
+// TestRunAndRenderUnknownID checks that a one-worker campaign rejects a
+// selection holding an unknown id as a whole, before it runs or renders
+// any experiment, even the known ones listed first.
 func TestRunAndRenderUnknownID(t *testing.T) {
 	s := testSuite()
-	if _, err := RunAndRender(s, []string{"bogus"}, io.Discard); err == nil {
+	var out strings.Builder
+	if _, err := RunCampaign(s, []string{"table1", "bogus"}, CampaignOptions{Workers: 1}, &out); err == nil {
 		t.Fatal("unknown id accepted")
+	}
+	if out.Len() != 0 {
+		t.Errorf("rendered %d bytes before rejecting the selection", out.Len())
+	}
+	if n := s.CachedRunCount(); n != 0 {
+		t.Errorf("ran %d cells before rejecting the selection", n)
 	}
 }
 
@@ -82,7 +91,7 @@ func TestTablesSmall(t *testing.T) {
 	// Run the cheap structural experiments end to end at test scale.
 	s := testSuite()
 	out := &strings.Builder{}
-	res, err := RunAndRender(s, []string{"table1", "table2", "fig4"}, out)
+	res, err := RunCampaign(s, []string{"table1", "table2", "fig4"}, CampaignOptions{Workers: 1}, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,17 +126,14 @@ func TestFig5ShapeAtTestScale(t *testing.T) {
 
 // TestFullRegistryAtTestScale runs every registered experiment at tiny
 // scale: a smoke test that no experiment panics, divides by zero, or
-// regresses structurally.
+// regresses structurally. It checks the -j 1 pass that
+// TestCampaignDeterministicAcrossWorkers compares against, and it runs
+// under -race too.
 func TestFullRegistryAtTestScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	s := testSuite()
-	out := &strings.Builder{}
-	res, err := RunAndRender(s, nil, out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := registryReference(t).res
 	if len(res) != len(Registry) {
 		t.Fatalf("ran %d of %d experiments", len(res), len(Registry))
 	}

@@ -87,15 +87,16 @@ func (s *Suite) fullscaleCells() []runCfg {
 	return cells
 }
 
-// FullscaleFootprint stages (or recalls) the flagship cell's load
-// phase and returns the staged machine's simulator-footprint report.
-// With GRAPHMEM_NO_SNAPSHOT set the checkpoint replays the load phase
-// to report it, so the report is the same either way.
+// FullscaleFootprint stages the flagship cell's load phase, or reloads
+// it from the store, and returns the staged machine's
+// simulator-footprint report. With GRAPHMEM_NO_SNAPSHOT set the
+// checkpoint replays the load phase to report it, so the report is the
+// same either way.
 func (s *Suite) FullscaleFootprint() stats.Footprint {
 	c := s.fullscaleCfg()
-	fp, ok := s.checkpoint(c.initKey(), s.spec(c)).Footprint()
+	fp, ok := s.checkpoint(c.key(), s.spec(c)).Footprint()
 	if !ok {
-		panic(check.Failf("exp: footprint %s: load-phase replay failed", c.initKey()))
+		panic(check.Failf("exp: footprint %s: load-phase replay failed", c.key()))
 	}
 	return fp
 }

@@ -54,10 +54,9 @@ func TestFullscaleFootprintCeiling(t *testing.T) {
 // meaningless under -race or on an arbitrarily loaded machine, so the
 // test skips unless GRAPHMEM_FULLSCALE is set; ci.sh step 14 opts in.
 //
-// When GRAPHMEM_CKPT_DIR is also set, the campaign backs its
-// checkpoint cache with the persistent store there, so repeated gate
-// runs reload the staged nodes from disk instead of re-faulting
-// 100 GB+ of state per node.
+// When GRAPHMEM_CKPT_DIR is also set, the campaign keeps its staged
+// nodes in the persistent store there, so repeated gate runs reload
+// them from disk instead of re-faulting 100 GB+ of state per node.
 func TestFullscaleGeometryGate(t *testing.T) {
 	if os.Getenv("GRAPHMEM_FULLSCALE") == "" {
 		t.Skip("set GRAPHMEM_FULLSCALE=1 to run the paper-geometry gate (ci.sh)")
@@ -100,19 +99,20 @@ func TestFullscaleGeometryGate(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	t.Logf("fullscale_gate wall_s=%.1f heap_sys_mb=%.0f", wall.Seconds(), float64(ms.Sys)/(1<<20))
 
-	// A cold run stages all eight 128 GB nodes (~9.5 min measured); a
-	// warm run reloads them from GRAPHMEM_CKPT_DIR in a fraction of
-	// that. The budget covers the cold case with headroom for a loaded
+	// A cold run stages all eight 128 GB nodes and a warm run reloads
+	// them from GRAPHMEM_CKPT_DIR; on a 2-vCPU Xeon host both took
+	// 150–191 s. The budget leaves headroom for a slower or loaded
 	// host — it catches order-of-magnitude staging regressions, not
 	// few-percent drift.
 	if wall > 15*time.Minute {
 		t.Errorf("paper-geometry campaign took %v, budget 15m", wall)
 	}
-	// Eight resident 128 GB-geometry nodes measure ~9.3 GB staged cold
-	// and ~10.0 GB reloaded warm (the loader's decode buffers retire a
-	// little later). A dense-metadata regression adds ~0.4 GB per node
-	// (+3.2 GB for the campaign), which still blows this budget.
-	if budget := uint64(12 << 30); ms.Sys > budget {
+	// Each cell drops its staged node after its run, so one
+	// 128 GB-geometry node is resident at a time: the campaign took
+	// 2.1–2.2 GB from the OS cold and warm on that host. Eight resident
+	// nodes take ~9–10 GB and blow this budget. Denser frame metadata
+	// is TestFullscaleFootprintCeiling's to catch.
+	if budget := uint64(4 << 30); ms.Sys > budget {
 		t.Errorf("process took %d bytes from the OS, budget %d", ms.Sys, budget)
 	}
 }

@@ -32,12 +32,13 @@ type Experiment struct {
 	Run func(*Suite) []*stats.Table
 
 	// Caps is a comma-separated capability list shown by expdriver
-	// -list. CapSnapshot marks experiments whose cells take the
-	// checkpoint/fork path (and so benefit from -ckpt-dir); CapSharded
-	// marks cells running the sharded machine engine; CapFullScale
-	// marks the experiment whose full-geometry budgets are gated behind
-	// GRAPHMEM_FULLSCALE=1 in CI. TestCapsMatchCells derives the first
-	// two from each experiment's recorded cells.
+	// -list. CapSnapshot marks experiments that fork a checkpoint of a
+	// staged load phase, which -ckpt-dir can save and reload across
+	// processes; CapSharded marks cells running the sharded machine
+	// engine; CapFullScale marks the experiment whose full-geometry
+	// budgets are gated behind GRAPHMEM_FULLSCALE=1 in CI.
+	// TestCapsMatchCells derives the first two from each experiment's
+	// recorded cells.
 	Caps string
 }
 
@@ -187,14 +188,6 @@ func RunCampaign(s *Suite, ids []string, opt CampaignOptions, out io.Writer) (ma
 		}
 	}
 	return results, nil
-}
-
-// RunAndRender executes the selected experiments (all when ids is
-// empty) single-threaded, streaming rendered text tables to out and
-// returning the tables keyed by experiment for further formatting. It
-// is RunCampaign with one worker.
-func RunAndRender(s *Suite, ids []string, out io.Writer) (map[string][]*stats.Table, error) {
-	return RunCampaign(s, ids, CampaignOptions{Workers: 1}, out)
 }
 
 func knownIDs() string {

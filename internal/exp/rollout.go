@@ -114,7 +114,7 @@ func (s *Suite) Rollout() []*stats.Table {
 		e := s.graph(ds, false, reorder.Identity)
 		env := s.envFragmented(analytics.BFS, ds, rolloutSlackGB, rolloutFragLevel)
 		cfg := rolloutCfg(ds, env)
-		cp := s.checkpoint(cfg.initKey(), s.spec(cfg))
+		cp := s.checkpoint(cfg.key(), s.spec(cfg))
 		warm, probe := warmupBudget(e.g.N), probeBudget(e.g.N)
 
 		type scored struct {

@@ -14,14 +14,13 @@
 // RunSpec, campaign output is byte-identical for every worker count —
 // see DESIGN.md §5 for the protocol and the argument.
 //
-// Cells that share a load phase — same graph, machine config, and
-// environment, differing only in kernel-phase knobs — do not each
-// replay it: a third promise cache holds post-init checkpoints
-// (core.Prepare) keyed by the cell key minus those knobs, and every
-// sharing cell runs its kernel on an independent fork of the frozen
-// machine (DESIGN.md §5b). Forking is a pure optimization: output is
-// byte-identical with GRAPHMEM_NO_SNAPSHOT=1, which replays every load
-// phase monolithically, and CI diffs the two.
+// Every cell owns its load phase: the page-size policy acts while the
+// graph initializes, so no two cells stage the same machine. A
+// snapshot-safe cell freezes its load phase in a checkpoint
+// (core.Prepare), which the persistent store can save and reload,
+// runs its kernel on a fork of it, and drops it (DESIGN.md §5b).
+// Output is byte-identical with GRAPHMEM_NO_SNAPSHOT=1, which replays
+// every load phase monolithically, and CI diffs the two.
 //
 // Memory-pressure levels are specified in the paper's units (GB of
 // slack beyond the working set on their 3–25GB footprints) and scaled to
@@ -79,10 +78,10 @@ type Suite struct {
 	// (zero value = the paper's Haswell hierarchy). Shape tests use a
 	// scaled hierarchy so bench-sized graphs exert full-sized pressure.
 	TLB tlb.Config
-	// CkptDir, when non-empty, backs the checkpoint cache with the
-	// persistent store in that directory (ckptstore.go): load phases
-	// staged by earlier processes are reloaded instead of replayed, and
-	// fresh stagings are saved for later ones. Empty disables the store.
+	// CkptDir, when non-empty, names the persistent checkpoint store
+	// (ckptstore.go): load phases staged by earlier processes are
+	// reloaded instead of replayed, and fresh stagings are saved for
+	// later ones. Empty disables the store.
 	CkptDir string
 
 	*memo
@@ -99,7 +98,6 @@ type memo struct {
 	logMu  sync.Mutex
 	graphs sched.Cache[graphKey, *graphEntry]
 	runs   sched.Cache[string, *core.RunResult]
-	inits  sched.Cache[string, *core.Checkpoint]
 }
 
 // NewSuite constructs a suite. ScaleFull reproduces the paper's
@@ -187,19 +185,6 @@ func (c runCfg) key() string {
 		c.app, c.ds, c.method, c.order, c.policy.Name, c.policy.PropPercent, c.env, c.sampleEvery, c.shards)
 }
 
-// initKey names the cell's load phase: every field that shapes machine
-// state through the end of init. Cells with equal initKeys reach
-// byte-identical post-init state, so they may fork from one shared
-// Checkpoint. sampleEvery is omitted deliberately — sampled cells never
-// take the snapshot path (core.SnapshotSafe), so it cannot split a
-// load phase. shards is included: a sharded cell's Checkpoint carries
-// the partition (and its preprocessing charge) in its prepared state,
-// so sharded and monolithic cells may not share one.
-func (c runCfg) initKey() string {
-	return fmt.Sprintf("%s|%s|%s|%v|%s|%.3f|%+v|%d",
-		c.app, c.ds, c.method, c.order, c.policy.Name, c.policy.PropPercent, c.env, c.shards)
-}
-
 // label is the short operator-facing cell name used in progress lines.
 func (c runCfg) label() string {
 	return fmt.Sprintf("%s/%s/%s/%s/%s", c.app, c.ds, c.method, c.policy.Name, c.order)
@@ -232,27 +217,23 @@ func (s *Suite) spec(c runCfg) core.RunSpec {
 	return spec
 }
 
-// checkpoint returns the shared post-init snapshot for one load phase,
-// preparing it on first request. Like the graph cache, the promise
-// cache collapses concurrent requests for one load phase onto a single
-// preparation; spec must be SnapshotSafe (Prepare rejects the rest).
-// With the persistent store enabled (Suite.CkptDir), a first request
-// consults the store before staging and saves what it staged on a miss
-// — forks from a loaded machine are byte-identical to forks from a
-// staged one (core.LoadCheckpoint), so memoization semantics are
-// unchanged.
-func (s *Suite) checkpoint(initKey string, spec core.RunSpec) *core.Checkpoint {
-	return s.inits.Get(initKey, func() *core.Checkpoint {
-		if cp := s.loadCheckpoint(initKey, spec); cp != nil {
-			return cp
-		}
-		cp, err := core.Prepare(spec)
-		if err != nil {
-			panic(check.Failf("exp: prepare %s: %v", initKey, err))
-		}
-		s.saveCheckpoint(initKey, cp)
+// checkpoint returns the load phase named by key, frozen for forking;
+// spec must be SnapshotSafe (Prepare rejects the rest). With the
+// persistent store enabled (Suite.CkptDir) it reloads the phase from
+// the store, or stages it and saves it there: forks from a loaded
+// machine are byte-identical to forks from a staged one
+// (core.LoadCheckpoint). Nothing is memoized, so the checkpoint lives
+// only as long as its caller holds it.
+func (s *Suite) checkpoint(key string, spec core.RunSpec) *core.Checkpoint {
+	if cp := s.loadCheckpoint(key, spec); cp != nil {
 		return cp
-	})
+	}
+	cp, err := core.Prepare(spec)
+	if err != nil {
+		panic(check.Failf("exp: prepare %s: %v", key, err))
+	}
+	s.saveCheckpoint(key, cp)
+	return cp
 }
 
 // run executes (or recalls) one configuration. Under a parallel
@@ -260,13 +241,13 @@ func (s *Suite) checkpoint(initKey string, spec core.RunSpec) *core.Checkpoint {
 // blocks on the same promise; the returned pointer is identical across
 // all requesters.
 //
-// Snapshot-safe cells (no churn co-runner, no supply sampler) run their
-// kernel on a fork of the shared post-init Checkpoint for their load
-// phase, so N policies sharing one (graph, machine config, load phase)
-// pay for init once instead of N times. Cells that register machine
-// tickers replay monolithically via core.Run — and so does everything
-// when GRAPHMEM_NO_SNAPSHOT is set, which is exactly the equivalence
-// CI's byte-diff gate checks (scripts/ci.sh step 11).
+// Snapshot-safe cells (no churn co-runner, no supply sampler) stage
+// their load phase as a checkpoint, run the kernel on a fork of it and
+// drop it, so campaigns with and without a store take one path. Cells
+// that register machine tickers replay monolithically via core.Run —
+// and so does everything when GRAPHMEM_NO_SNAPSHOT is set, which is
+// exactly the equivalence CI's byte-diff gate checks (scripts/ci.sh
+// step 11).
 //
 // On a recording view, run only lists c and returns an empty result.
 func (s *Suite) run(c runCfg) *core.RunResult {
@@ -279,7 +260,7 @@ func (s *Suite) run(c runCfg) *core.RunResult {
 		var r *core.RunResult
 		var err error
 		if core.SnapshotSafe(spec) {
-			r, err = s.checkpoint(c.initKey(), spec).Run()
+			r, err = s.checkpoint(c.key(), spec).Run()
 		} else {
 			r, err = core.Run(spec)
 		}
@@ -349,9 +330,6 @@ func (s *Suite) CheckInvariants(quiesced bool) error {
 	}
 	if err := s.runs.CheckInvariants(quiesced); err != nil {
 		return fmt.Errorf("run cache: %v", err)
-	}
-	if err := s.inits.CheckInvariants(quiesced); err != nil {
-		return fmt.Errorf("checkpoint cache: %v", err)
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import "fmt"
 
 // Footprint is the simulator-side memory introspection report: how many
 // host bytes each subsystem spends representing the simulated machine.
-// It is the first brick of the service-mode MEMORY USAGE endpoint:
 // expdriver -footprint prints it, and the fullscale footprint test
 // bounds its BytesPerSimGB.
 //

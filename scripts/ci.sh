@@ -82,6 +82,12 @@
 #                       its fork-time image
 #  16. docsplice -check
 #                       EXPERIMENTS.md's measured blocks match results/
+#  17. benchmark self-test
+#                       the benchmark module's own tests (cd bench &&
+#                       go test .) run every workload at test size and
+#                       check its outputs against bench/testdata's
+#                       golden digests, so a change that moves a
+#                       simulated counter fails here
 #
 # Steps 8-12 and 15 compare campaigns through one helper, campaign, that
 # runs expdriver into stdout, markdown and CSV and diffs all three
@@ -212,7 +218,7 @@ GRAPHMEM_FULLSCALE=1 GRAPHMEM_CKPT_DIR="${GRAPHMEM_CKPT_DIR:-$tmp/fsckpt}" \
 echo "== persistent checkpoint store: cross-process reload equivalence + speedup gate"
 # One process stages and saves, a second process reloads from the store;
 # both must render the exact bytes of step 8's store-less run, at -j 1
-# and -j 4. The store directory is shared, content-addressed by initKey.
+# and -j 4. The store directory is shared, content-addressed by cell key.
 campaign store0 j1 "$expdriver" -exp "$subset" -j 1 -ckpt-dir "$tmp/store"
 campaign store1 j1 "$expdriver" -exp "$subset" -j 1 -ckpt-dir "$tmp/store"
 campaign store4 j1 "$expdriver" -exp "$subset" -j 4 -ckpt-dir "$tmp/store"
@@ -233,5 +239,8 @@ go test -run '^$' -fuzz '^FuzzAllocFree$' -fuzztime 30s ./internal/memsys
 
 echo "== docsplice -check (EXPERIMENTS.md in sync with results/)"
 go run ./cmd/docsplice -doc EXPERIMENTS.md -results results/expdriver_full.txt -check
+
+echo "== benchmark self-test (bench/ outputs vs golden digests)"
+(cd bench && go test -count=1 .)
 
 echo "CI PASS"
