@@ -138,13 +138,21 @@ func main() {
 	}
 
 	if *footprint {
-		fp := s.FullscaleFootprint()
+		cp := s.FullscaleCheckpoint()
+		fp, ok := cp.Footprint()
+		if !ok {
+			fmt.Fprintln(os.Stderr, "expdriver: footprint: load-phase replay failed")
+			os.Exit(1)
+		}
 		fmt.Print(fp.Table().String())
 		fmt.Printf("\nfootprint_total_bytes=%d bytes_per_sim_gb=%.0f\n",
 			fp.TotalBytes(), fp.BytesPerSimGB())
+		// Read the heap while the staged node is still reachable: once
+		// cp is dead, a GC frees the node and the reading misses it.
 		var ms runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(cp)
 		fmt.Fprintf(os.Stderr, "host heap: %.2f MiB in use, %.2f MiB from OS\n",
 			float64(ms.HeapInuse)/(1<<20), float64(ms.Sys)/(1<<20))
 		return

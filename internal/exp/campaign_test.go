@@ -266,13 +266,18 @@ func TestCapsMatchCells(t *testing.T) {
 // a requested cell the recording missed would serialize into the
 // render phase. Experiments that record nothing must request nothing
 // through the suite (table1, table2, and ext-grid and ext-rollout,
-// which simulate outside the cell space).
+// which simulate outside the cell space). Each experiment gets its own
+// suite, and library code only reads the environment, so the
+// experiments run in parallel with each other and with
+// TestFullRegistryAtTestScale.
 func TestCellsMatchRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
+	t.Parallel()
 	for _, e := range Registry {
 		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
 			s := testSuite()
 			recorded := make(map[string]bool)
 			for _, c := range s.record(e.Run) {

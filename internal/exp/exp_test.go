@@ -128,11 +128,12 @@ func TestFig5ShapeAtTestScale(t *testing.T) {
 // scale: a smoke test that no experiment panics, divides by zero, or
 // regresses structurally. It checks the -j 1 pass that
 // TestCampaignDeterministicAcrossWorkers compares against, and it runs
-// under -race too.
+// under -race too, in parallel with TestCellsMatchRuns's experiments.
 func TestFullRegistryAtTestScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
+	t.Parallel()
 	res := registryReference(t).res
 	if len(res) != len(Registry) {
 		t.Fatalf("ran %d of %d experiments", len(res), len(Registry))

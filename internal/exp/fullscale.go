@@ -87,16 +87,21 @@ func (s *Suite) fullscaleCells() []runCfg {
 	return cells
 }
 
-// FullscaleFootprint stages the flagship cell's load phase, or reloads
-// it from the store, and returns the staged machine's
+// FullscaleCheckpoint stages the flagship cell's load phase, or
+// reloads it from the store.
+func (s *Suite) FullscaleCheckpoint() *core.Checkpoint {
+	c := s.fullscaleCfg()
+	return s.checkpoint(c.key(), s.spec(c))
+}
+
+// FullscaleFootprint returns the flagship checkpoint's
 // simulator-footprint report. With GRAPHMEM_NO_SNAPSHOT set the
 // checkpoint replays the load phase to report it, so the report is the
 // same either way.
 func (s *Suite) FullscaleFootprint() stats.Footprint {
-	c := s.fullscaleCfg()
-	fp, ok := s.checkpoint(c.key(), s.spec(c)).Footprint()
+	fp, ok := s.FullscaleCheckpoint().Footprint()
 	if !ok {
-		panic(check.Failf("exp: footprint %s: load-phase replay failed", c.key()))
+		panic(check.Failf("exp: footprint %s: load-phase replay failed", s.fullscaleCfg().key()))
 	}
 	return fp
 }

@@ -5,9 +5,13 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+
+	"graphmem/internal/sched"
 )
 
 // Element sizes in bytes, used for footprint computations and simulated
@@ -175,39 +179,50 @@ func (g *Graph) Relabel(perm []uint32) (*Graph, error) {
 	for v := 0; v < g.N; v++ {
 		ng.Offsets[v+1] += ng.Offsets[v]
 	}
-	for v := 0; v < g.N; v++ {
-		nv := perm[v]
-		dst := ng.Offsets[nv]
-		for i := g.Offsets[v]; i < g.Offsets[v+1]; i++ {
-			ng.Neighbors[dst] = perm[g.Neighbors[i]]
-			if g.Weights != nil {
-				ng.Weights[dst] = g.Weights[i]
+	// perm is a bijection, so distinct old vertices fill disjoint new
+	// rows: workers take contiguous ranges of old IDs, balanced by rows
+	// plus edges.
+	sched.Chunks(g.N+len(g.Neighbors), relabelChunk, func(lo, hi int) {
+		var pairs []uint64 // a weighted row's (neighbor, weight) pairs
+		for v := g.rowAt(lo); v < g.rowAt(hi); v++ {
+			old := g.Neighbors[g.Offsets[v]:g.Offsets[v+1]]
+			nv := perm[v]
+			row := ng.Neighbors[ng.Offsets[nv]:ng.Offsets[nv+1]]
+			// Sort each adjacency run (with weights attached) for a
+			// canonical result.
+			if g.Weights == nil {
+				for i, w := range old {
+					row[i] = perm[w]
+				}
+				slices.Sort(row)
+				continue
 			}
-			dst++
+			// Repeated neighbors keep their weights in the order a
+			// pdqsort keyed on the neighbor alone leaves them
+			// (slices.SortFunc and sort.Slice run the same one); the
+			// weighted goldens pin that order.
+			pairs = pairs[:0]
+			for i, w := range old {
+				pairs = append(pairs, uint64(perm[w])<<32|uint64(g.Weights[g.Offsets[v]+uint64(i)]))
+			}
+			slices.SortFunc(pairs, func(a, b uint64) int { return cmp.Compare(a>>32, b>>32) })
+			wt := ng.Weights[ng.Offsets[nv]:ng.Offsets[nv+1]]
+			for i, p := range pairs {
+				row[i], wt[i] = uint32(p>>32), uint32(p)
+			}
 		}
-		// Sort each adjacency run (with weights attached) for a
-		// canonical result.
-		lo, hi := ng.Offsets[nv], ng.Offsets[nv+1]
-		if ng.Weights == nil {
-			s := ng.Neighbors[lo:hi]
-			sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-		} else {
-			idx := make([]int, hi-lo)
-			for i := range idx {
-				idx[i] = i
-			}
-			nb, wt := ng.Neighbors[lo:hi], ng.Weights[lo:hi]
-			sort.Slice(idx, func(a, b int) bool { return nb[idx[a]] < nb[idx[b]] })
-			nb2 := make([]uint32, len(nb))
-			wt2 := make([]uint32, len(wt))
-			for i, j := range idx {
-				nb2[i], wt2[i] = nb[j], wt[j]
-			}
-			copy(nb, nb2)
-			copy(wt, wt2)
-		}
-	}
+	})
 	return ng, nil
+}
+
+// relabelChunk is the fewest rows plus edges Relabel hands one worker.
+const relabelChunk = 1 << 15
+
+// rowAt returns the first vertex v with v + Offsets[v] ≥ x, so cuts of
+// [0, N+M) map to vertex ranges balanced by rows plus edges. rowAt(0)
+// is 0 and rowAt(N+M) is N.
+func (g *Graph) rowAt(x int) int {
+	return sort.Search(g.N, func(v int) bool { return v+int(g.Offsets[v]) >= x })
 }
 
 // MaxDegreeVertex returns the vertex with the largest out-degree

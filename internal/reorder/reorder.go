@@ -6,7 +6,8 @@
 package reorder
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"graphmem/internal/check"
 	"graphmem/internal/graph"
@@ -118,7 +119,7 @@ func fullSort(g *graph.Graph) ([]uint32, Cost) {
 	for i := range order {
 		order[i] = uint32(i)
 	}
-	sort.SliceStable(order, func(a, b int) bool { return in[order[a]] > in[order[b]] })
+	slices.SortStableFunc(order, func(a, b uint32) int { return cmp.Compare(in[b], in[a]) })
 	perm := make([]uint32, g.N)
 	for newID, old := range order {
 		perm[old] = uint32(newID)

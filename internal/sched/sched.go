@@ -26,6 +26,10 @@
 //     by the experiment registry, so campaign output is byte-identical
 //     for every worker count.
 //
+//   - Chunks is the data-parallel loop that builds a campaign's inputs
+//     (graph generation and relabeling): each chunk writes its own range
+//     of a presized output, so the split cannot reach an output byte.
+//
 // Under `-tags simcheck` the pool and cache self-audit through
 // check.Audit: task conservation (submitted = queued + active +
 // completed), worker-count bounds, and promise-resolution accounting.

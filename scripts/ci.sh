@@ -88,6 +88,13 @@
 #                       check its outputs against bench/testdata's
 #                       golden digests, so a change that moves a
 #                       simulated counter fails here
+#  18. inputs independent of GOMAXPROCS
+#                       the generator, CSR and reordering packages'
+#                       tests (the sequential reference oracles and the
+#                       graph digests recorded from them) pass at
+#                       GOMAXPROCS 1, 2 and 4: generation and relabeling
+#                       split their work across GOMAXPROCS workers, and
+#                       the split must not reach a byte
 #
 # Steps 8-12 and 15 compare campaigns through one helper, campaign, that
 # runs expdriver into stdout, markdown and CSV and diffs all three
@@ -242,5 +249,8 @@ go run ./cmd/docsplice -doc EXPERIMENTS.md -results results/expdriver_full.txt -
 
 echo "== benchmark self-test (bench/ outputs vs golden digests)"
 (cd bench && go test -count=1 .)
+
+echo "== inputs independent of GOMAXPROCS (generators, CSR, reordering)"
+go test -count=1 -cpu 1,2,4 ./internal/gen ./internal/graph ./internal/reorder
 
 echo "CI PASS"
