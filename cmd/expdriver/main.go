@@ -138,21 +138,23 @@ func main() {
 	}
 
 	if *footprint {
-		cp := s.FullscaleCheckpoint()
-		fp, ok := cp.Footprint()
-		if !ok {
-			fmt.Fprintln(os.Stderr, "expdriver: footprint: load-phase replay failed")
+		// A fork is the staged node, or with GRAPHMEM_NO_SNAPSHOT set
+		// the replayed one, and reports the same footprint.
+		m, _, err := s.FullscaleCheckpoint().Fork()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "expdriver: footprint: %v\n", err)
 			os.Exit(1)
 		}
+		fp := m.Footprint()
 		fmt.Print(fp.Table().String())
 		fmt.Printf("\nfootprint_total_bytes=%d bytes_per_sim_gb=%.0f\n",
 			fp.TotalBytes(), fp.BytesPerSimGB())
-		// Read the heap while the staged node is still reachable: once
-		// cp is dead, a GC frees the node and the reading misses it.
+		// Read the heap while the node is still reachable: once m is
+		// dead, a GC frees the node and the reading misses it.
 		var ms runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
-		runtime.KeepAlive(cp)
+		runtime.KeepAlive(m)
 		fmt.Fprintf(os.Stderr, "host heap: %.2f MiB in use, %.2f MiB from OS\n",
 			float64(ms.HeapInuse)/(1<<20), float64(ms.Sys)/(1<<20))
 		return

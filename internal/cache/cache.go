@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"unsafe"
 
 	"graphmem/internal/check"
 )
@@ -92,13 +93,23 @@ func (s Stats) LLCMissRate() float64 {
 	return float64(s.LLCMiss) / float64(s.Accesses)
 }
 
+// way is one line slot of a set: the line's tag (line+1, so 0 means
+// empty) next to its LRU stamp. A set's ways are contiguous, so one
+// probe reads a single block of tags and stamps.
+type way struct {
+	tag   uint64
+	stamp uint64
+}
+
 type level struct {
 	setsMask uint64
 	ways     int
-	tags     []uint64
-	stamp    []uint32
-	clock    uint32
-	last     int // way index touched by the most recent access (hit or fill)
+	block    []way // sets × ways; set s holds block[s*ways : (s+1)*ways]
+	// clock advances once per access and by n per bulk repeat hit; at
+	// 64 bits it cannot wrap within any run, so a larger stamp is always
+	// the more recent touch.
+	clock uint64
+	last  int // block index touched by the most recent access (hit or fill)
 }
 
 func newLevel(c LevelConfig) *level {
@@ -113,58 +124,45 @@ func newLevel(c LevelConfig) *level {
 	return &level{
 		setsMask: uint64(sets - 1),
 		ways:     c.Ways,
-		tags:     make([]uint64, lines),
-		stamp:    make([]uint32, lines),
+		block:    make([]way, lines),
 	}
 }
 
+// access probes line's set and, on a miss, fills the victim way: the
+// first empty way, else the way with the lowest stamp, the earliest
+// index breaking ties. An empty way always carries stamp 0 and a filled
+// one a stamp of at least 1, so the lowest stamp, earliest first, is
+// exactly that rule.
 func (l *level) access(line uint64) bool {
 	tag := line + 1
 	base := int(line&l.setsMask) * l.ways
-	// Branchless hit scan: irregular (gather-shaped) streams hit a
-	// different way on nearly every probe, so an early-exit loop pays a
-	// branch mispredict per probe — the conditional select below
-	// compiles to a CMOV and keeps the hit path flat. The victim scan
-	// runs only on a miss, with the original selection logic (first
-	// empty way, else lowest stamp, earliest index breaking ties).
-	hit := -1
-	for w := 0; w < l.ways; w++ {
-		i := base + w
-		if l.tags[i] == tag {
-			hit = i
+	set := l.block[base : base+l.ways]
+	// One pass finds the hit and the victim together. Both selects
+	// compile to conditional moves: irregular (gather-shaped) streams
+	// hit a different way on nearly every probe, so an early-exit loop
+	// would pay a branch mispredict per probe.
+	hit, victim, oldest := -1, 0, ^uint64(0)
+	for w := range set {
+		if set[w].tag == tag {
+			hit = w
 		}
-	}
-	if hit >= 0 {
-		l.clock++
-		l.stamp[hit] = l.clock
-		l.last = hit
-		return true
-	}
-	victim, oldest := base, uint32(0xFFFFFFFF)
-	for w := 0; w < l.ways; w++ {
-		i := base + w
-		if l.tags[i] == 0 {
-			if oldest != 0 {
-				victim, oldest = i, 0
-			}
-			continue
-		}
-		if l.stamp[i] < oldest {
-			victim, oldest = i, l.stamp[i]
+		if s := set[w].stamp; s < oldest {
+			victim, oldest = w, s
 		}
 	}
 	l.clock++
-	l.tags[victim] = tag
-	l.stamp[victim] = l.clock
-	l.last = victim
+	if hit >= 0 {
+		set[hit].stamp = l.clock
+		l.last = base + hit
+		return true
+	}
+	set[victim] = way{tag: tag, stamp: l.clock}
+	l.last = base + victim
 	return false
 }
 
 func (l *level) reset() {
-	for i := range l.tags {
-		l.tags[i] = 0
-		l.stamp[i] = 0
-	}
+	clear(l.block)
 	l.clock = 0
 	l.last = 0
 }
@@ -222,13 +220,13 @@ const (
 func (h *Hierarchy) AccessRepeatL1(pa, n uint64) {
 	h.stats.Accesses += n
 	l := h.l1
-	w := l.last
-	if check.Enabled && l.tags[w] != pa>>LineShift+1 {
+	e := &l.block[l.last]
+	if check.Enabled && e.tag != pa>>LineShift+1 {
 		panic(check.Failf("cache: bulk repeat hit on line %#x, but the preceding access touched line %#x",
-			pa>>LineShift, l.tags[w]-1))
+			pa>>LineShift, e.tag-1))
 	}
-	l.clock += uint32(n)
-	l.stamp[w] = l.clock
+	l.clock += n
+	e.stamp = l.clock
 }
 
 // Access simulates a data access to physical address pa and reports
@@ -248,14 +246,13 @@ func (h *Hierarchy) Access(pa uint64) AccessLevel {
 }
 
 // FootprintBytes reports the simulator-side bytes backing the cache
-// hierarchy's tag and LRU arrays, for the stats.Footprint report. The
-// representation predates the frame-metadata compaction and is
-// unchanged by it.
+// hierarchy's set blocks (a 64-bit tag and a 64-bit LRU stamp per
+// line), for the stats.Footprint report.
 func (h *Hierarchy) FootprintBytes() uint64 {
 	var b uint64
 	for _, l := range []*level{h.l1, h.llc} {
 		if l != nil {
-			b += uint64(len(l.tags))*8 + uint64(len(l.stamp))*4
+			b += uint64(len(l.block)) * uint64(unsafe.Sizeof(way{}))
 		}
 	}
 	return b

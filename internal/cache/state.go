@@ -2,12 +2,13 @@ package cache
 
 import "graphmem/internal/ckpt"
 
-// State walk (DESIGN.md §5e). Tags, LRU stamps, the clock, and each
-// level's memoized last-touched way are walked verbatim — AccessRepeatL1's
-// bulk fast path reads last directly, so a forked or loaded cache must
-// resume mid-stream exactly where the original stopped. A decoded
-// hierarchy is validated against its decoded Config with newLevel's
-// rules, failing the Decoder instead of panicking on hostile images.
+// State walk (DESIGN.md §5e). The set blocks (tags and LRU stamps), the
+// clock, and each level's memoized last-touched way are walked
+// verbatim — AccessRepeatL1's bulk fast path reads last directly, so a
+// forked or loaded cache must resume mid-stream exactly where the
+// original stopped. A decoded hierarchy is validated against its
+// decoded Config with newLevel's rules, failing the Decoder instead of
+// panicking on hostile images.
 
 func (c *LevelConfig) state(w *ckpt.Walker) {
 	w.Int(&c.Bytes)
@@ -26,9 +27,8 @@ func (c *Config) state(w *ckpt.Walker) {
 func (l *level) state(w *ckpt.Walker) {
 	w.U64(&l.setsMask)
 	w.Int(&l.ways)
-	ckpt.Slice(w, &l.tags)
-	ckpt.Slice(w, &l.stamp)
-	w.U32(&l.clock)
+	ckpt.Slice(w, &l.block)
+	w.U64(&l.clock)
 	w.Int(&l.last)
 }
 
@@ -68,13 +68,12 @@ func (l *level) checkGeometry(d *ckpt.Decoder, c LevelConfig, name string) {
 		d.Failf("cache: %s: set count %d not a positive power of two", name, sets)
 		return
 	}
-	if l.ways != c.Ways || l.setsMask != uint64(sets-1) ||
-		len(l.tags) != lines || len(l.stamp) != lines {
+	if l.ways != c.Ways || l.setsMask != uint64(sets-1) || len(l.block) != lines {
 		d.Failf("cache: %s: array shape does not match config (%d bytes, %d ways)",
 			name, c.Bytes, c.Ways)
 		return
 	}
-	if l.last < 0 || l.last >= len(l.tags) {
-		d.Failf("cache: %s: last-way index %d out of range [0,%d)", name, l.last, len(l.tags))
+	if l.last < 0 || l.last >= len(l.block) {
+		d.Failf("cache: %s: last-way index %d out of range [0,%d)", name, l.last, len(l.block))
 	}
 }

@@ -52,7 +52,7 @@ import (
 // which is what invalidates every stale store entry at once (content
 // addressing handles spec changes; the version handles format
 // changes).
-const Version = 2
+const Version = 3
 
 var magic = [8]byte{'G', 'M', 'C', 'K', 'P', 'T', '0', '\n'}
 

@@ -220,6 +220,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 // persistence spec (THP) saves to, per checkpoint format version.
 var imageDigests = map[uint32]string{
 	2: "4de349fc2293c1f94247e7590ecf30a7840e7ac4b6987499acaf887cd8ccc80d",
+	3: "609a7713a2c991129fb2320722b43f26c91c83aaa27d7ab27e5d4b9cec9978de",
 }
 
 // TestCheckpointFormatDrift guards the image format: a change to any

@@ -34,8 +34,8 @@ import (
 //
 //   - translation-cache miss (new page, fault, shootdown): the split
 //     access goes through the scalar path, which refills the cache —
-//     probing the victim array (access_slow.go) before walking — and
-//     services any fault at the same cycle the scalar loop would;
+//     probing the page-indexed tables (access_slow.go) before walking —
+//     and services any fault at the same cycle the scalar loop would;
 //   - the nextEvent cycle deadline: the line run is truncated to the
 //     access that first reaches the deadline, accumulated accounting is
 //     flushed, and events run at the same cycle the scalar loop would

@@ -3,6 +3,7 @@ package machine
 import (
 	"graphmem/internal/cache"
 	"graphmem/internal/check"
+	"graphmem/internal/memsys"
 	"graphmem/internal/tlb"
 	"graphmem/internal/vm"
 )
@@ -19,26 +20,30 @@ import (
 // swapped. It returns the fault cycles charged to the critical path
 // (zero when the page was already mapped and only the cache was cold).
 //
-// Before walking the page table it probes the victim array (trWide): an
-// irregular gather alternating between a handful of hot pages misses the
-// primary entry on nearly every reference, and the victim hit resolves
-// it without the radix walk. The probe is functional-only — a Translate
-// success charges no cycles either — so the modeled cost is unchanged.
-// On a victim hit the displaced primary entry swaps into the hit slot.
+// Before walking the page table it probes the slot of va's page in the
+// 4 KB table, then in the 2 MB table: an irregular gather over a few
+// hot pages misses the primary entry on nearly every reference, and a
+// table hit resolves it without the radix walk. The probe is
+// functional-only — a Translate success charges no cycles either — so
+// the modeled cost is unchanged. A walked or faulted translation fills
+// its table slot.
 //
 // The kernel's HandleFault returns the translation of the mapping it
 // installed, so the fault path needs no second radix walk: the returned
 // translation seeds the cache directly. Any shootdowns fired while the
 // fault was serviced (reclaim, demotion, compaction) happened before
-// HandleFault returned — clearing every cache entry, victims included —
-// so the seed cannot be stale.
+// HandleFault returned — emptying the whole cache — so the seed cannot
+// be stale.
 func (m *Machine) refillTranslation(va uint64) uint64 {
-	for i := range m.trWide {
-		if e := m.trWide[i]; va-e.base < e.span {
-			m.trWide[i] = trEntry{base: m.trBase, span: m.trSpan, tr: m.tr}
-			m.tr, m.trBase, m.trSpan = e.tr, e.base, e.span
-			return 0
-		}
+	s4 := &m.tr4K[va>>memsys.PageShift&(trSlots4K-1)]
+	if s4.key == va>>memsys.PageShift+1 {
+		m.setPrimary(s4.tr)
+		return 0
+	}
+	s2 := &m.tr2M[va>>hugeShift&(trSlots2M-1)]
+	if s2.key == va>>hugeShift+1 {
+		m.setPrimary(s2.tr)
+		return 0
 	}
 	tr, fault, ok := m.Space.Translate(va)
 	var fc uint64
@@ -49,15 +54,21 @@ func (m *Machine) refillTranslation(va uint64) uint64 {
 		tr, fc = m.Kernel.HandleFault(fault)
 		m.phase.FaultCycles += fc
 	}
+	m.setPrimary(tr)
+	if tr.Size == vm.Page2M {
+		*s2 = trSlot{key: va>>hugeShift + 1, tr: tr}
+	} else {
+		*s4 = trSlot{key: va>>memsys.PageShift + 1, tr: tr}
+	}
+	m.trLive = true
+	return fc
+}
+
+// setPrimary installs tr as the primary translation-cache entry.
+func (m *Machine) setPrimary(tr vm.Translation) {
 	m.tr = tr
 	m.trBase = tr.BaseVA
 	m.trSpan = tr.Size.Bytes()
-	m.trWide[m.trVictim] = trEntry{base: m.trBase, span: m.trSpan, tr: tr}
-	m.trVictim++
-	if m.trVictim == trCacheWays {
-		m.trVictim = 0
-	}
-	return fc
 }
 
 // accessEach dispatches every address of a gather batch through the

@@ -24,9 +24,10 @@ func (m *Machine) Footprint() stats.Footprint {
 	f.Add("tlb+cache", m.TLB.FootprintBytes()+m.Cache.FootprintBytes())
 
 	// The machine core: the struct itself (which embeds the translation
-	// cache arrays) plus its dynamic accounting slices. Slices count by
-	// length, not capacity: capacity records how a slice grew, and a
-	// fork or a reload of the same state grows it differently.
+	// cache's two page-indexed tables) plus its dynamic accounting
+	// slices. Slices count by length, not capacity: capacity records how
+	// a slice grew, and a fork or a reload of the same state grows it
+	// differently.
 	core := uint64(unsafe.Sizeof(*m)) +
 		uint64(len(m.done))*uint64(unsafe.Sizeof(PhaseStats{})) +
 		uint64(len(m.arrays))*uint64(unsafe.Sizeof(ArrayStats{})) +

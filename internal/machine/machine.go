@@ -67,17 +67,24 @@ func DefaultConfig(memBytes uint64) Config {
 	}
 }
 
-// trCacheWays is the number of victim entries behind the primary
-// translation-cache entry. Gathers over power-law neighbor lists revisit
-// a small working set of hot property pages; a handful of ways captures
-// most of the revisits without turning the refill probe into a scan.
-const trCacheWays = 8
+// Slots of the translation cache's page-indexed tables, one table per
+// page size (powers of two). 4096 4 KB slots cover 16 MB of distinct
+// pages and 64 2 MB slots 128 MB: the hot property pages a power-law
+// gather revisits stay resolvable without a radix walk.
+const (
+	trSlots4K = 4096
+	trSlots2M = 64
+)
 
-// trEntry is one VA-tagged victim entry of the translation cache.
-// span == 0 means empty.
-type trEntry struct {
-	base, span uint64
-	tr         vm.Translation
+// hugeShift is log2 of the 2 MB page size.
+const hugeShift = memsys.PageShift + memsys.HugeOrder
+
+// trSlot is one slot of a translation-cache table: the translation of
+// the page whose number (va >> the page shift) is key-1. key == 0 means
+// empty.
+type trSlot struct {
+	key uint64
+	tr  vm.Translation
 }
 
 // Machine is one simulated host running one workload.
@@ -144,17 +151,13 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// shootdown is the address space's mapping-change callback: it drops
-// every entry of the machine's translation cache — the primary entry and
-// the whole victim array, conservatively, whatever the changed range was
-// — and forwards the invalidation to the TLB hierarchy. Clearing
-// everything keeps the widened cache trivially coherent: no entry can
-// outlive any mapping change.
+// shootdown is the address space's mapping-change callback: it empties
+// the machine's translation cache — the primary entry and both tables,
+// conservatively, whatever the changed range was — and forwards the
+// invalidation to the TLB hierarchy. Emptying everything keeps the cache
+// trivially coherent: no entry can outlive any mapping change.
 func (m *Machine) shootdown(va uint64, size vm.PageSizeClass) {
-	m.trSpan = 0
-	for i := range m.trWide {
-		m.trWide[i].span = 0
-	}
+	m.flushTranslations()
 	m.TLB.Invalidate(va, size)
 }
 

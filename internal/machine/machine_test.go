@@ -1,9 +1,12 @@
 package machine
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"graphmem/internal/cache"
+	"graphmem/internal/ckpt"
 	"graphmem/internal/cost"
 	"graphmem/internal/memsys"
 	"graphmem/internal/oskernel"
@@ -400,50 +403,83 @@ func TestTranslationCacheInvalidatedOnUnmap(t *testing.T) {
 	m.Access(v.Base)
 }
 
+// liveTranslations counts the translation cache's live entries: the
+// primary entry and every full slot of both tables.
+func liveTranslations(m *Machine) (primary bool, slots4K, slots2M int) {
+	for _, e := range m.tr4K {
+		if e.key != 0 {
+			slots4K++
+		}
+	}
+	for _, e := range m.tr2M {
+		if e.key != 0 {
+			slots2M++
+		}
+	}
+	return m.trSpan != 0, slots4K, slots2M
+}
+
+// fillTranslations maps a THP machine's worth of distinct 2 MB and
+// 4 KB pages and touches each once, so both translation-cache tables
+// hold many live slots; it returns the two VMAs.
+func fillTranslations(t *testing.T, m *Machine) (huge, base *vm.VMA) {
+	t.Helper()
+	huge = m.Space.Mmap("huge", 16*memsys.HugeSize)
+	base = m.Space.Mmap("base", memsys.HugeSize-memsys.PageSize) // no full region: 4 KB pages only
+	for off := uint64(0); off < huge.Bytes; off += memsys.HugeSize {
+		m.Access(huge.Base + off)
+	}
+	for p := 0; p < base.Pages; p++ {
+		m.Access(base.PageVA(p))
+	}
+	if _, n4, n2 := liveTranslations(m); n4 != base.Pages || n2 != 16 {
+		t.Fatalf("seeded %d 4 KB and %d 2 MB slots, want %d and 16", n4, n2, base.Pages)
+	}
+	return huge, base
+}
+
 // TestWideTranslationCacheInvalidatedOnShootdown extends the unmap
-// regression to the widened cache: after seeding the primary entry and
-// every victim entry with distinct pages, a single mapping change must
-// drop them all — a survivor in any way would be a silent stale-frame
-// bug the gather engine could hit on its next segment.
+// regression to the page-indexed tables: after seeding hundreds of
+// distinct 4 KB and 2 MB slots, a single mapping change must empty the
+// primary entry and every slot — a survivor would be a silent
+// stale-frame bug the gather engine could hit on its next segment.
 func TestWideTranslationCacheInvalidatedOnShootdown(t *testing.T) {
-	m := newTestMachine(t, oskernel.BaselineConfig())
-	v := m.Space.Mmap("a", (trCacheWays+2)*memsys.PageSize)
-	for p := uint64(0); p < trCacheWays+2; p++ {
-		m.Access(v.Base + p*memsys.PageSize)
+	m := newTestMachine(t, oskernel.DefaultConfig())
+	huge, base := fillTranslations(t, m)
+	one := m.Space.Mmap("one", memsys.PageSize)
+	m.Access(one.Base)
+
+	fired := 0
+	orig := m.Space.Shootdown
+	m.Space.Shootdown = func(va uint64, size vm.PageSizeClass) { orig(va, size); fired++ }
+	m.Space.Munmap(one)
+	if fired != 1 {
+		t.Fatalf("munmap of a one-page VMA fired %d shootdowns, want 1", fired)
 	}
-	live := 0
-	for i := range m.trWide {
-		if m.trWide[i].span != 0 {
-			live++
-		}
+	if p, n4, n2 := liveTranslations(m); p || n4 != 0 || n2 != 0 {
+		t.Fatalf("after one shootdown: primary live %v, %d 4 KB and %d 2 MB slots live; want none", p, n4, n2)
 	}
-	if live != trCacheWays {
-		t.Fatalf("seeded %d victim entries, want all %d", live, trCacheWays)
-	}
-	m.Space.Munmap(v)
-	if m.trSpan != 0 {
-		t.Fatal("primary translation-cache entry survived munmap")
-	}
-	for i := range m.trWide {
-		if m.trWide[i].span != 0 {
-			t.Fatalf("victim translation-cache entry %d survived munmap", i)
-		}
+	// The still-mapped pages translate afresh, and refill their slots.
+	m.Access(huge.Base)
+	m.Access(base.Base)
+	if _, n4, n2 := liveTranslations(m); n4 != 1 || n2 != 1 {
+		t.Fatalf("refills left %d 4 KB and %d 2 MB slots live, want 1 and 1", n4, n2)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("access after munmap did not panic: stale victim translation")
+			t.Fatal("access after munmap did not panic: stale cached translation")
 		}
 	}()
-	m.Access(v.Base + memsys.PageSize)
+	m.Access(one.Base)
 }
 
 // TestWideTranslationCacheShootdownMidGather drives a shootdown through
 // a page fault in the middle of an AccessGather batch: the batch's
 // footprint exceeds physical memory, so faults past capacity trigger
 // reclaim, whose swap-outs fire Space.Shootdown while the gather is
-// mid-flight with live translation-cache entries. A wrapper around the
-// shootdown hook asserts every entry — primary and victims — is dropped
-// at the exact moment each shootdown fires.
+// mid-flight with live translation-cache slots. A wrapper around the
+// shootdown hook asserts the primary entry and every slot of both
+// tables are empty at the exact moment each shootdown fires.
 func TestWideTranslationCacheShootdownMidGather(t *testing.T) {
 	m := New(Config{
 		MemoryBytes: 4 << 20,
@@ -455,18 +491,15 @@ func TestWideTranslationCacheShootdownMidGather(t *testing.T) {
 	v := m.Space.Mmap("a", 8<<20)
 	m.RegisterArray(v)
 
-	fired := 0
+	fired, maxLive := 0, 0
 	orig := m.Space.Shootdown
 	m.Space.Shootdown = func(va uint64, size vm.PageSizeClass) {
+		_, n4, _ := liveTranslations(m)
+		maxLive = max(maxLive, n4)
 		orig(va, size)
 		fired++
-		if m.trSpan != 0 {
-			t.Errorf("shootdown %d left the primary translation-cache entry live", fired)
-		}
-		for i := range m.trWide {
-			if m.trWide[i].span != 0 {
-				t.Errorf("shootdown %d left victim translation-cache entry %d live", fired, i)
-			}
+		if p, n4, n2 := liveTranslations(m); p || n4 != 0 || n2 != 0 {
+			t.Errorf("shootdown %d left primary live %v, %d 4 KB and %d 2 MB slots live", fired, p, n4, n2)
 		}
 	}
 
@@ -481,7 +514,76 @@ func TestWideTranslationCacheShootdownMidGather(t *testing.T) {
 	if fired == 0 {
 		t.Fatal("no shootdown fired mid-gather: reclaim never ran")
 	}
+	if maxLive < 2 {
+		t.Fatalf("at most %d 4 KB slots were live when a shootdown fired; the test must empty many", maxLive)
+	}
 	if m.Kernel.Stats().SwapOuts == 0 {
 		t.Fatal("expected reclaim swap-outs under memory oversubscription")
+	}
+}
+
+// TestForkAndLoadStartTranslationCacheEmpty proves the translation
+// cache is outside the state walk without changing the simulation: a
+// fork and a saved-then-loaded copy of a machine with a full cache both
+// start with it empty, then match the original's cycles and counters
+// on the same access stream.
+func TestForkAndLoadStartTranslationCacheEmpty(t *testing.T) {
+	m := newTestMachine(t, oskernel.DefaultConfig())
+	huge, base := fillTranslations(t, m)
+	m.RegisterArray(huge)
+	m.RegisterArray(base)
+
+	f := m
+	Walk(ckpt.Cloner(), &f, nil)
+	var buf bytes.Buffer
+	if _, err := ckpt.Save(&buf, "tc", func(e *ckpt.Encoder) { Walk(e.Walker(), &m, nil) }); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ckpt.Load(bytes.NewReader(buf.Bytes()), "tc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l *Machine
+	Walk(d.Walker(), &l, nil)
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if p, n4, n2 := liveTranslations(m); !p || n4 == 0 || n2 == 0 {
+		t.Fatal("the original's translation cache must stay full for the comparison to mean anything")
+	}
+
+	stream := func(m *Machine) {
+		x := uint64(7)
+		vas := make([]uint64, 256)
+		for rep := 0; rep < 64; rep++ {
+			for i := range vas {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				if x&1 == 0 {
+					vas[i] = huge.Base + x%huge.Bytes
+				} else {
+					vas[i] = base.Base + x%base.Bytes
+				}
+			}
+			m.AccessGather(vas)
+			m.Access(vas[0])
+			m.AccessRun(base.Base+x%base.Bytes/2, 64, 64)
+		}
+	}
+	stream(m)
+	for _, c := range []struct {
+		name string
+		m    *Machine
+	}{{"fork", f}, {"saved-then-loaded", l}} {
+		if p, n4, n2 := liveTranslations(c.m); p || n4 != 0 || n2 != 0 {
+			t.Fatalf("%s starts with primary live %v, %d 4 KB and %d 2 MB slots live; want an empty cache", c.name, p, n4, n2)
+		}
+		stream(c.m)
+		if c.m.Cycles() != m.Cycles() || c.m.TLB.Stats() != m.TLB.Stats() || c.m.Cache.Stats() != m.Cache.Stats() ||
+			!reflect.DeepEqual(c.m.ArrayStats(), m.ArrayStats()) || c.m.Kernel.Stats() != m.Kernel.Stats() {
+			t.Fatalf("%s diverged from the original on the same stream: cycles %d vs %d, TLB %+v vs %+v, cache %+v vs %+v",
+				c.name, c.m.Cycles(), m.Cycles(), c.m.TLB.Stats(), m.TLB.Stats(), c.m.Cache.Stats(), m.Cache.Stats())
+		}
 	}
 }

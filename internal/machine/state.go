@@ -15,7 +15,7 @@ import (
 // memory (whose owner table points back at the space), then the bind
 // step attaches the space to the node and routes its shootdowns here,
 // then the kernel (bound to both), and finally the per-shard simulation
-// state, whose cached translations name VMAs of the bound space.
+// state.
 //
 // Machines carrying tickers or observers can be neither forked nor
 // saved: both are closures over state outside the machine, which no
@@ -95,7 +95,7 @@ func (m *Machine) state(w *ckpt.Walker, owner memsys.OwnerFunc) {
 		m.Space.CheckFrames(d)
 	}
 	oskernel.Walk(w, &m.Kernel, m.Mem, m.Space)
-	m.shardState.state(w, m.Space)
+	m.shardState.state(w)
 	if d := w.Decoder(); d != nil {
 		m.validate(d)
 	}
@@ -132,72 +132,22 @@ func (m *Machine) validate(d *ckpt.Decoder) {
 	}
 }
 
-func (s *shardState) state(w *ckpt.Walker, space *vm.AddressSpace) {
+func (s *shardState) state(w *ckpt.Walker) {
 	tlb.Walk(w, &s.TLB)
 	cache.Walk(w, &s.Cache)
-	primary := trEntry{base: s.trBase, span: s.trSpan, tr: s.tr}
-	entryState(w, &primary, space, -1)
-	if w.Encoder() == nil {
-		s.tr, s.trBase, s.trSpan = primary.tr, primary.base, primary.span
-	}
-	for i := range s.trWide {
-		entryState(w, &s.trWide[i], space, i)
-	}
-	w.Int(&s.trVictim)
-	if d := w.Decoder(); d != nil && (s.trVictim < 0 || s.trVictim >= trCacheWays) {
-		d.Failf("machine: translation victim cursor %d out of range", s.trVictim)
+	// The translation cache is not walked. It is functional-only and
+	// vm.Translate has no side effects, so an empty cache yields the
+	// same simulation; and its entries name the original space's VMAs.
+	// A fork empties its copy, and a decode starts from an empty one.
+	_, _, _, _, _, _ = s.tr, s.trBase, s.trSpan, s.tr4K, s.tr2M, s.trLive
+	if w.Cloning() {
+		s.flushTranslations()
 	}
 	s.phase.state(w)
 	ckpt.Fixed(w, &s.tlbAtPhase)
 	ckpt.Fixed(w, &s.cchAtPhase)
 	ckpt.Each(w, &s.done, 1<<20, (*PhaseStats).state)
 	ckpt.Each(w, &s.arrays, 1<<20, (*ArrayStats).state)
-}
-
-// entryState walks one translation-cache entry: the primary (victim -1)
-// or a victim way. An empty entry (span 0) may still hold a stale
-// translation from before the last shootdown, even one naming a VMA
-// since unmapped; the walk normalizes it to the zero entry, so no fork
-// or image carries it, and decode rejects any other empty entry. A live
-// entry must be one the fast path can consume without bounds checks:
-// the window sits inside its VMA (accountHeat indexes region heat from
-// it) and the frame inside the node.
-func entryState(w *ckpt.Walker, e *trEntry, space *vm.AddressSpace, victim int) {
-	x := *e
-	if x.span == 0 {
-		x = trEntry{}
-	}
-	w.U64(&x.base)
-	w.U64(&x.span)
-	ckpt.Num(w, &x.tr.Frame)
-	ckpt.Num(w, &x.tr.Size)
-	w.U64(&x.tr.BaseVA)
-	if d := w.Decoder(); d != nil && x.tr.Size > vm.Page2M {
-		d.Failf("machine: translation page size class %d unknown", x.tr.Size)
-		return
-	}
-	vm.WalkRef(w, &x.tr.VMA, space, "machine: cached translation")
-	if w.Encoder() == nil {
-		*e = x
-	}
-	d := w.Decoder()
-	switch {
-	case d == nil || d.Err() != nil:
-	case x.span == 0 && x != (trEntry{}) && victim < 0:
-		d.Failf("machine: empty primary translation entry carries state")
-	case x.span == 0 && x != (trEntry{}):
-		d.Failf("machine: empty translation victim entry %d carries state", victim)
-	case x.span == 0:
-	case x.span != x.tr.Size.Bytes() || x.tr.BaseVA != x.base:
-		d.Failf("machine: cached translation window [%#x,+%d) does not match its page class", x.base, x.span)
-	case x.tr.VMA == nil || x.base < x.tr.VMA.Base || x.base+x.span > x.tr.VMA.End():
-		d.Failf("machine: cached translation window [%#x,+%d) escapes its VMA", x.base, x.span)
-	default:
-		frames := x.span / memsys.PageSize
-		if uint64(x.tr.Frame)%frames != 0 || uint64(x.tr.Frame)+frames > space.Mem().TotalPages() {
-			d.Failf("machine: cached translation frame %d misaligned or out of range", x.tr.Frame)
-		}
-	}
 }
 
 func (p *PhaseStats) state(w *ckpt.Walker) {

@@ -9,8 +9,8 @@ import "fmt"
 //
 // Checked per set-associative structure:
 //
-//   - occupancy: each set holds at most `ways` valid entries (the tag
-//     array is sets×ways, so a violation means index corruption);
+//   - occupancy: each set holds at most `ways` valid entries (the set
+//     blocks are sets×ways, so a violation means index corruption);
 //   - no duplicate tags within a set (a duplicate would make hit/evict
 //     behaviour depend on way-scan order);
 //   - set residency: a tag's key hashes to the set that holds it;
@@ -38,25 +38,24 @@ func (h *Hierarchy) CheckInvariants() error {
 
 func (s *setAssoc) checkInvariants() error {
 	if s.ways == 0 {
-		if len(s.tags) != 0 {
-			return fmt.Errorf("zero ways but %d tag slots", len(s.tags))
+		if len(s.block) != 0 {
+			return fmt.Errorf("zero ways but %d way slots", len(s.block))
 		}
 		return nil
 	}
 	sets := int(s.setsMask) + 1
-	if len(s.tags) != sets*s.ways || len(s.stamp) != sets*s.ways {
-		return fmt.Errorf("geometry mismatch: %d sets × %d ways but %d tags, %d stamps",
-			sets, s.ways, len(s.tags), len(s.stamp))
+	if len(s.block) != sets*s.ways {
+		return fmt.Errorf("geometry mismatch: %d sets × %d ways but %d way slots",
+			sets, s.ways, len(s.block))
 	}
 	for set := 0; set < sets; set++ {
-		base := set * s.ways
+		blk := s.block[set*s.ways : (set+1)*s.ways]
 		occupied := 0
-		for w := 0; w < s.ways; w++ {
-			i := base + w
-			tag := s.tags[i]
+		for w, e := range blk {
+			tag := e.tag
 			if tag == 0 {
-				if s.stamp[i] != 0 {
-					return fmt.Errorf("set %d way %d: invalid entry with nonzero stamp %d", set, w, s.stamp[i])
+				if e.stamp != 0 {
+					return fmt.Errorf("set %d way %d: invalid entry with nonzero stamp %d", set, w, e.stamp)
 				}
 				continue
 			}
@@ -64,11 +63,11 @@ func (s *setAssoc) checkInvariants() error {
 			if got := int((tag - 1) & s.setsMask); got != set {
 				return fmt.Errorf("set %d way %d: tag %#x belongs to set %d", set, w, tag, got)
 			}
-			if s.stamp[i] > s.clock {
-				return fmt.Errorf("set %d way %d: stamp %d exceeds clock %d", set, w, s.stamp[i], s.clock)
+			if e.stamp > s.clock {
+				return fmt.Errorf("set %d way %d: stamp %d exceeds clock %d", set, w, e.stamp, s.clock)
 			}
 			for w2 := w + 1; w2 < s.ways; w2++ {
-				if s.tags[base+w2] == tag {
+				if blk[w2].tag == tag {
 					return fmt.Errorf("set %d: duplicate tag %#x in ways %d and %d", set, tag, w, w2)
 				}
 			}

@@ -48,8 +48,7 @@ func TestCheckInvariantsDetectsDuplicateTag(t *testing.T) {
 	h := New(Haswell())
 	s := h.stlb
 	s.clock = 1
-	s.tags[0], s.tags[1] = 1, 1 // key 0 planted in two ways of set 0
-	s.stamp[0], s.stamp[1] = 1, 1
+	s.block[0], s.block[1] = way{tag: 1, stamp: 1}, way{tag: 1, stamp: 1} // key 0 planted in two ways of set 0
 	if err := h.CheckInvariants(); err == nil {
 		t.Fatal("duplicate tag within a set not detected")
 	}
@@ -59,8 +58,7 @@ func TestCheckInvariantsDetectsWrongSet(t *testing.T) {
 	h := New(Haswell())
 	s := h.l14k
 	s.clock = 1
-	s.tags[0] = 2 // key 1 belongs to set 1, planted in set 0
-	s.stamp[0] = 1
+	s.block[0] = way{tag: 2, stamp: 1} // key 1 belongs to set 1, planted in set 0
 	if err := h.CheckInvariants(); err == nil {
 		t.Fatal("tag resident in the wrong set not detected")
 	}
@@ -69,8 +67,7 @@ func TestCheckInvariantsDetectsWrongSet(t *testing.T) {
 func TestCheckInvariantsDetectsStampAheadOfClock(t *testing.T) {
 	h := New(Haswell())
 	s := h.l12m
-	s.tags[0] = 1
-	s.stamp[0] = 5 // clock is still 0
+	s.block[0] = way{tag: 1, stamp: 5} // clock is still 0
 	if err := h.CheckInvariants(); err == nil {
 		t.Fatal("stamp ahead of clock not detected")
 	}
@@ -79,7 +76,7 @@ func TestCheckInvariantsDetectsStampAheadOfClock(t *testing.T) {
 func TestCheckInvariantsDetectsStaleStampOnInvalidWay(t *testing.T) {
 	h := New(Haswell())
 	s := h.pwcPDE
-	s.stamp[0] = 3 // tags[0] == 0: invalid entry must carry stamp 0
+	s.block[0].stamp = 3 // block[0].tag == 0: invalid entry must carry stamp 0
 	if err := h.CheckInvariants(); err == nil {
 		t.Fatal("nonzero stamp on invalid way not detected")
 	}

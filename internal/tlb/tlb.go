@@ -10,6 +10,7 @@ package tlb
 
 import (
 	"fmt"
+	"unsafe"
 
 	"graphmem/internal/check"
 	"graphmem/internal/vm"
@@ -100,13 +101,23 @@ func Scaled(c Config, div int) Config {
 	}
 }
 
+// way is one entry slot of a set: the key's tag (key+1, so 0 means
+// invalid) next to its LRU stamp. A set's ways are contiguous, so one
+// probe reads a single block of tags and stamps.
+type way struct {
+	tag   uint64
+	stamp uint64
+}
+
 // setAssoc is a generic set-associative tag array with per-set LRU.
 type setAssoc struct {
 	setsMask uint64
 	ways     int
-	tags     []uint64 // sets × ways; 0 means invalid (tags are shifted +1)
-	stamp    []uint32 // LRU stamps parallel to tags
-	clock    uint32
+	block    []way // sets × ways; set s holds block[s*ways : (s+1)*ways]
+	// clock advances once per hit or fill and by n per repeat hit; at
+	// 64 bits it cannot wrap within any run, so a larger stamp is always
+	// the more recent touch.
+	clock uint64
 }
 
 func newSetAssoc(c SetConfig) *setAssoc {
@@ -120,9 +131,23 @@ func newSetAssoc(c SetConfig) *setAssoc {
 	return &setAssoc{
 		setsMask: uint64(sets - 1),
 		ways:     c.Ways,
-		tags:     make([]uint64, sets*c.Ways),
-		stamp:    make([]uint32, sets*c.Ways),
+		block:    make([]way, sets*c.Ways),
 	}
+}
+
+// probe returns key's set and the way holding key in it, or -1. The
+// scan has no early exit: its select compiles to a conditional move, so
+// a hit in a different way on every probe costs no branch mispredict.
+func (s *setAssoc) probe(key uint64) ([]way, int) {
+	base := int(key&s.setsMask) * s.ways
+	set := s.block[base : base+s.ways]
+	hit := -1
+	for w := range set {
+		if set[w].tag == key+1 {
+			hit = w
+		}
+	}
+	return set, hit
 }
 
 // lookup probes for key; on hit it refreshes LRU and returns true.
@@ -130,16 +155,13 @@ func (s *setAssoc) lookup(key uint64) bool {
 	if s.ways == 0 {
 		return false
 	}
-	tag := key + 1
-	base := int(key&s.setsMask) * s.ways
-	for w := 0; w < s.ways; w++ {
-		if s.tags[base+w] == tag {
-			s.clock++
-			s.stamp[base+w] = s.clock
-			return true
-		}
+	set, hit := s.probe(key)
+	if hit < 0 {
+		return false
 	}
-	return false
+	s.clock++
+	set[hit].stamp = s.clock
+	return true
 }
 
 // repeatHit refreshes key's LRU state as n consecutive hitting lookups
@@ -152,45 +174,49 @@ func (s *setAssoc) repeatHit(key, n uint64) bool {
 	if s.ways == 0 {
 		return false
 	}
-	tag := key + 1
-	base := int(key&s.setsMask) * s.ways
-	for w := 0; w < s.ways; w++ {
-		if s.tags[base+w] == tag {
-			s.clock += uint32(n)
-			s.stamp[base+w] = s.clock
-			return true
-		}
+	set, hit := s.probe(key)
+	if hit < 0 {
+		return false
 	}
-	return false
+	s.clock += n
+	set[hit].stamp = s.clock
+	return true
 }
 
-// insert fills key, evicting the LRU way of its set if necessary.
+// insert fills key, evicting the LRU way of its set if necessary: a
+// present key is only refreshed; otherwise the victim is the last
+// invalid way, else the way with the lowest stamp, the earliest index
+// breaking ties. One pass finds the hit, the last invalid way and the
+// lowest stamp together.
 func (s *setAssoc) insert(key uint64) {
 	if s.ways == 0 {
 		return
 	}
 	tag := key + 1
 	base := int(key&s.setsMask) * s.ways
-	victim, oldest := base, s.stamp[base]
-	for w := 0; w < s.ways; w++ {
-		i := base + w
-		if s.tags[i] == tag {
-			s.clock++
-			s.stamp[i] = s.clock
-			return
+	set := s.block[base : base+s.ways]
+	hit, empty, victim, oldest := -1, -1, 0, set[0].stamp
+	for w := range set {
+		t, st := set[w].tag, set[w].stamp
+		if t == tag {
+			hit = w
 		}
-		if s.tags[i] == 0 {
-			victim, oldest = i, 0
-			// Prefer an invalid way but keep scanning for a tag match.
-			continue
+		if t == 0 {
+			empty = w
 		}
-		if s.stamp[i] < oldest {
-			victim, oldest = i, s.stamp[i]
+		if st < oldest {
+			victim, oldest = w, st
 		}
 	}
 	s.clock++
-	s.tags[victim] = tag
-	s.stamp[victim] = s.clock
+	switch {
+	case hit >= 0:
+		set[hit].stamp = s.clock
+		return
+	case empty >= 0:
+		victim = empty
+	}
+	set[victim] = way{tag: tag, stamp: s.clock}
 }
 
 // invalidate removes key if present.
@@ -198,22 +224,14 @@ func (s *setAssoc) invalidate(key uint64) {
 	if s.ways == 0 {
 		return
 	}
-	tag := key + 1
-	base := int(key&s.setsMask) * s.ways
-	for w := 0; w < s.ways; w++ {
-		if s.tags[base+w] == tag {
-			s.tags[base+w] = 0
-			s.stamp[base+w] = 0
-		}
+	if set, hit := s.probe(key); hit >= 0 {
+		set[hit] = way{}
 	}
 }
 
 // reset clears all entries.
 func (s *setAssoc) reset() {
-	for i := range s.tags {
-		s.tags[i] = 0
-		s.stamp[i] = 0
-	}
+	clear(s.block)
 	s.clock = 0
 }
 
@@ -442,14 +460,13 @@ func (h *Hierarchy) Invalidate(va uint64, size vm.PageSizeClass) {
 }
 
 // FootprintBytes reports the simulator-side bytes backing the TLB
-// hierarchy's tag and LRU arrays, for the stats.Footprint report. The
-// representation predates the frame-metadata compaction and is
-// unchanged by it.
+// hierarchy's set blocks (a 64-bit tag and a 64-bit LRU stamp per
+// entry), for the stats.Footprint report.
 func (h *Hierarchy) FootprintBytes() uint64 {
 	var b uint64
 	for _, s := range []*setAssoc{h.l14k, h.l12m, h.stlb, h.pwcPDE, h.pwcPDPTE, h.pwcPML4E} {
 		if s != nil {
-			b += uint64(len(s.tags))*8 + uint64(len(s.stamp))*4
+			b += uint64(len(s.block)) * uint64(unsafe.Sizeof(way{}))
 		}
 	}
 	return b

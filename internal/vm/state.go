@@ -200,8 +200,8 @@ func (as *AddressSpace) Bind(mem *memsys.Memory, shootdown ShootdownFunc) {
 }
 
 // WalkRef walks a reference to one of space's VMAs (nil allowed); every
-// cross-package VMA pointer — machine translation caches, workload
-// images — goes through it. Clone swaps in the counterpart from space,
+// walked cross-package VMA pointer (the workload image's arrays) goes
+// through it. Clone swaps in the counterpart from space,
 // a bound fork, by VMA id (VMA ids are preserved across forks, which
 // keeps owner cookies valid too); encode writes the base address, 0 for
 // nil; decode resolves that address against space, the decoded space,

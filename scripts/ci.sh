@@ -12,17 +12,23 @@
 #                       suite again with runtime invariant audits live
 #                       (buddy allocator, TLB arrays, VM accounting,
 #                       scheduler task conservation, promise quiescence)
-#   7. zero-alloc + bench smoke + engine gate
+#   7. zero-alloc + bench smoke + engine gate + set-block oracles
 #                       the staged access engine's fast path, the bulk
 #                       AccessRun path, and the gather AccessGather
 #                       path must stay allocation-free, every machine,
 #                       memsys and workload benchmark (among them
 #                       BenchmarkNewMemhog, paper-node's memhog staging)
-#                       must still run (-benchtime=1x), and the bulk and
+#                       must still run (-benchtime=1x), the bulk and
 #                       gather engines must each cost at most half their
 #                       scalar path per simulated access
 #                       (TestAccessEngineSpeedup: same-host ratios, min
-#                       of 3 interleaved testing.Benchmark runs per side)
+#                       of 3 interleaved testing.Benchmark runs per
+#                       side), and 30s runs of FuzzLevelMatchesReference
+#                       and FuzzSetAssocMatchesReference require the
+#                       data-cache levels and TLB arrays, stored as set
+#                       blocks, to match the parallel-array reference
+#                       layouts on every result, victim, tag, stamp,
+#                       clock and counter
 #   8. expdriver -j diff
 #                       a bench-scale campaign subset run at -j 1 and
 #                       -j 4 must be byte-identical on every surface
@@ -143,10 +149,12 @@ go test -race ./...
 echo "== test -tags simcheck (runtime audits live)"
 go test -tags simcheck ./internal/...
 
-echo "== zero-alloc fast path + bench smoke + engine gate"
+echo "== zero-alloc fast path + bench smoke + engine gate + set-block oracles"
 go test -run 'TestAccessFastPathZeroAllocs|TestAccessRunZeroAllocs|TestAccessGatherZeroAllocs' -count=1 ./internal/machine
 go test -run '^$' -bench '^Benchmark' -benchtime 1x ./internal/machine ./internal/memsys ./internal/workload
 GRAPHMEM_SPEEDUP_GATE=1 go test -run '^TestAccessEngineSpeedup$' -count=1 -v ./internal/machine
+go test -run '^$' -fuzz '^FuzzLevelMatchesReference$' -fuzztime 30s ./internal/cache
+go test -run '^$' -fuzz '^FuzzSetAssocMatchesReference$' -fuzztime 30s ./internal/tlb
 
 go build -o "$tmp/expdriver" ./cmd/expdriver
 expdriver="$tmp/expdriver"
