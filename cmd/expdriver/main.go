@@ -45,6 +45,7 @@ import (
 	"strings"
 	"time"
 
+	"graphmem/internal/core"
 	"graphmem/internal/exp"
 	"graphmem/internal/gen"
 )
@@ -140,12 +141,12 @@ func main() {
 	if *footprint {
 		// A fork is the staged node, or with GRAPHMEM_NO_SNAPSHOT set
 		// the replayed one, and reports the same footprint.
-		m, _, err := s.FullscaleCheckpoint().Fork()
+		m, img, err := s.FullscaleCheckpoint().Fork()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "expdriver: footprint: %v\n", err)
 			os.Exit(1)
 		}
-		fp := m.Footprint()
+		fp := core.Footprint(m, img)
 		fmt.Print(fp.Table().String())
 		fmt.Printf("\nfootprint_total_bytes=%d bytes_per_sim_gb=%.0f\n",
 			fp.TotalBytes(), fp.BytesPerSimGB())

@@ -8,7 +8,6 @@ package cache
 
 import (
 	"fmt"
-	"unsafe"
 
 	"graphmem/internal/check"
 )
@@ -243,17 +242,4 @@ func (h *Hierarchy) Access(pa uint64) AccessLevel {
 	}
 	h.stats.LLCMiss++
 	return HitDRAM
-}
-
-// FootprintBytes reports the simulator-side bytes backing the cache
-// hierarchy's set blocks (a 64-bit tag and a 64-bit LRU stamp per
-// line), for the stats.Footprint report.
-func (h *Hierarchy) FootprintBytes() uint64 {
-	var b uint64
-	for _, l := range []*level{h.l1, h.llc} {
-		if l != nil {
-			b += uint64(len(l.block)) * uint64(unsafe.Sizeof(way{}))
-		}
-	}
-	return b
 }

@@ -52,7 +52,7 @@ import (
 // which is what invalidates every stale store entry at once (content
 // addressing handles spec changes; the version handles format
 // changes).
-const Version = 3
+const Version = 4
 
 var magic = [8]byte{'G', 'M', 'C', 'K', 'P', 'T', '0', '\n'}
 
@@ -117,6 +117,16 @@ func Save(w io.Writer, key string, encode func(*Encoder)) (int64, error) {
 		return 0, err
 	}
 	return int64(hdr.Len()) + int64(e.n) + int64(len(tr)), nil
+}
+
+// Size returns the payload bytes the encode walk writes, with no CRC
+// and nothing stored: what Save would write for that state between the
+// header and the trailer. A walk that fails (state that cannot be
+// serialized) returns the error.
+func Size(walk func(*Walker)) (uint64, error) {
+	e := &Encoder{w: io.Discard}
+	walk(e.Walker())
+	return e.n, e.err
 }
 
 // Load reads a complete container from r, verifies magic, version,
@@ -199,7 +209,7 @@ func readRest(r io.Reader) ([]byte, error) {
 // error once.
 type Encoder struct {
 	w   io.Writer
-	crc hash.Hash32
+	crc hash.Hash32 // nil when only counting (Size)
 	n   uint64
 	err error
 }
@@ -223,7 +233,9 @@ func (e *Encoder) write(b []byte) {
 		e.err = err
 		return
 	}
-	e.crc.Write(b)
+	if e.crc != nil {
+		e.crc.Write(b)
+	}
 	e.n += uint64(len(b))
 }
 

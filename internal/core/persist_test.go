@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"graphmem/internal/analytics"
+	"graphmem/internal/check"
 	"graphmem/internal/ckpt"
 	"graphmem/internal/core"
 	"graphmem/internal/stats"
@@ -221,6 +222,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 var imageDigests = map[uint32]string{
 	2: "4de349fc2293c1f94247e7590ecf30a7840e7ac4b6987499acaf887cd8ccc80d",
 	3: "609a7713a2c991129fb2320722b43f26c91c83aaa27d7ab27e5d4b9cec9978de",
+	4: "694cf8954b415bb82fdf1abcb09691a68087e6b0888d21c49dd57adac25c5742",
 }
 
 // TestCheckpointFormatDrift guards the image format: a change to any
@@ -249,6 +251,58 @@ func TestCheckpointFormatDrift(t *testing.T) {
 	}
 }
 
+// TestFootprintSumsToPayload pins the footprint's sum invariant on a
+// staged pressured node carrying a memhog and a page cache: the rows
+// add up to exactly the payload Save writes, each row is positive and
+// no larger than that payload, and region heat counts inside vm/tables.
+// A machine whose walk fails has no footprint: Footprint panics with a
+// check failure instead of reporting a partial count.
+func TestFootprintSumsToPayload(t *testing.T) {
+	cp, err := core.Prepare(persistSpec(t, core.THPAlways()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "persist:footprint-sum"
+	var buf bytes.Buffer
+	if _, err := cp.Save(&buf, key); err != nil {
+		t.Fatal(err)
+	}
+	// A container is a 17-byte fixed header, the key, the payload and a
+	// 12-byte trailer.
+	payload := uint64(buf.Len() - 17 - len(key) - 12)
+	fp, _ := cp.Footprint()
+	if got := fp.TotalBytes(); got != payload {
+		t.Errorf("footprint rows sum to %d bytes, the saved payload is %d:\n%s", got, payload, fp.Table())
+	}
+	rows := make(map[string]bool)
+	for _, r := range fp.Rows {
+		rows[r.Subsystem] = true
+		if r.Bytes == 0 || r.Bytes > payload {
+			t.Errorf("row %s is %d bytes, want 1..%d", r.Subsystem, r.Bytes, payload)
+		}
+	}
+	for _, want := range []string{"memsys/frames", "vm/tables", "tlb+cache", "machine", "workload/memhog", "workload/pagecache"} {
+		if !rows[want] {
+			t.Errorf("no %s row:\n%s", want, fp.Table())
+		}
+	}
+	if rows["vm/heat"] {
+		t.Errorf("region heat has a row of its own; it belongs to vm/tables:\n%s", fp.Table())
+	}
+
+	m, img, err := cp.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.AddTicker(1, func(uint64) {})
+	defer func() {
+		if r := recover(); !check.IsFailure(r) {
+			t.Errorf("Footprint of a machine with a ticker: recovered %v, want a check failure", r)
+		}
+	}()
+	core.Footprint(m, img)
+}
+
 // TestFootprintIsState proves the footprint report is a function of
 // the machine's state, not of how that state was reached: a staged
 // checkpoint, a fork of it, a saved-then-loaded copy, and a checkpoint
@@ -265,7 +319,7 @@ func TestFootprintIsState(t *testing.T) {
 	if !ok {
 		t.Fatal("staged checkpoint reports no footprint")
 	}
-	fm, _, err := cp.Fork()
+	fm, fimg, err := cp.Fork()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +342,7 @@ func TestFootprintIsState(t *testing.T) {
 		name string
 		fp   stats.Footprint
 	}{
-		{"fork", fm.Footprint()},
+		{"fork", core.Footprint(fm, fimg)},
 		{"saved-then-loaded", loaded},
 		{"hatch-open replay", replayed},
 	} {

@@ -4,11 +4,15 @@ import (
 	"fmt"
 
 	"graphmem/internal/analytics"
+	"graphmem/internal/cache"
+	"graphmem/internal/check"
 	"graphmem/internal/ckpt"
 	"graphmem/internal/graph"
 	"graphmem/internal/machine"
 	"graphmem/internal/memsys"
 	"graphmem/internal/stats"
+	"graphmem/internal/tlb"
+	"graphmem/internal/vm"
 	"graphmem/internal/workload"
 )
 
@@ -125,19 +129,27 @@ const (
 	ownerPageCache = 2 // *workload.PageCache
 )
 
+// ownerRows names each subtag's footprint row.
+var ownerRows = [...]string{ownerMemhog: "workload/memhog", ownerPageCache: "workload/pagecache"}
+
+// ownerTag returns o's subtag, or 0 for an owner type with no state walk.
+func ownerTag(o memsys.Owner) uint8 {
+	switch o.(type) {
+	case *workload.Memhog:
+		return ownerMemhog
+	case *workload.PageCache:
+		return ownerPageCache
+	}
+	return 0
+}
+
 // externalOwner is the memsys owner hook for frame owners living outside
 // the machine — the memhog's pin list, the page cache's resident set.
 // memsys calls it once per owner-table slot, so each is forked exactly
 // once per fork. An owner type it does not know fails the walk (a fork
 // panics): an unaccounted owner means an incomplete snapshot.
 func externalOwner(w *ckpt.Walker, o memsys.Owner, mem *memsys.Memory) memsys.Owner {
-	var tag uint8
-	switch o.(type) {
-	case *workload.Memhog:
-		tag = ownerMemhog
-	case *workload.PageCache:
-		tag = ownerPageCache
-	}
+	tag := ownerTag(o)
 	ckpt.Num(w, &tag)
 	switch tag {
 	case ownerMemhog:
@@ -151,6 +163,50 @@ func externalOwner(w *ckpt.Walker, o memsys.Owner, mem *memsys.Memory) memsys.Ow
 	}
 	w.Failf("core: frame owner %T (subtag %d) has no state walk", o, tag)
 	return nil
+}
+
+// Footprint reports the host bytes the state of a machine and its image
+// costs, one row per subsystem (stats.Footprint). Each row is the
+// payload size of that subsystem's state walk (ckpt.Size):
+// memsys/frames is the node without its owners, vm/tables the address
+// space with its region heat, tlb+cache the two model hierarchies, and
+// each frame owner outside the machine has a row of its own. The
+// machine row is the rest of walkPair: the machine's scalars and cost
+// model, the kernel, phase and array accounting, the owner tags and the
+// image's array references. So the rows sum to exactly the payload
+// Checkpoint.Save writes for the pair. A pair whose walk fails
+// (tickers registered, shadow mirroring on) has no footprint, and
+// Footprint panics rather than report a partial count.
+func Footprint(m *machine.Machine, img *analytics.Image) stats.Footprint {
+	size := func(walk func(*ckpt.Walker)) uint64 {
+		n, err := ckpt.Size(walk)
+		if err != nil {
+			panic(check.Failf("core: footprint: %v", err))
+		}
+		return n
+	}
+	var owners []memsys.Owner
+	f := stats.Footprint{SimulatedBytes: m.Mem.TotalPages() * memsys.PageSize}
+	f.Add("memsys/frames", size(func(w *ckpt.Walker) {
+		memsys.Walk(w, &m.Mem, func(_ *ckpt.Walker, o memsys.Owner, _ *memsys.Memory) memsys.Owner {
+			if o != memsys.Owner(m.Space) {
+				owners = append(owners, o)
+			}
+			return o
+		})
+	}))
+	f.Add("vm/tables", size(func(w *ckpt.Walker) { vm.Walk(w, &m.Space) }))
+	f.Add("tlb+cache", size(func(w *ckpt.Walker) {
+		tlb.Walk(w, &m.TLB)
+		cache.Walk(w, &m.Cache)
+	}))
+	machineRow := len(f.Rows)
+	f.Add("machine", 0) // the rest of walkPair, once every other row is counted
+	for _, o := range owners {
+		f.Add(ownerRows[ownerTag(o)], size(func(w *ckpt.Walker) { externalOwner(w, o, m.Mem) }))
+	}
+	f.Rows[machineRow].Bytes = size(func(w *ckpt.Walker) { walkPair(w, &m, &img, img.G) }) - f.TotalBytes()
+	return f
 }
 
 // Run executes the spec's kernel phase on a fresh Fork and assembles
@@ -171,11 +227,11 @@ func (cp *Checkpoint) Run() (*RunResult, error) {
 	return cp.pre.finish(fm, img), nil
 }
 
-// Footprint reports the frozen machine's simulator-side memory
-// breakdown (stats.Footprint). With snapshotting disabled the
-// checkpoint holds no machine, so Footprint replays the load phase and
-// reports the replayed machine, whose state is identical. ok is false
-// only when that replay fails.
+// Footprint reports the frozen pair's simulator-side memory breakdown
+// (Footprint). With snapshotting disabled the checkpoint holds no
+// machine, so Footprint replays the load phase and reports the replayed
+// machine, whose state is identical. ok is false only when that replay
+// fails.
 func (cp *Checkpoint) Footprint() (fp stats.Footprint, ok bool) {
 	p := cp.pre
 	if p == nil {
@@ -184,5 +240,5 @@ func (cp *Checkpoint) Footprint() (fp stats.Footprint, ok bool) {
 			return fp, false
 		}
 	}
-	return p.m.Footprint(), true
+	return Footprint(p.m, p.img), true
 }

@@ -22,7 +22,7 @@ import (
 //     miss handling lives in access_slow.go;
 //   - phase, heat, and per-array accounting are plain field increments;
 //   - background actors cost one compare (m.cycles >= m.nextEvent);
-//   - observers dispatch only when registered.
+//   - the tracer is called only when attached.
 //
 // The file is tagged //simlint:fastpath: rule SL007 rejects appends, map
 // writes, and allocating closure captures here.
@@ -71,9 +71,8 @@ func (m *Machine) Access(va uint64) {
 	m.phase.Cycles += cycles
 	m.phase.Accesses++
 
-	// Dynamically registered observers (tracer among them).
-	if len(m.observers) != 0 {
-		m.notifyObservers(va, tr, res, lvl, cycles)
+	if m.tracer != nil {
+		m.trace(va, tr.VMA)
 	}
 
 	// Event layer: dispatch background actors only when one is due.

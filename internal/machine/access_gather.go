@@ -40,7 +40,7 @@ import (
 //     access that first reaches the deadline, accumulated accounting is
 //     flushed, and events run at the same cycle the scalar loop would
 //     run them;
-//   - observers registered (tracing): per-access dispatch so traces stay
+//   - a tracer attached: per-access dispatch so traces stay
 //     byte-identical. Re-checked after every event dispatch, so a ticker
 //     attaching a tracer mid-batch degrades the rest of the batch;
 //     flushing before runEvents means no gather state is in flight when
@@ -52,9 +52,9 @@ func (m *Machine) AccessGather(vas []uint64) {
 	i, n := 0, len(vas)
 	for i < n {
 		// Per-batch dispatch when batching is off or unsound: gather
-		// disabled, observers registered, or a zero-cost hit model (the
+		// disabled, a tracer attached, or a zero-cost hit model (the
 		// event-split division needs cHit > 0).
-		if m.noGather || len(m.observers) != 0 || m.Model.L1DHit+m.Model.Compute == 0 {
+		if m.noGather || m.tracer != nil || m.Model.L1DHit+m.Model.Compute == 0 {
 			m.accessEach(vas[i:]) //simlint:ignore SL012 per-batch fallback; Access waives its own fault/event escapes
 			return
 		}
@@ -76,7 +76,7 @@ func (m *Machine) AccessGather(vas []uint64) {
 // gatherSegment batches accesses from vas[i:] while they stay inside the
 // translation cache's current page, returning the index of the first
 // unprocessed address. The caller established: gather enabled, no
-// observers, vas[i] inside the cached page, L1 TLB capacity for its
+// tracer, vas[i] inside the cached page, L1 TLB capacity for its
 // size, and cycles < nextEvent.
 func (m *Machine) gatherSegment(vas []uint64, i int) int {
 	// The segment's first access takes the full scalar path: it does
@@ -87,9 +87,9 @@ func (m *Machine) gatherSegment(vas []uint64, i int) int {
 	i++
 	n := len(vas)
 	// Re-establish the batching preconditions: the event dispatch inside
-	// Access may have shot down the translation, registered an observer,
+	// Access may have shot down the translation, attached a tracer,
 	// or left a stale deadline.
-	if i == n || vas[i]-m.trBase >= m.trSpan || m.cycles >= m.nextEvent || len(m.observers) != 0 {
+	if i == n || vas[i]-m.trBase >= m.trSpan || m.cycles >= m.nextEvent || m.tracer != nil {
 		return i
 	}
 

@@ -32,16 +32,16 @@ import (
 //   - the nextEvent cycle deadline: the batch is truncated to the access
 //     that first reaches the deadline, accumulated accounting is flushed,
 //     and events run at the same cycle the scalar loop would run them;
-//   - observers registered (tracing): per-access dispatch so traces stay
+//   - a tracer attached: per-access dispatch so traces stay
 //     byte-identical. Re-checked after every event dispatch, so a ticker
 //     attaching a tracer mid-run degrades the rest of the run; flushing
 //     before runEvents means no bulk state is in flight when it does.
 func (m *Machine) AccessRun(va uint64, count int, stride uint64) {
 	for count > 0 {
 		// Per-access dispatch when batching is off or unsound: bulk
-		// disabled, degenerate stride, observers registered, or a
+		// disabled, degenerate stride, a tracer attached, or a
 		// zero-cost hit model (the event-split division needs cHit > 0).
-		if m.noBulk || stride == 0 || len(m.observers) != 0 || m.Model.L1DHit+m.Model.Compute == 0 {
+		if m.noBulk || stride == 0 || m.tracer != nil || m.Model.L1DHit+m.Model.Compute == 0 {
 			for ; count > 0; count-- {
 				m.Access(va) //simlint:ignore SL012 scalar fallback; Access waives its own fault/event escapes
 				va += stride
@@ -65,7 +65,7 @@ func (m *Machine) AccessRun(va uint64, count int, stride uint64) {
 
 // bulkSegment batches accesses while they stay inside the translation
 // cache's current page, returning the updated (va, count). The caller
-// established: bulk enabled, no observers, stride > 0, va inside the
+// established: bulk enabled, no tracer, stride > 0, va inside the
 // cached page, L1 TLB capacity for its size, and cycles < nextEvent.
 func (m *Machine) bulkSegment(va uint64, count int, stride uint64) (uint64, int) {
 	// The segment's first access takes the full scalar path: it does
@@ -76,9 +76,9 @@ func (m *Machine) bulkSegment(va uint64, count int, stride uint64) (uint64, int)
 	va += stride
 	count--
 	// Re-establish the batching preconditions: the event dispatch inside
-	// Access may have shot down the translation, registered an observer,
+	// Access may have shot down the translation, attached a tracer,
 	// or left a stale deadline.
-	if count == 0 || va-m.trBase >= m.trSpan || m.cycles >= m.nextEvent || len(m.observers) != 0 {
+	if count == 0 || va-m.trBase >= m.trSpan || m.cycles >= m.nextEvent || m.tracer != nil {
 		return va, count
 	}
 

@@ -24,8 +24,8 @@
 //   - events.go       the event layer: background actors (khugepaged,
 //     tickers) register cycle deadlines; the fast path pays a single
 //     compare per access and dispatches only when a deadline is due.
-//   - stats.go        phases, per-array attribution, and the observer
-//     spine (tracer and other composable per-access hooks).
+//   - stats.go        phases, per-array attribution, and the tracer
+//     hook.
 //
 // This file holds construction and the cross-cutting small pieces.
 package machine
@@ -122,9 +122,9 @@ type Machine struct {
 	nextEvent uint64
 	tickers   []ticker
 
-	// Observer spine (stats.go). The fast path tests emptiness only.
-	observers []Observer
-	ev        AccessEvent // reused per-notify to keep dispatch alloc-free
+	// tracer receives every access while attached (stats.go). The fast
+	// path tests it for nil only.
+	tracer Tracer
 
 	shardState
 }

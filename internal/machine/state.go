@@ -17,11 +17,11 @@ import (
 // then the kernel (bound to both), and finally the per-shard simulation
 // state.
 //
-// Machines carrying tickers or observers can be neither forked nor
-// saved: both are closures over state outside the machine, which no
-// walk can capture, so the walk fails rather than silently dropping an
-// actor. The campaign layer checks Forkable and routes such cells down
-// the monolithic path.
+// Machines carrying tickers or a tracer can be neither forked nor
+// saved: both reach state outside the machine, which no walk can
+// capture, so the walk fails rather than silently dropping an actor.
+// The campaign layer checks Forkable and routes such cells down the
+// monolithic path.
 
 // Owner-table slot tags: which side of the machine boundary an owner
 // lives on.
@@ -31,9 +31,9 @@ const (
 )
 
 // Forkable reports whether the machine can be forked or saved: it
-// carries no registered tickers or observers.
+// carries no registered tickers and no tracer.
 func (m *Machine) Forkable() bool {
-	return len(m.tickers) == 0 && len(m.observers) == 0
+	return len(m.tickers) == 0 && m.tracer == nil
 }
 
 // Walk forks, encodes, or decodes the machine *p owns. A fork is an
@@ -52,8 +52,8 @@ func Walk(w *ckpt.Walker, p **Machine, owner memsys.OwnerFunc) {
 
 func (m *Machine) state(w *ckpt.Walker, owner memsys.OwnerFunc) {
 	if !m.Forkable() {
-		w.Failf("machine: %d tickers and %d observers registered: closure-captured actors cannot be deep-copied or serialized",
-			len(m.tickers), len(m.observers))
+		w.Failf("machine: %d tickers registered, tracer attached %t: actors outside the machine cannot be deep-copied or serialized",
+			len(m.tickers), m.tracer != nil)
 		return
 	}
 	// The access-engine hatches are per-process switches, not state: a
@@ -103,13 +103,12 @@ func (m *Machine) state(w *ckpt.Walker, owner memsys.OwnerFunc) {
 
 // bind is the fork and decode bind step: the walked space attaches to
 // the walked node and routes its shootdowns to this machine's
-// translation cache, exactly as New wires them, and the closure actors
-// and the notify scratch buffer start empty.
+// translation cache, exactly as New wires them, and the machine starts
+// with no tickers and no tracer.
 func (m *Machine) bind() {
 	m.Space.Bind(m.Mem, m.shootdown)
 	m.tickers = nil
-	m.observers = nil
-	m.ev = AccessEvent{}
+	m.tracer = nil
 }
 
 // validate fails the decoder unless the per-array attribution and the

@@ -8,9 +8,8 @@ import (
 
 // This file is the accounting and observation layer of the access
 // engine: phase bookkeeping, the two built-in zero-alloc accounting
-// hooks (region heat, per-array attribution), and the observer spine
-// that lets trace capture and other per-access consumers compose
-// without touching the fast path.
+// hooks (region heat, per-array attribution), and the tracer hook that
+// trace capture attaches.
 
 // ArrayStats attributes memory behaviour to one registered array (VMA),
 // reproducing the paper's per-data-structure analysis (Fig. 4/5).
@@ -128,8 +127,7 @@ func (m *Machine) Phase(name string) (PhaseStats, bool) {
 // Heat and per-array attribution run on every access and feed simulated
 // policy (heat-guided promotion) and the paper's per-structure tables,
 // so they are part of the engine's zero-alloc contract: both are plain
-// field increments, statically compiled into Access rather than
-// dispatched through the observer list.
+// field increments, statically compiled into Access.
 
 // accountHeat records region heat for heat-guided promotion policies.
 // The accessed address just translated through a live mapping, so the
@@ -153,76 +151,23 @@ func (m *Machine) accountArray(v *vm.VMA, res tlb.Result) {
 	}
 }
 
-// --- observer spine ---------------------------------------------------
-
-// AccessEvent describes one completed simulated access, delivered to
-// registered observers. The pointer handed to OnAccess aliases a buffer
-// reused on every access: observers must copy out any fields they keep.
-type AccessEvent struct {
-	VA     uint64
-	VMA    *vm.VMA
-	Size   vm.PageSizeClass
-	TLB    tlb.Result
-	Data   cache.AccessLevel
-	Cycles uint64 // total cycles this access charged (incl. fault time)
-}
-
-// Observer consumes per-access events. Observers run after all cycle
-// and stats accounting for the access, in registration order, and must
-// not mutate simulation state.
-type Observer interface {
-	OnAccess(ev *AccessEvent)
-}
-
-// AddObserver appends o to the spine. The fast path pays one emptiness
-// check when no observer is registered.
-func (m *Machine) AddObserver(o Observer) {
-	m.observers = append(m.observers, o)
-}
+// --- tracer -----------------------------------------------------------
 
 // Tracer receives every access (virtual address and the VMA's StatsTag)
 // — the hook trace capture uses.
 type Tracer interface{ Trace(va uint64, tag uint8) }
 
-// traceAdapter bridges the Tracer interface onto the observer spine.
-type traceAdapter struct{ t Tracer }
-
-func (a traceAdapter) OnAccess(ev *AccessEvent) {
-	tag := uint8(0xFF)
-	if ev.VMA.StatsTag >= 0 && ev.VMA.StatsTag < 0xFF {
-		tag = uint8(ev.VMA.StatsTag)
-	}
-	a.t.Trace(ev.VA, tag)
-}
-
 // SetTracer installs t as the machine's tracer (replacing any previous
-// one); nil detaches. The tracer is an ordinary observer on the spine.
-func (m *Machine) SetTracer(t Tracer) {
-	kept := m.observers[:0]
-	for _, o := range m.observers {
-		if _, isTrace := o.(traceAdapter); !isTrace {
-			kept = append(kept, o)
-		}
-	}
-	m.observers = kept
-	if t != nil {
-		m.observers = append(m.observers, traceAdapter{t})
-	}
-}
+// one); nil detaches. While a tracer is attached, the bulk and gather
+// engines dispatch per access, so the trace sees every access in order.
+func (m *Machine) SetTracer(t Tracer) { m.tracer = t }
 
-// notifyObservers fills the machine's reused event buffer and fans it
-// out. Kept out of the fast path body so Access only pays for it when
-// observers exist.
-func (m *Machine) notifyObservers(va uint64, tr *vm.Translation, res tlb.Result, lvl cache.AccessLevel, cycles uint64) {
-	m.ev = AccessEvent{
-		VA:     va,
-		VMA:    tr.VMA,
-		Size:   tr.Size,
-		TLB:    res,
-		Data:   lvl,
-		Cycles: cycles,
+// trace hands the access to the tracer, the VMA's StatsTag clamped to a
+// byte (0xFF for untagged or out-of-range tags).
+func (m *Machine) trace(va uint64, v *vm.VMA) {
+	tag := uint8(0xFF)
+	if v.StatsTag >= 0 && v.StatsTag < 0xFF {
+		tag = uint8(v.StatsTag)
 	}
-	for _, o := range m.observers {
-		o.OnAccess(&m.ev)
-	}
+	m.tracer.Trace(va, tag)
 }

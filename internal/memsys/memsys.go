@@ -86,14 +86,6 @@ type Owner interface {
 	FrameReclaimed(f Frame, cookie uint64) bool
 }
 
-// FootprintReporter is optionally implemented by owners (workload
-// drivers) that can report their simulator-side footprint for the
-// stats.Footprint per-subsystem breakdown. label names the row, bytes
-// is the host memory the owner's bookkeeping costs.
-type FootprintReporter interface {
-	FootprintReport() (label string, bytes uint64)
-}
-
 // ownerRef is an index into Memory.owners; ref 0 is the nil owner. A
 // node hosts a handful of distinct owners (one address space, a memhog,
 // perhaps a page cache) spread across millions of frames, so frames
@@ -855,20 +847,6 @@ func (m *Memory) FragmentationIndex() float64 {
 	}
 	inHuge := m.FreeHugeBlocks() * HugePages
 	return 1 - float64(inHuge)/float64(m.freePages)
-}
-
-// FootprintBytes reports the simulator-side bytes backing this node's
-// physical-memory metadata — frame words, free bitmaps, reclaim queues
-// and the owner table — for the stats.Footprint report. Slices count
-// by length, so the report is a function of state, not of how it was
-// reached. Shadow mirroring is test-only and deliberately excluded.
-func (m *Memory) FootprintBytes() uint64 {
-	n := uint64(m.nframes) * uint64(unsafe.Sizeof(frameInfo{}))
-	for o := 0; o <= MaxOrder; o++ {
-		n += uint64(m.freeBits[o].Len()) * 8
-	}
-	n += uint64(len(m.reclaimQ[0].items)+len(m.reclaimQ[1].items)) * 4
-	return n + uint64(len(m.owners))*16
 }
 
 // --- compaction -------------------------------------------------------

@@ -7,8 +7,9 @@ import "fmt"
 // expdriver -footprint prints it, and the fullscale footprint test
 // bounds its BytesPerSimGB.
 //
-// Rows are appended in a fixed subsystem order by the machine layer, so
-// the rendered table is deterministic.
+// core.Footprint appends the rows in a fixed subsystem order, each the
+// size of one subsystem's state walk, so the rendered table is
+// deterministic and the total is the payload of a checkpoint.
 type Footprint struct {
 	// SimulatedBytes is the size of the simulated physical node.
 	SimulatedBytes uint64

@@ -10,7 +10,6 @@ package tlb
 
 import (
 	"fmt"
-	"unsafe"
 
 	"graphmem/internal/check"
 	"graphmem/internal/vm"
@@ -435,9 +434,15 @@ func (h *Hierarchy) WalkCost(va uint64, size vm.PageSizeClass) (memLevels, cache
 	}
 
 	// The walk populates the paging-structure caches on its way down.
-	h.pwcPML4E.insert(pml4e)
-	h.pwcPDPTE.insert(pdpte)
-	if levels == 4 {
+	// The level that hit is already refreshed by its lookup: inserting
+	// it again would only advance its array's clock once more.
+	if cachedLevels != 1 {
+		h.pwcPML4E.insert(pml4e)
+	}
+	if cachedLevels != 2 {
+		h.pwcPDPTE.insert(pdpte)
+	}
+	if levels == 4 && cachedLevels != 3 {
 		h.pwcPDE.insert(pde)
 	}
 	return memLevels, cachedLevels
@@ -457,17 +462,4 @@ func (h *Hierarchy) Invalidate(va uint64, size vm.PageSizeClass) {
 	}
 	h.stlb.invalidate(stlbKey(va, size))
 	h.pwcPDE.invalidate(va >> 21)
-}
-
-// FootprintBytes reports the simulator-side bytes backing the TLB
-// hierarchy's set blocks (a 64-bit tag and a 64-bit LRU stamp per
-// entry), for the stats.Footprint report.
-func (h *Hierarchy) FootprintBytes() uint64 {
-	var b uint64
-	for _, s := range []*setAssoc{h.l14k, h.l12m, h.stlb, h.pwcPDE, h.pwcPDPTE, h.pwcPML4E} {
-		if s != nil {
-			b += uint64(len(s.block)) * uint64(unsafe.Sizeof(way{}))
-		}
-	}
-	return b
 }

@@ -162,6 +162,36 @@ func TestWalkCostLevels(t *testing.T) {
 	}
 }
 
+// TestWalkCostRefreshesHitLevelOnce pins that a walk refreshes the
+// paging-structure-cache entry that hit exactly once: the hit level's
+// array clock advances by 1, for its lookup, and is not advanced again
+// by a second insert of the same entry.
+func TestWalkCostRefreshesHitLevelOnce(t *testing.T) {
+	const va = uint64(0x7000_1234_5678)
+	h := New(Haswell())
+	for _, c := range []struct {
+		level  string
+		va     uint64
+		size   vm.PageSizeClass
+		cached int
+		pwc    *setAssoc
+	}{
+		{"PDE", va + 4096, vm.Page4K, 3, h.pwcPDE},      // same 2MB region
+		{"PDPTE", va + 2<<21, vm.Page2M, 2, h.pwcPDPTE}, // same 1GB region
+		{"PML4E", va + 1<<30, vm.Page4K, 1, h.pwcPML4E}, // same 512GB region
+	} {
+		h.Reset()
+		h.WalkCost(va, vm.Page4K)
+		before := c.pwc.clock
+		if _, cached := h.WalkCost(c.va, c.size); cached != c.cached {
+			t.Fatalf("%s: walk found %d cached levels, want %d", c.level, cached, c.cached)
+		}
+		if got := c.pwc.clock - before; got != 1 {
+			t.Errorf("%s hit advanced its array clock by %d, want 1", c.level, got)
+		}
+	}
+}
+
 func TestStatsRates(t *testing.T) {
 	s := Stats{Lookups: 100, L1Misses: 30, STLBMisses: 10}
 	if s.DTLBMissRate() != 0.3 || s.STLBMissRate() != 0.1 {

@@ -12,12 +12,12 @@ import (
 	"graphmem/internal/trace"
 )
 
-// TestTracerAttachMidBulkRun is the regression test for observer
-// registration racing an in-flight bulk segment: a ticker attaches the
+// TestTracerAttachMidBulkRun is the regression test for a tracer
+// attaching during an in-flight bulk segment: a ticker attaches the
 // tracer in the middle of a long AccessRun, and from that access on the
 // trace must be byte-identical to the scalar engine's. The bulk engine
 // flushes its accumulated segment state before every event dispatch and
-// re-checks for observers afterwards, so the attach sees no in-flight
+// re-checks for a tracer afterwards, so the attach sees no in-flight
 // state and the remaining accesses dispatch per access.
 func TestTracerAttachMidBulkRun(t *testing.T) {
 	const attachAt = 200_000 // cycles: mid-way through the bulk run below

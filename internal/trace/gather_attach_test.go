@@ -17,7 +17,7 @@ import (
 // long AccessGather batch, and from that access on the trace must be
 // byte-identical to the scalar engine's. The gather engine flushes its
 // accumulated segment state before every event dispatch and re-checks
-// for observers afterwards, so the attach sees no in-flight state and
+// for a tracer afterwards, so the attach sees no in-flight state and
 // the remaining batch degrades to per-access dispatch.
 func TestTracerAttachMidGather(t *testing.T) {
 	const attachAt = 200_000 // cycles: mid-way through the batch below

@@ -168,7 +168,6 @@ func (h *Memhog) insert(f memsys.Frame) {
 func (h *Memhog) FrameReclaimed(f memsys.Frame, cookie uint64) bool { return false }
 
 var _ memsys.Owner = (*Memhog)(nil)
-var _ memsys.FootprintReporter = (*Memhog)(nil)
 
 // NewMemhog starts a memhog holding the given footprint. Frames are
 // taken in ascending physical address order — the footprint a process
@@ -213,12 +212,6 @@ func (h *Memhog) Release() {
 	}
 	h.runs = h.runs[:0]
 	h.pages = 0
-}
-
-// FootprintReport implements memsys.FootprintReporter: the run set's
-// cost, 8 B per contiguous pinned run.
-func (h *Memhog) FootprintReport() (string, uint64) {
-	return "workload/memhog", uint64(len(h.runs)) * 8
 }
 
 // Fragment reproduces the paper's frag utility: allocate 2MB unmovable
@@ -324,14 +317,7 @@ func (pc *PageCache) FrameReclaimed(f memsys.Frame, cookie uint64) bool {
 	return true
 }
 
-// FootprintReport implements memsys.FootprintReporter: the resident-set
-// map at a rough 16 B per entry for key plus bucket overhead.
-func (pc *PageCache) FootprintReport() (string, uint64) {
-	return "workload/pagecache", uint64(len(pc.frames)) * 16
-}
-
 var _ memsys.Owner = (*PageCache)(nil)
-var _ memsys.FootprintReporter = (*PageCache)(nil)
 
 // Churner models a co-running application whose anonymous footprint
 // oscillates over time — the dynamic memory pressure the paper notes is
@@ -366,14 +352,7 @@ func (c *Churner) FrameMoved(old, new memsys.Frame, cookie uint64) {
 // (it would immediately fault it back), so eviction is vetoed.
 func (c *Churner) FrameReclaimed(f memsys.Frame, cookie uint64) bool { return false }
 
-// FootprintReport implements memsys.FootprintReporter: the churner's
-// frame list.
-func (c *Churner) FootprintReport() (string, uint64) {
-	return "workload/churner", uint64(len(c.frames)) * 4
-}
-
 var _ memsys.Owner = (*Churner)(nil)
-var _ memsys.FootprintReporter = (*Churner)(nil)
 
 // NewChurner creates an idle churner (zero footprint, about to grow).
 func NewChurner(mem *memsys.Memory, maxBytes uint64, stepPages int) *Churner {
