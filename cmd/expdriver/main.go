@@ -5,7 +5,7 @@
 // Usage:
 //
 //	expdriver [-scale full|bench|test] [-exp fig1,fig10,...] [-j N]
-//	          [-ckpt-dir DIR] [-out results.md] [-v]
+//	          [-out results.md] [-v]
 //	          [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // The campaign runs in three phases (DESIGN.md §5): it records each
@@ -21,15 +21,6 @@
 // keeping stdout comparable across runs. Sharded cells drive their
 // shards on GOMAXPROCS workers (clamped to the shard count); that
 // count, like -j, never changes a byte of output (DESIGN.md §5c).
-//
-// -ckpt-dir keeps each cell's staged load phase in a persistent store
-// in that directory, content-addressed by the cell (DESIGN.md §5e):
-// load phases staged by earlier invocations are reloaded from disk
-// instead of replayed, and fresh stagings are saved for later ones.
-// Like -j it is an execution knob — forks from a loaded machine are
-// byte-identical to forks from a staged one, which CI's reload gate
-// diffs — so output is unchanged whether the store is cold, warm, or
-// absent.
 //
 // A full-scale run of all experiments takes tens of minutes on one core;
 // -scale bench completes in a few minutes at reduced fidelity.
@@ -56,7 +47,6 @@ func main() {
 	outPath := flag.String("out", "", "write markdown tables to this file")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	workers := flag.Int("j", 1, "parallel simulation workers (0 = all CPUs)")
-	ckptDir := flag.String("ckpt-dir", "", "persistent checkpoint store directory (created if missing); execution-only, output is identical with a cold, warm, or absent store")
 	verbose := flag.Bool("v", false, "log per-worker progress for each simulation cell")
 	listOnly := flag.Bool("list", false, "list experiments and exit")
 	footprint := flag.Bool("footprint", false, "stage the ext-fullscale cell at the chosen scale, print the simulator footprint report, and exit")
@@ -130,13 +120,6 @@ func main() {
 	}
 	s := exp.NewSuite(sc, log)
 	s.PRMaxIters = *priters
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "expdriver: %v\n", err)
-			os.Exit(1)
-		}
-		s.CkptDir = *ckptDir
-	}
 
 	if *footprint {
 		// A fork is the staged node, or with GRAPHMEM_NO_SNAPSHOT set

@@ -12,7 +12,7 @@
 //
 // where the payload is whatever the encode callback wrote, the trailer
 // records its exact length and CRC-32C, and the key is the full
-// identity of the staged state (a campaign's cell key). Load verifies
+// identity of the staged state, chosen by the caller. Load verifies
 // magic, version, endianness, key, length, and checksum before a
 // single payload byte reaches a Decoder, so subsystem decoders only
 // ever face complete, bit-exact images; their own validation exists to
@@ -22,8 +22,8 @@
 // Scalars are little-endian; bulk slices are raw host memory (that is
 // what makes save/load near-memcpy). The endian marker byte rejects
 // cross-endian loads instead of translating them: a checkpoint is a
-// cache entry keyed by its staging identity, not an interchange format,
-// and a mismatch simply falls back to fresh staging.
+// saved staging keyed by its identity, not an interchange format, and
+// a caller that cannot load one stages afresh.
 //
 // Determinism contract (MODEL.md §7): encoding must be a pure function
 // of simulation state — iterate maps in sorted key order, never encode
@@ -35,22 +35,19 @@ package ckpt
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"unsafe"
 )
 
 // Version is the container format version. Any change to any
-// subsystem's state walk must bump it: Load rejects other versions,
-// which is what invalidates every stale store entry at once (content
-// addressing handles spec changes; the version handles format
+// subsystem's state walk must bump it: Load rejects other versions, so
+// an image of an older format fails cleanly instead of decoding as
+// garbage (the key handles spec changes; the version handles format
 // changes).
 const Version = 4
 
@@ -72,15 +69,6 @@ var hostEndian = func() byte {
 // maxKeyLen bounds the key field so a corrupt header cannot demand an
 // absurd allocation before the checksum is ever consulted.
 const maxKeyLen = 64 << 10
-
-// Path returns the store path for a checkpoint key: the hex SHA-256 of
-// the key under dir. Content addressing by hash keeps arbitrarily long
-// keys (they spell out the whole spec) out of filenames while
-// keeping the mapping collision-free in practice.
-func Path(dir, key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(dir, hex.EncodeToString(sum[:])+".ckpt")
-}
 
 // Save writes a complete container to w: header, the payload produced
 // by encode, and the length+CRC trailer. It returns the total bytes

@@ -194,16 +194,3 @@ func TestEncoderFailf(t *testing.T) {
 		t.Fatalf("Save error = %v", err)
 	}
 }
-
-func TestPath(t *testing.T) {
-	p1, p2 := Path("/store", "a"), Path("/store", "b")
-	if p1 == p2 {
-		t.Fatal("distinct keys map to the same path")
-	}
-	if !strings.HasPrefix(p1, "/store/") || !strings.HasSuffix(p1, ".ckpt") {
-		t.Fatalf("Path = %q", p1)
-	}
-	if Path("/store", "a") != p1 {
-		t.Fatal("Path is not deterministic")
-	}
-}

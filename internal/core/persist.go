@@ -37,9 +37,9 @@ func (p *prepared) encode(e *ckpt.Encoder) {
 
 // Save writes the checkpoint's frozen post-init machine state to w as a
 // versioned, checksummed ckpt container under the given key (the
-// staging identity — exp uses the cell key). It returns
-// the container size in bytes. Saving requires a resident machine:
-// with GRAPHMEM_NO_SNAPSHOT open there is nothing to persist.
+// staging identity, which LoadCheckpoint must be given back). It
+// returns the container size in bytes. Saving requires a resident
+// machine: with GRAPHMEM_NO_SNAPSHOT open there is nothing to persist.
 func (cp *Checkpoint) Save(w io.Writer, key string) (int64, error) {
 	if cp.pre == nil {
 		return 0, fmt.Errorf("core: checkpoint holds no machine (GRAPHMEM_NO_SNAPSHOT is open); nothing to save")
@@ -49,7 +49,7 @@ func (cp *Checkpoint) Save(w io.Writer, key string) (int64, error) {
 
 // LoadCheckpoint reconstructs a Checkpoint saved under key from r,
 // splicing the serialized machine under a freshly staged spec. The spec
-// must be the one the checkpoint was prepared from — the caller's store
+// must be the one the checkpoint was prepared from — the caller
 // guarantees that by keying containers on the staging identity, and
 // LoadCheckpoint cross-checks the machine's geometry and cost model
 // against the spec so a mismatched pairing fails loudly instead of

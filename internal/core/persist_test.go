@@ -31,7 +31,7 @@ func persistSpec(t *testing.T, pol core.Policy) core.RunSpec {
 // buffer and loaded back in must produce RunResults deeply equal to the
 // resident checkpoint's — every cycle count, fault counter, array
 // statistic, and kernel output bit — and Save must be byte-
-// deterministic so the content-addressed store never flip-flops. The
+// deterministic, so one staging always saves to one image. The
 // encoder-level checks see state a kernel phase happens not to read:
 // the loaded checkpoint must re-Save to the same bytes, and a fresh
 // fork of the frozen pair must encode exactly like the pair itself.

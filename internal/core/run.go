@@ -199,10 +199,10 @@ func (r *RunResult) HugeShareOfFootprint() float64 {
 
 // Run executes one configuration end to end: the load phase
 // (environment staging, mmap, madvise, init faulting) followed by the
-// kernel phase on the same machine. Prepare instead freezes the load
-// phase so that it can be saved, reloaded and forked (snapshot.go);
-// Run remains the monolithic reference path the fork layer is diffed
-// against.
+// kernel phase on the same machine. A campaign runs every cell this
+// way (exp.Suite), and forked runs are diffed against it. Prepare
+// instead freezes the load phase so that it can be saved, reloaded and
+// forked where several kernels start from it (snapshot.go).
 func Run(spec RunSpec) (*RunResult, error) {
 	p, err := prepare(spec)
 	if err != nil {

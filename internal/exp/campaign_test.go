@@ -2,14 +2,12 @@ package exp
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"graphmem/internal/analytics"
-	"graphmem/internal/core"
 	"graphmem/internal/gen"
 	"graphmem/internal/reorder"
 	"graphmem/internal/stats"
@@ -121,8 +119,8 @@ func TestCampaignDeterministicAtBenchScale(t *testing.T) {
 }
 
 // TestCampaignProgressAccounting checks the Progress callback: done
-// counts each frontier cell exactly once and worker indices stay in
-// range.
+// counts each frontier cell exactly once, in 1..total, and worker
+// indices stay in range. Calls may overlap, so the callback locks.
 func TestCampaignProgressAccounting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a campaign")
@@ -137,6 +135,9 @@ func TestCampaignProgressAccounting(t *testing.T) {
 		defer mu.Unlock()
 		if worker < 0 || worker >= workers {
 			t.Errorf("worker index %d outside [0,%d)", worker, workers)
+		}
+		if done < 1 || done > tot {
+			t.Errorf("done=%d outside [1,%d]", done, tot)
 		}
 		if seen[done] {
 			t.Errorf("done=%d reported twice", done)
@@ -207,14 +208,11 @@ func TestPromiseCacheUnderRace(t *testing.T) {
 
 // TestCapsMatchCells proves every registry entry's advertised capability
 // list (what expdriver -list prints) is derived from, not asserted over,
-// its recorded cells: snapshot-forkable iff some cell's spec passes
-// core.SnapshotSafe, sharded iff some cell runs more than one shard, and
-// full-scale-gated reserved for the experiment the CI fullscale gate
-// wraps. Experiments that record no cells may still claim
-// snapshot-forkable when they fork checkpoints outside the cell space
-// (ext-rollout), but never sharded or full-scale-gated.
+// its recorded cells: sharded iff some cell runs more than one shard,
+// and full-scale-gated reserved for the experiment the CI fullscale
+// gate wraps.
 func TestCapsMatchCells(t *testing.T) {
-	known := map[string]bool{CapSnapshot: true, CapSharded: true, CapFullScale: true}
+	known := map[string]bool{CapSharded: true, CapFullScale: true}
 	for _, e := range Registry {
 		t.Run(e.ID, func(t *testing.T) {
 			caps := make(map[string]bool)
@@ -232,25 +230,11 @@ func TestCapsMatchCells(t *testing.T) {
 			if caps[CapFullScale] != (e.ID == "ext-fullscale") {
 				t.Errorf("full-scale-gated = %v, want it on ext-fullscale only", caps[CapFullScale])
 			}
-			s := testSuite()
-			cells := s.record(e.Run)
-			if len(cells) == 0 {
-				if caps[CapSharded] {
-					t.Error("sharded capability without recorded cells")
-				}
-				return
-			}
-			var snapshot, sharded bool
-			for _, c := range cells {
-				if core.SnapshotSafe(s.spec(c)) {
-					snapshot = true
-				}
+			var sharded bool
+			for _, c := range testSuite().record(e.Run) {
 				if c.shards > 1 {
 					sharded = true
 				}
-			}
-			if caps[CapSnapshot] != snapshot {
-				t.Errorf("snapshot-forkable = %v, but cells derive %v", caps[CapSnapshot], snapshot)
 			}
 			if caps[CapSharded] != sharded {
 				t.Errorf("sharded = %v, but cells derive %v", caps[CapSharded], sharded)
@@ -305,12 +289,10 @@ func TestCellsMatchRuns(t *testing.T) {
 }
 
 // TestRecordingSimulatesNothing proves recording is free of simulation:
-// recording every experiment memoizes no run and, with a store set,
-// writes no checkpoint container, so the declare phase costs graph
-// generation and nothing more.
+// recording every experiment memoizes no run, so the declare phase
+// costs graph generation and nothing more.
 func TestRecordingSimulatesNothing(t *testing.T) {
 	s := testSuite()
-	s.CkptDir = t.TempDir()
 	total := 0
 	for _, e := range Registry {
 		total += len(s.record(e.Run))
@@ -320,8 +302,5 @@ func TestRecordingSimulatesNothing(t *testing.T) {
 	}
 	if n := s.CachedRunCount(); n != 0 {
 		t.Errorf("recording memoized %d runs, want 0", n)
-	}
-	if saved, err := os.ReadDir(s.CkptDir); err != nil || len(saved) != 0 {
-		t.Errorf("recording wrote %d files to the store (err %v), want 0", len(saved), err)
 	}
 }

@@ -20,13 +20,12 @@ import (
 // scale — tens of millions of frames of metadata per node, a
 // terabyte-order address-space budget across the campaign — which is
 // exactly what the compact frame metadata and sparse VM chunking pay
-// for. With -ckpt-dir set, repeated campaigns reload each staged node
-// instead of re-faulting it, which at this scale saves no time: on a
-// 2-vCPU host a warm campaign took 163.0 s against 149.6 s and 190.8 s
-// cold. The table reports the modeled kernel numbers per cell plus the
-// flagship cell's stats.Footprint rows. TestFullscaleFootprintCeiling
-// bounds the flagship's bytes per simulated GiB, and the env-gated CI
-// test (GRAPHMEM_FULLSCALE=1) asserts wall-clock and RSS budgets on top.
+// for. Each cell stages its node, runs on it and drops it, so one node
+// is resident at a time. The table reports the modeled kernel numbers
+// per cell plus the flagship cell's stats.Footprint rows.
+// TestFullscaleFootprintCeiling bounds the flagship's bytes per
+// simulated GiB, and the env-gated CI test (GRAPHMEM_FULLSCALE=1)
+// asserts wall-clock and RSS budgets on top.
 
 // fullscaleShards is the shard count of every fullscale cell. Eight
 // keeps shard forks of a paper-geometry node within a few GB of host
@@ -88,11 +87,14 @@ func (s *Suite) fullscaleCells() []runCfg {
 	return cells
 }
 
-// FullscaleCheckpoint stages the flagship cell's load phase, or
-// reloads it from the store.
+// FullscaleCheckpoint stages the flagship cell's load phase.
 func (s *Suite) FullscaleCheckpoint() *core.Checkpoint {
 	c := s.fullscaleCfg()
-	return s.checkpoint(c.key(), s.spec(c))
+	cp, err := core.Prepare(s.spec(c))
+	if err != nil {
+		panic(check.Failf("exp: prepare %s: %v", c.key(), err))
+	}
+	return cp
 }
 
 // FullscaleFootprint returns the flagship checkpoint's

@@ -53,18 +53,11 @@ func TestFullscaleFootprintCeiling(t *testing.T) {
 // regressions, not to benchmark the host. Wall-clock assertions are
 // meaningless under -race or on an arbitrarily loaded machine, so the
 // test skips unless GRAPHMEM_FULLSCALE is set; ci.sh step 14 opts in.
-//
-// When GRAPHMEM_CKPT_DIR is also set, the campaign keeps its staged
-// nodes in the persistent store there, and repeated gate runs reload
-// them from disk instead of re-faulting them. That exercises the store
-// at full scale but saves no time: on a 2-vCPU host a warm run took
-// 163.0 s against 149.6 s and 190.8 s cold.
 func TestFullscaleGeometryGate(t *testing.T) {
 	if os.Getenv("GRAPHMEM_FULLSCALE") == "" {
 		t.Skip("set GRAPHMEM_FULLSCALE=1 to run the paper-geometry gate (ci.sh)")
 	}
 	s := NewSuite(gen.ScaleFull, nil)
-	s.CkptDir = os.Getenv("GRAPHMEM_CKPT_DIR")
 	if node := s.fullscaleNodeBytes(); node < 100<<30 {
 		t.Fatalf("full-scale node is %d bytes, want >= 100 GB of staged geometry", node)
 	}
@@ -101,9 +94,8 @@ func TestFullscaleGeometryGate(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	t.Logf("fullscale_gate wall_s=%.1f heap_sys_mb=%.0f", wall.Seconds(), float64(ms.Sys)/(1<<20))
 
-	// A cold run stages all eight 128 GB nodes and a warm run reloads
-	// them from GRAPHMEM_CKPT_DIR; on a 2-vCPU Xeon host both took
-	// 150–191 s. The budget leaves headroom for a slower or loaded
+	// A run stages all eight 128 GB nodes; on a 2-vCPU Xeon host that
+	// took 150–191 s. The budget leaves headroom for a slower or loaded
 	// host — it catches order-of-magnitude staging regressions, not
 	// few-percent drift.
 	if wall > 15*time.Minute {
@@ -111,10 +103,35 @@ func TestFullscaleGeometryGate(t *testing.T) {
 	}
 	// Each cell drops its staged node after its run, so one
 	// 128 GB-geometry node is resident at a time: the campaign took
-	// 2.1–2.2 GB from the OS cold and warm on that host. Eight resident
-	// nodes take ~9–10 GB and blow this budget. Denser frame metadata
-	// is TestFullscaleFootprintCeiling's to catch.
+	// 2.1–2.2 GB from the OS on that host. Eight resident nodes take
+	// ~9–10 GB and blow this budget. Denser frame metadata is
+	// TestFullscaleFootprintCeiling's to catch.
 	if budget := uint64(4 << 30); ms.Sys > budget {
 		t.Errorf("process took %d bytes from the OS, budget %d", ms.Sys, budget)
+	}
+}
+
+// TestFullscaleSameWithHatch renders ext-fullscale, whose footprint
+// table introspects a staged machine, with the snapshot hatch closed
+// and open. With the hatch open every extra shard replays its cell's
+// load phase instead of forking it, and the footprint replays the
+// flagship's load phase, so both renderings must carry the same bytes.
+func TestFullscaleSameWithHatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs one experiment twice")
+	}
+	t.Setenv("GRAPHMEM_NO_SNAPSHOT", "")
+	ids := []string{"ext-fullscale"}
+	ref := renderAll(t, gen.ScaleTest, ids, 1)
+	if !strings.Contains(ref.text, "simulator footprint") {
+		t.Fatal("ext-fullscale rendered no footprint table")
+	}
+	t.Setenv("GRAPHMEM_NO_SNAPSHOT", "1")
+	hatch := renderAll(t, gen.ScaleTest, ids, 1)
+	if hatch.text != ref.text {
+		t.Errorf("text with the snapshot hatch open differs:\n%s\nhatch closed:\n%s", hatch.text, ref.text)
+	}
+	if hatch.markdown != ref.markdown || hatch.csv != ref.csv {
+		t.Error("markdown or CSV with the snapshot hatch open differs")
 	}
 }

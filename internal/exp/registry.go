@@ -32,19 +32,16 @@ type Experiment struct {
 	Run func(*Suite) []*stats.Table
 
 	// Caps is a comma-separated capability list shown by expdriver
-	// -list. CapSnapshot marks experiments that fork a checkpoint of a
-	// staged load phase, which -ckpt-dir can save and reload across
-	// processes; CapSharded marks cells running the sharded machine
-	// engine; CapFullScale marks the experiment whose full-geometry
-	// budgets are gated behind GRAPHMEM_FULLSCALE=1 in CI.
-	// TestCapsMatchCells derives the first two from each experiment's
+	// -list. CapSharded marks experiments with cells running the
+	// sharded machine engine; CapFullScale marks the experiment whose
+	// full-geometry budgets are gated behind GRAPHMEM_FULLSCALE=1 in
+	// CI. TestCapsMatchCells derives CapSharded from each experiment's
 	// recorded cells.
 	Caps string
 }
 
 // Capability labels used in Experiment.Caps.
 const (
-	CapSnapshot  = "snapshot-forkable"
 	CapSharded   = "sharded"
 	CapFullScale = "full-scale-gated"
 )
@@ -53,28 +50,28 @@ const (
 var Registry = []Experiment{
 	{"table1", "Table 1", "simulated system parameters", (*Suite).Table1, ""},
 	{"table2", "Table 2", "applications and inputs", (*Suite).Table2, ""},
-	{"fig1", "Fig. 1", "THP speedup: fresh boot vs memory pressure", (*Suite).Fig1, CapSnapshot},
-	{"fig2", "Fig. 2", "address translation overhead share", (*Suite).Fig2, CapSnapshot},
-	{"fig3", "Fig. 3", "TLB miss rates, 4KB vs THP", (*Suite).Fig3, CapSnapshot},
-	{"fig4", "Fig. 4", "per-data-structure access breakdown", (*Suite).Fig4, CapSnapshot},
-	{"fig5", "Fig. 5", "per-structure madvise THP speedups (BFS)", (*Suite).Fig5, CapSnapshot},
+	{"fig1", "Fig. 1", "THP speedup: fresh boot vs memory pressure", (*Suite).Fig1, ""},
+	{"fig2", "Fig. 2", "address translation overhead share", (*Suite).Fig2, ""},
+	{"fig3", "Fig. 3", "TLB miss rates, 4KB vs THP", (*Suite).Fig3, ""},
+	{"fig4", "Fig. 4", "per-data-structure access breakdown", (*Suite).Fig4, ""},
+	{"fig5", "Fig. 5", "per-structure madvise THP speedups (BFS)", (*Suite).Fig5, ""},
 	{"fig6", "Fig. 6", "huge page supply timeline during initialization", (*Suite).Fig6, ""},
-	{"fig7", "Fig. 7", "high pressure: natural vs optimized allocation order", (*Suite).Fig7, CapSnapshot},
-	{"sweep", "§4.3.1", "memory pressure sweep incl. oversubscription", (*Suite).PressureSweep, CapSnapshot},
-	{"fig8", "Fig. 8", "50% fragmentation: natural vs optimized order", (*Suite).Fig8, CapSnapshot},
-	{"fig9", "Fig. 9", "fragmentation level sweep (BFS)", (*Suite).Fig9, CapSnapshot},
-	{"fig10", "Fig. 10", "DBG + selective THP under pressure+frag", (*Suite).Fig10, CapSnapshot},
-	{"fig11", "Fig. 11", "selective THP sensitivity sweep (BFS)", (*Suite).Fig11, CapSnapshot},
-	{"dbg", "§5.1.2", "DBG preprocessing overhead", (*Suite).DBGOverhead, CapSnapshot},
-	{"headline", "Abstract", "headline metrics vs the paper's ranges", (*Suite).Headline, CapSnapshot},
-	{"pagecache", "§4.3", "page cache single-use memory interference", (*Suite).PageCache, CapSnapshot},
-	{"ext-baselines", "Related work", "Ingens/HawkEye-style engines vs selective THP", (*Suite).Baselines, CapSnapshot},
-	{"ext-auto", "§7 future work", "automatic profile-guided madvise plans", (*Suite).AutoSelective, CapSnapshot},
-	{"ext-cc", "§3.2", "Connected Components extension workload", (*Suite).CCWorkload, CapSnapshot},
+	{"fig7", "Fig. 7", "high pressure: natural vs optimized allocation order", (*Suite).Fig7, ""},
+	{"sweep", "§4.3.1", "memory pressure sweep incl. oversubscription", (*Suite).PressureSweep, ""},
+	{"fig8", "Fig. 8", "50% fragmentation: natural vs optimized order", (*Suite).Fig8, ""},
+	{"fig9", "Fig. 9", "fragmentation level sweep (BFS)", (*Suite).Fig9, ""},
+	{"fig10", "Fig. 10", "DBG + selective THP under pressure+frag", (*Suite).Fig10, ""},
+	{"fig11", "Fig. 11", "selective THP sensitivity sweep (BFS)", (*Suite).Fig11, ""},
+	{"dbg", "§5.1.2", "DBG preprocessing overhead", (*Suite).DBGOverhead, ""},
+	{"headline", "Abstract", "headline metrics vs the paper's ranges", (*Suite).Headline, ""},
+	{"pagecache", "§4.3", "page cache single-use memory interference", (*Suite).PageCache, ""},
+	{"ext-baselines", "Related work", "Ingens/HawkEye-style engines vs selective THP", (*Suite).Baselines, ""},
+	{"ext-auto", "§7 future work", "automatic profile-guided madvise plans", (*Suite).AutoSelective, ""},
+	{"ext-cc", "§3.2", "Connected Components extension workload", (*Suite).CCWorkload, ""},
 	{"ext-grid", "control", "road-network negative control", (*Suite).GridControl, ""},
-	{"ext-rollout", "§7 future work", "online policy rollout via checkpoint forks", (*Suite).Rollout, CapSnapshot},
-	{"ext-shard", "§6 scaling", "sharded machine engine: modeled intra-run scaling", (*Suite).ShardScaling, CapSnapshot + "," + CapSharded},
-	{"ext-fullscale", "§4 geometry", "paper-geometry campaign: footprint & sharded kernels at true scale", (*Suite).Fullscale, CapSnapshot + "," + CapSharded + "," + CapFullScale},
+	{"ext-rollout", "§7 future work", "online policy rollout via checkpoint forks", (*Suite).Rollout, ""},
+	{"ext-shard", "§6 scaling", "sharded machine engine: modeled intra-run scaling", (*Suite).ShardScaling, CapSharded},
+	{"ext-fullscale", "§4 geometry", "paper-geometry campaign: footprint & sharded kernels at true scale", (*Suite).Fullscale, CapSharded + "," + CapFullScale},
 }
 
 // Find returns the experiment with the given id.
@@ -114,7 +111,8 @@ type CampaignOptions struct {
 	// Progress, when non-nil, is invoked from worker goroutines as
 	// frontier cells finish: worker is the executing worker's index,
 	// done the number of cells completed so far, total the frontier
-	// size. Calls are serialized by the campaign.
+	// size. Calls are not serialized: they may overlap and arrive out
+	// of done order, and each receives a distinct done in 1..total.
 	Progress func(worker, done, total int, cell string)
 }
 

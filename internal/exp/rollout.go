@@ -114,7 +114,10 @@ func (s *Suite) Rollout() []*stats.Table {
 		e := s.graph(ds, false, reorder.Identity)
 		env := s.envFragmented(analytics.BFS, ds, rolloutSlackGB, rolloutFragLevel)
 		cfg := rolloutCfg(ds, env)
-		cp := s.checkpoint(cfg.key(), s.spec(cfg))
+		cp, err := core.Prepare(s.spec(cfg))
+		if err != nil {
+			panic(check.Failf("exp: prepare %s: %v", cfg.key(), err))
+		}
 		warm, probe := warmupBudget(e.g.N), probeBudget(e.g.N)
 
 		type scored struct {

@@ -15,12 +15,11 @@
 // see DESIGN.md §5 for the protocol and the argument.
 //
 // Every cell owns its load phase: the page-size policy acts while the
-// graph initializes, so no two cells stage the same machine. A
-// snapshot-safe cell freezes its load phase in a checkpoint
-// (core.Prepare), which the persistent store can save and reload,
-// runs its kernel on a fork of it, and drops it (DESIGN.md §5b).
-// Output is byte-identical with GRAPHMEM_NO_SNAPSHOT=1, which replays
-// every load phase monolithically, and CI diffs the two.
+// graph initializes, so no two cells stage the same machine. A cell is
+// one core.Run, which stages the load phase and runs the kernel on
+// that machine and then drops it; forks serve only where a load phase
+// is shared, between the shards of a sharded cell and ext-rollout's
+// candidates (DESIGN.md §5b).
 //
 // Memory-pressure levels are specified in the paper's units (GB of
 // slack beyond the working set on their 3–25GB footprints) and scaled to
@@ -78,11 +77,6 @@ type Suite struct {
 	// (zero value = the paper's Haswell hierarchy). Shape tests use a
 	// scaled hierarchy so bench-sized graphs exert full-sized pressure.
 	TLB tlb.Config
-	// CkptDir, when non-empty, names the persistent checkpoint store
-	// (ckptstore.go): load phases staged by earlier processes are
-	// reloaded instead of replayed, and fresh stagings are saved for
-	// later ones. Empty disables the store.
-	CkptDir string
 
 	*memo
 
@@ -217,37 +211,10 @@ func (s *Suite) spec(c runCfg) core.RunSpec {
 	return spec
 }
 
-// checkpoint returns the load phase named by key, frozen for forking;
-// spec must be SnapshotSafe (Prepare rejects the rest). With the
-// persistent store enabled (Suite.CkptDir) it reloads the phase from
-// the store, or stages it and saves it there: forks from a loaded
-// machine are byte-identical to forks from a staged one
-// (core.LoadCheckpoint). Nothing is memoized, so the checkpoint lives
-// only as long as its caller holds it.
-func (s *Suite) checkpoint(key string, spec core.RunSpec) *core.Checkpoint {
-	if cp := s.loadCheckpoint(key, spec); cp != nil {
-		return cp
-	}
-	cp, err := core.Prepare(spec)
-	if err != nil {
-		panic(check.Failf("exp: prepare %s: %v", key, err))
-	}
-	s.saveCheckpoint(key, cp)
-	return cp
-}
-
 // run executes (or recalls) one configuration. Under a parallel
 // campaign the first requester computes and every concurrent duplicate
 // blocks on the same promise; the returned pointer is identical across
 // all requesters.
-//
-// Snapshot-safe cells (no churn co-runner, no supply sampler) stage
-// their load phase as a checkpoint, run the kernel on a fork of it and
-// drop it, so campaigns with and without a store take one path. Cells
-// that register machine tickers replay monolithically via core.Run —
-// and so does everything when GRAPHMEM_NO_SNAPSHOT is set, which is
-// exactly the equivalence CI's byte-diff gate checks (scripts/ci.sh
-// step 11).
 //
 // On a recording view, run only lists c and returns an empty result.
 func (s *Suite) run(c runCfg) *core.RunResult {
@@ -256,14 +223,7 @@ func (s *Suite) run(c runCfg) *core.RunResult {
 		return &core.RunResult{}
 	}
 	return s.runs.Get(c.key(), func() *core.RunResult {
-		spec := s.spec(c)
-		var r *core.RunResult
-		var err error
-		if core.SnapshotSafe(spec) {
-			r, err = s.checkpoint(c.key(), spec).Run()
-		} else {
-			r, err = core.Run(spec)
-		}
+		r, err := core.Run(s.spec(c))
 		if err != nil {
 			panic(check.Failf("exp: run %s: %v", c.key(), err))
 		}

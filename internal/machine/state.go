@@ -20,8 +20,9 @@ import (
 // Machines carrying tickers or a tracer can be neither forked nor
 // saved: both reach state outside the machine, which no walk can
 // capture, so the walk fails rather than silently dropping an actor.
-// The campaign layer checks Forkable and routes such cells down the
-// monolithic path.
+// core.Prepare refuses the specs that register tickers
+// (core.SnapshotSafe), so such runs stay on the monolithic core.Run
+// path.
 
 // Owner-table slot tags: which side of the machine boundary an owner
 // lives on.

@@ -12,8 +12,8 @@ import (
 // 8-byte words (frameInfo) in copy-on-write pages, as are the free
 // bitmaps, so the bulk of a node forks as a page-directory copy (the
 // pages are shared until first written) and serializes as raw page
-// writes — the near-memcpy path the persistent store depends on, with the
-// bytes a flat slice would write. Owners are the one indirection:
+// writes — the near-memcpy path checkpoint save and load depend on, with
+// the bytes a flat slice would write. Owners are the one indirection:
 // frames hold interned ownerRefs into the owners table, and the table
 // entries live outside this package (an address space, a memhog, a page
 // cache), so the walk hands each distinct owner, in slot order, to the

@@ -45,7 +45,9 @@
 #                       checkpoint/fork layer disabled
 #                       (GRAPHMEM_NO_SNAPSHOT=1) must be byte-identical
 #                       to the forking run at -j 1 and -j 4, and forking
-#                       must cut the subset's wall-clock by >= 2x
+#                       must cut the subset's wall-clock by >= 2x; its
+#                       unforked fig5 and pagecache cells check that the
+#                       hatch leaves them alone
 #  12. sharded-engine equivalence
 #                       the ext-shard campaign with fork bring-up
 #                       disabled (GRAPHMEM_NO_SNAPSHOT=1, every extra
@@ -64,24 +66,16 @@
 #                       {BFS,PR} x {THP,4KB}) stages >= 100 GB nodes,
 #                       finishes inside its wall/host-memory budgets,
 #                       and renders the flagship node's footprint table
-#                       (TestFullscaleGeometryGate); the gate points
-#                       GRAPHMEM_CKPT_DIR at a persistent store, and
-#                       reruns sharing it reload staged nodes instead of
-#                       re-faulting them, which saves no time at this
-#                       scale: on a 2-vCPU host a warm run took 163.0 s
-#                       against 149.6 s and 190.8 s cold. The
-#                       footprint's bytes-per-simulated-GiB ceiling is
+#                       (TestFullscaleGeometryGate); each cell stages its
+#                       node and drops it after its run. The footprint's
+#                       bytes-per-simulated-GiB ceiling is
 #                       TestFullscaleFootprintCeiling, which needs no
 #                       opt-in and runs in step 6 (it skips under -race)
-#  15. persistent checkpoint store
-#                       one expdriver process populates a -ckpt-dir
-#                       store, a second process reloads every load
-#                       phase from it — both at -j 1 and -j 4 — and
-#                       every byte surface must match the store-less
-#                       run of step 8; then the in-process perf gate
-#                       (TestCkptReloadSpeedup) requires loading a
-#                       container to beat re-staging the node by >= 3x,
-#                       and a 30s FuzzLoadCheckpoint run requires every
+#  15. checkpoint reload + fork fuzzing
+#                       the in-process perf gate (TestCkptReloadSpeedup)
+#                       requires loading a saved container to beat
+#                       re-staging the node by >= 3x, and a 30s
+#                       FuzzLoadCheckpoint run requires every
 #                       payload the loader accepts to re-save to its
 #                       own bytes and run without panicking; a 30s
 #                       FuzzAllocFree run forks the node mid-sequence
@@ -108,9 +102,9 @@
 #                       line count of non-test Go under internal/ and
 #                       cmd/ that ROADMAP.md records
 #
-# Steps 8-12 and 15 compare campaigns through one helper, campaign, that
-# runs expdriver into stdout, markdown and CSV and diffs all three
-# against a reference run. The wall-clock gates (steps 7, 11, 12 and 15)
+# Steps 8-12 compare campaigns through one helper, campaign, that runs
+# expdriver into stdout, markdown and CSV and diffs all three against a
+# reference run. The wall-clock gates (steps 7, 11, 12 and 15)
 # are same-host ratios; the Go tests among them run only when
 # GRAPHMEM_SPEEDUP_GATE is set, which this script does.
 #
@@ -195,8 +189,11 @@ campaign nogather j1 GRAPHMEM_NO_GATHER=1 "$expdriver" -exp "$subset" -j 1
 
 echo "== snapshot-layer equivalence: GRAPHMEM_NO_SNAPSHOT=1 vs forking"
 # ext-rollout is the fork-heavy experiment (one load phase, five forked
-# candidates per dataset); fig5+pagecache ride along so the diff also
-# covers checkpointed full runs and page-cache owner cloning.
+# candidates per dataset). fig5+pagecache ride along; their cells run
+# unforked (core.Run), so they check that the hatch leaves such cells
+# alone. Fork fidelity for full runs with a page cache is
+# TestForkMatchesReplay's (its stressedEnv carries memhog, fragmentation
+# and a resident page cache).
 snap_subset="fig5,pagecache,ext-rollout"
 snap_start=$(date +%s)
 campaign snap1 - "$expdriver" -exp "$snap_subset" -j 1
@@ -230,23 +227,9 @@ go test -run 'TestFrameInfoSize|TestFrameInfoPackRoundTrip' -count=1 ./internal/
 go test -run '^TestPackedFrameInfoDifferential$' -count=1 ./internal/machine
 
 echo "== paper-geometry gate: ext-fullscale wall/host-memory budgets"
-# GRAPHMEM_CKPT_DIR may be inherited from the environment to persist the
-# staged 100 GB+ node images across CI repetitions; by default the store
-# lives and dies with this run's scratch dir.
-GRAPHMEM_FULLSCALE=1 GRAPHMEM_CKPT_DIR="${GRAPHMEM_CKPT_DIR:-$tmp/fsckpt}" \
-    go test -run '^TestFullscaleGeometryGate$' -count=1 -v -timeout 900s ./internal/exp
+GRAPHMEM_FULLSCALE=1 go test -run '^TestFullscaleGeometryGate$' -count=1 -v -timeout 900s ./internal/exp
 
-echo "== persistent checkpoint store: cross-process reload equivalence + speedup gate"
-# One process stages and saves, a second process reloads from the store;
-# both must render the exact bytes of step 8's store-less run, at -j 1
-# and -j 4. The store directory is shared, content-addressed by cell key.
-campaign store0 j1 "$expdriver" -exp "$subset" -j 1 -ckpt-dir "$tmp/store"
-campaign store1 j1 "$expdriver" -exp "$subset" -j 1 -ckpt-dir "$tmp/store"
-campaign store4 j1 "$expdriver" -exp "$subset" -j 4 -ckpt-dir "$tmp/store"
-if [ -z "$(ls "$tmp/store"/*.ckpt 2>/dev/null)" ]; then
-    echo "checkpoint store is empty after a populating campaign" >&2
-    exit 1
-fi
+echo "== checkpoint reload gate + loader and fork fuzzing"
 # The >= 3x reload-vs-restage gate times both sides in-process
 # (min-of-3): subprocess wall-clocks would fold compilation, dataset
 # generation, and kernel phases into both sides and drown the margin.
