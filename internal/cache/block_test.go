@@ -1,7 +1,13 @@
 package cache
 
 import (
+	"bytes"
+	"cmp"
+	"slices"
+	"strings"
 	"testing"
+
+	"graphmem/internal/ckpt"
 )
 
 // tinyConfig is a hierarchy small enough that a short address stream
@@ -15,9 +21,9 @@ func tinyConfig() Config {
 	}
 }
 
-// cachePair drives the set-block hierarchy and the parallel-array
+// cachePair drives the recency-list hierarchy and the stamp-based
 // oracle through the same operations and fails on the first
-// divergence in any result, tag, stamp, clock, last way or counter.
+// divergence in any result, counter or set order.
 type cachePair struct {
 	t   testing.TB
 	h   *Hierarchy
@@ -98,25 +104,48 @@ func (p *cachePair) check(op string) {
 	sameLevel(p.t, op, "llc", p.h.llc, p.ref.llc)
 }
 
+// sameLevel requires every set of l to list exactly the oracle's
+// resident tags of that set, most recent stamp first, then zeros.
 func sameLevel(t testing.TB, op, name string, l *level, ref *refLevel) {
 	t.Helper()
-	if l.clock != uint64(ref.clock) || l.last != ref.last || len(l.block) != len(ref.tags) {
-		t.Fatalf("after %s: %s clock %d last %d (%d ways), reference clock %d last %d (%d ways)",
-			op, name, l.clock, l.last, len(l.block), ref.clock, ref.last, len(ref.tags))
+	if len(l.tags) != len(ref.tags) {
+		t.Fatalf("after %s: %s holds %d slots, reference %d", op, name, len(l.tags), len(ref.tags))
 	}
-	for i, e := range l.block {
-		if e.tag != ref.tags[i] || e.stamp != uint64(ref.stamp[i]) {
-			t.Fatalf("after %s: %s way %d holds tag %#x stamp %d, reference tag %#x stamp %d",
-				op, name, i, e.tag, e.stamp, ref.tags[i], ref.stamp[i])
+	for base := 0; base < len(l.tags); base += l.ways {
+		want := recencyOrder(t, ref.tags[base:base+l.ways], ref.stamp[base:base+l.ways])
+		if got := l.tags[base : base+l.ways]; !slices.Equal(got, want) {
+			t.Fatalf("after %s: %s set %d is %#x, reference order %#x", op, name, base/l.ways, got, want)
 		}
 	}
+}
+
+// recencyOrder returns a stamp-LRU set as a recency list: its resident
+// tags by descending stamp, then zeros. Two resident tags with one
+// stamp would leave the order undefined, so they fail the test.
+func recencyOrder(t testing.TB, tags []uint64, stamps []uint32) []uint64 {
+	t.Helper()
+	var live []int
+	for w, tag := range tags {
+		if tag != 0 {
+			live = append(live, w)
+		}
+	}
+	slices.SortFunc(live, func(a, b int) int { return cmp.Compare(stamps[b], stamps[a]) })
+	order := make([]uint64, len(tags))
+	for i, w := range live {
+		if i > 0 && stamps[w] == stamps[live[i-1]] {
+			t.Fatalf("reference set %#x: two resident tags share stamp %d", tags, stamps[w])
+		}
+		order[i] = tags[w]
+	}
+	return order
 }
 
 // replay decodes data two bytes per operation: mostly accesses to 48
 // lines (three times the tiny L1 and 1.5 times its LLC), plus bulk
 // repeat hits, resets and accesses to scattered 64-bit addresses. It
-// stops after 4096 operations, so the clock stays far below 2^32,
-// where the oracle's 32-bit stamps wrap.
+// stops after 4096 operations, so the oracle's clock stays far below
+// 2^32, where its 32-bit stamps wrap.
 func (p *cachePair) replay(data []byte) {
 	p.t.Helper()
 	for ops := 0; len(data) >= 2 && ops < 4096; ops++ {
@@ -167,16 +196,17 @@ func FuzzLevelMatchesReference(f *testing.F) {
 	})
 }
 
-// TestLRUAcrossOldClockWrap starts the L1 clock just below 2^32, where
-// 32-bit stamps used to wrap, fills one set, re-touches every way but
-// the first, and requires the next fill to evict that untouched way:
-// with a wrapped clock the re-touched lines looked oldest instead.
+// TestLRUAcrossOldClockWrap pins the scenario 32-bit LRU stamps once
+// got wrong where they wrapped: fill one set, re-touch every line but
+// the first, and the next fill must evict that untouched line. The set
+// is its own recency list, with no clock to wrap, so the test reads
+// the order directly.
 func TestLRUAcrossOldClockWrap(t *testing.T) {
 	h := New(Haswell())
 	l := h.l1
-	l.clock = 0xFFFFFFF5
 	sets := l.setsMask + 1
 	pa := func(k int) uint64 { return uint64(k) * sets << LineShift } // all in set 0
+	tag := func(k int) uint64 { return pa(k)>>LineShift + 1 }
 	for k := 0; k < l.ways; k++ {
 		h.Access(pa(k))
 	}
@@ -185,18 +215,53 @@ func TestLRUAcrossOldClockWrap(t *testing.T) {
 			t.Fatalf("re-touch of line %d missed", k)
 		}
 	}
-	if l.clock <= 1<<32 {
-		t.Fatalf("clock %#x did not cross 2^32", l.clock)
+	if got := l.tags[l.ways-1]; got != tag(0) {
+		t.Fatalf("LRU slot holds tag %#x, want the untouched line 0 (tag %#x)", got, tag(0))
 	}
 	h.Access(pa(l.ways))
-	for w, e := range l.block[:l.ways] {
-		if e.tag == pa(0)>>LineShift+1 {
-			t.Fatalf("untouched line 0 survived the fill in way %d; a recently used line was evicted", w)
-		}
+	want := []uint64{tag(l.ways)}
+	for k := l.ways - 1; k >= 1; k-- {
+		want = append(want, tag(k))
 	}
-	for k := 1; k <= l.ways; k++ {
-		if h.Access(pa(k)) != HitL1 {
-			t.Fatalf("line %d was evicted instead of the least recently used line 0", k)
+	if got := l.tags[:l.ways]; !slices.Equal(got, want) {
+		t.Fatalf("after the fill set 0 is %#x, want %#x: line 0 evicted, the rest most recent first", got, want)
+	}
+}
+
+// TestDecodeRejectsMalformedSets plants each way a set can fail to be a
+// recency list in an L1 set of an encoded hierarchy, and requires
+// decoding to fail; the unplanted hierarchy decodes to the same sets.
+func TestDecodeRejectsMalformedSets(t *testing.T) {
+	// Set 0 of the tiny L1 holds the even lines, whose tags are odd.
+	for _, c := range []struct {
+		set0 []uint64
+		want string // in the decode error; "" for a clean set
+	}{
+		{[]uint64{5, 1, 0, 0}, ""},
+		{[]uint64{5, 0, 1, 0}, "after an empty slot"},
+		{[]uint64{5, 5, 0, 0}, "duplicate tag"},
+		{[]uint64{5, 2, 0, 0}, "belongs to set 1"},
+	} {
+		h := New(tinyConfig())
+		copy(h.l1.tags, c.set0)
+		var buf bytes.Buffer
+		if _, err := ckpt.Save(&buf, "cache", func(e *ckpt.Encoder) { Walk(e.Walker(), &h) }); err != nil {
+			t.Fatal(err)
+		}
+		d, err := ckpt.Load(bytes.NewReader(buf.Bytes()), "cache")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got *Hierarchy
+		Walk(d.Walker(), &got)
+		err = d.Finish()
+		switch {
+		case c.want == "" && err != nil:
+			t.Fatalf("set 0 = %#x failed to decode: %v", c.set0, err)
+		case c.want == "" && !slices.Equal(got.l1.tags, h.l1.tags):
+			t.Fatalf("decoded L1 %#x, encoded %#x", got.l1.tags, h.l1.tags)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Fatalf("set 0 = %#x decoded with error %v, want one naming %q", c.set0, err, c.want)
 		}
 	}
 }

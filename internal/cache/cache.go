@@ -92,23 +92,15 @@ func (s Stats) LLCMissRate() float64 {
 	return float64(s.LLCMiss) / float64(s.Accesses)
 }
 
-// way is one line slot of a set: the line's tag (line+1, so 0 means
-// empty) next to its LRU stamp. A set's ways are contiguous, so one
-// probe reads a single block of tags and stamps.
-type way struct {
-	tag   uint64
-	stamp uint64
-}
-
+// level is one set-associative cache level. Each set is its LRU stack:
+// the tags (line+1) of its resident lines, most recently used first,
+// then its empty slots (0). The order is the replacement state, so the
+// least recently used line, or an empty slot, is always the set's last
+// slot and no victim search is needed.
 type level struct {
 	setsMask uint64
 	ways     int
-	block    []way // sets × ways; set s holds block[s*ways : (s+1)*ways]
-	// clock advances once per access and by n per bulk repeat hit; at
-	// 64 bits it cannot wrap within any run, so a larger stamp is always
-	// the more recent touch.
-	clock uint64
-	last  int // block index touched by the most recent access (hit or fill)
+	tags     []uint64 // sets × ways; set s holds tags[s*ways : (s+1)*ways]
 }
 
 func newLevel(c LevelConfig) *level {
@@ -123,47 +115,33 @@ func newLevel(c LevelConfig) *level {
 	return &level{
 		setsMask: uint64(sets - 1),
 		ways:     c.Ways,
-		block:    make([]way, lines),
+		tags:     make([]uint64, lines),
 	}
 }
 
-// access probes line's set and, on a miss, fills the victim way: the
-// first empty way, else the way with the lowest stamp, the earliest
-// index breaking ties. An empty way always carries stamp 0 and a filled
-// one a stamp of at least 1, so the lowest stamp, earliest first, is
-// exactly that rule.
+// set returns the slots of line's set.
+func (l *level) set(line uint64) []uint64 {
+	base := int(line&l.setsMask) * l.ways
+	return l.tags[base : base+l.ways]
+}
+
+// access moves line to the front of its set and reports whether it was
+// resident. One walk does the probe and the update: each entry it
+// passes shifts down one slot, and it stops at line (a hit) or falls
+// off the end of the set, dropping the LRU line or an empty slot (a
+// miss).
 func (l *level) access(line uint64) bool {
 	tag := line + 1
-	base := int(line&l.setsMask) * l.ways
-	set := l.block[base : base+l.ways]
-	// One pass finds the hit and the victim together. Both selects
-	// compile to conditional moves: irregular (gather-shaped) streams
-	// hit a different way on nearly every probe, so an early-exit loop
-	// would pay a branch mispredict per probe.
-	hit, victim, oldest := -1, 0, ^uint64(0)
-	for w := range set {
-		if set[w].tag == tag {
-			hit = w
+	set := l.set(line)
+	prev := tag
+	for w, t := range set {
+		set[w] = prev
+		if t == tag {
+			return true
 		}
-		if s := set[w].stamp; s < oldest {
-			victim, oldest = w, s
-		}
+		prev = t
 	}
-	l.clock++
-	if hit >= 0 {
-		set[hit].stamp = l.clock
-		l.last = base + hit
-		return true
-	}
-	set[victim] = way{tag: tag, stamp: l.clock}
-	l.last = base + victim
 	return false
-}
-
-func (l *level) reset() {
-	clear(l.block)
-	l.clock = 0
-	l.last = 0
 }
 
 // Hierarchy is a live two-level data cache.
@@ -190,8 +168,8 @@ func (h *Hierarchy) ResetStats() { h.stats = Stats{} }
 
 // Reset clears contents and counters.
 func (h *Hierarchy) Reset() {
-	h.l1.reset()
-	h.llc.reset()
+	clear(h.l1.tags)
+	clear(h.llc.tags)
 	h.stats = Stats{}
 }
 
@@ -205,27 +183,24 @@ const (
 )
 
 // AccessRepeatL1 charges n data accesses to physical address pa that are
-// known to hit the L1: pa's line is the line the immediately preceding
-// Access touched (hit or fill — either way the access left it
-// most-recently-used in its set, and its way memoized in last), and no
-// other hierarchy call has intervened. Counters and L1 LRU state advance
-// exactly as n Access calls returning HitL1 would; the LLC is untouched,
-// as it is on any L1 hit. The contract is verified under -tags simcheck,
-// where a violation — a bulk caller charging a line its preceding probe
-// did not touch — panics; normal builds trust the caller so the body
-// stays under the inlining budget (a Failf call alone exceeds it), and
-// the engines' differential suites enforce the same guarantee end to
-// end.
+// known to hit the L1: pa's line is the most recently used line of its
+// L1 set, as it is right after an Access to it. n hits on a set's MRU
+// line leave every set's order as it is, so only the counter moves,
+// exactly as for n Access calls returning HitL1; the LLC is untouched,
+// as on any L1 hit. The contract is verified under -tags simcheck,
+// where a bulk caller charging a line that is not its set's MRU line
+// panics; normal builds trust the caller so the body stays under the
+// inlining budget (a Failf call alone exceeds it), and the engines'
+// differential suites enforce the same guarantee end to end.
 func (h *Hierarchy) AccessRepeatL1(pa, n uint64) {
 	h.stats.Accesses += n
-	l := h.l1
-	e := &l.block[l.last]
-	if check.Enabled && e.tag != pa>>LineShift+1 {
-		panic(check.Failf("cache: bulk repeat hit on line %#x, but the preceding access touched line %#x",
-			pa>>LineShift, e.tag-1))
+	if check.Enabled {
+		line := pa >> LineShift
+		if mru := h.l1.set(line)[0]; mru != line+1 {
+			panic(check.Failf("cache: bulk repeat hit on line %#x, which is not the MRU line of its L1 set (MRU tag %#x)",
+				line, mru))
+		}
 	}
-	l.clock += n
-	e.stamp = l.clock
 }
 
 // Access simulates a data access to physical address pa and reports

@@ -3,6 +3,8 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+
+	"graphmem/internal/check"
 )
 
 func TestHaswellBuilds(t *testing.T) {
@@ -110,4 +112,29 @@ func TestQuickStatsMonotone(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAccessRepeatL1RequiresMRU pins the bulk repeat contract: n repeat
+// hits on the MRU line of its L1 set count n accesses and nothing else,
+// and under -tags simcheck a repeat hit on a line that is resident but
+// not MRU in its set panics.
+func TestAccessRepeatL1RequiresMRU(t *testing.T) {
+	h := New(Haswell())
+	sets := h.l1.setsMask + 1
+	a, b := uint64(0), sets<<LineShift // both in L1 set 0
+	h.Access(a)
+	h.Access(b)
+	h.AccessRepeatL1(b, 5)
+	if s := h.Stats(); s != (Stats{Accesses: 7, L1Misses: 2, LLCMiss: 2}) {
+		t.Fatalf("two misses and 5 repeat hits counted %+v", s)
+	}
+	if !check.Enabled {
+		return
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("repeat hit on a line that is not its set's MRU line did not panic")
+		}
+	}()
+	h.AccessRepeatL1(a, 1)
 }

@@ -6,7 +6,7 @@ import "graphmem/internal/check"
 // stood before the set blocks: tags and 32-bit LRU stamps in two
 // arrays, a branch-free hit scan, then a separate victim scan on a
 // miss. Kept verbatim as the oracle the differential test and
-// FuzzLevelMatchesReference hold the block layout to.
+// FuzzLevelMatchesReference hold the recency lists to.
 
 type refLevel struct {
 	setsMask uint64

@@ -1,14 +1,19 @@
 package cache
 
-import "graphmem/internal/ckpt"
+import (
+	"fmt"
+	"slices"
 
-// State walk (DESIGN.md §5e). The set blocks (tags and LRU stamps), the
-// clock, and each level's memoized last-touched way are walked
-// verbatim — AccessRepeatL1's bulk fast path reads last directly, so a
-// forked or loaded cache must resume mid-stream exactly where the
-// original stopped. A decoded hierarchy is validated against its
-// decoded Config with newLevel's rules, failing the Decoder instead of
-// panicking on hostile images.
+	"graphmem/internal/ckpt"
+)
+
+// State walk (DESIGN.md §5e). Each level's tag array is walked
+// verbatim: every set's order is its LRU stack, so a forked or loaded
+// cache replaces and bulk-hits exactly as the original would have. A
+// decoded hierarchy is validated against its decoded Config with
+// newLevel's rules, and every decoded set must be a well-formed
+// recency list, failing the Decoder instead of panicking or
+// mis-simulating on hostile images.
 
 func (c *LevelConfig) state(w *ckpt.Walker) {
 	w.Int(&c.Bytes)
@@ -27,9 +32,7 @@ func (c *Config) state(w *ckpt.Walker) {
 func (l *level) state(w *ckpt.Walker) {
 	w.U64(&l.setsMask)
 	w.Int(&l.ways)
-	ckpt.Slice(w, &l.block)
-	w.U64(&l.clock)
-	w.Int(&l.last)
+	ckpt.Slice(w, &l.tags)
 }
 
 func (h *Hierarchy) state(w *ckpt.Walker) {
@@ -52,8 +55,8 @@ func Walk(w *ckpt.Walker, p **Hierarchy) {
 
 // checkGeometry fails the decoder unless l has exactly the shape
 // newLevel(c) would build, plus a resident line count (degenerate
-// zero-line levels never exist in a staged machine) and an in-bounds
-// last index (AccessRepeatL1 dereferences it unchecked).
+// zero-line levels never exist in a staged machine), and unless every
+// set is a well-formed recency list.
 func (l *level) checkGeometry(d *ckpt.Decoder, c LevelConfig, name string) {
 	if d.Err() != nil {
 		return
@@ -68,12 +71,33 @@ func (l *level) checkGeometry(d *ckpt.Decoder, c LevelConfig, name string) {
 		d.Failf("cache: %s: set count %d not a positive power of two", name, sets)
 		return
 	}
-	if l.ways != c.Ways || l.setsMask != uint64(sets-1) || len(l.block) != lines {
+	if l.ways != c.Ways || l.setsMask != uint64(sets-1) || len(l.tags) != lines {
 		d.Failf("cache: %s: array shape does not match config (%d bytes, %d ways)",
 			name, c.Bytes, c.Ways)
 		return
 	}
-	if l.last < 0 || l.last >= len(l.block) {
-		d.Failf("cache: %s: last-way index %d out of range [0,%d)", name, l.last, len(l.block))
+	if err := l.checkSets(); err != nil {
+		d.Failf("cache: %s: %v", name, err)
 	}
+}
+
+// checkSets reports the first set that is not a recency list: its
+// resident tags must come before its empty slots, be distinct, and
+// belong to that set.
+func (l *level) checkSets() error {
+	for s := 0; s <= int(l.setsMask); s++ {
+		set := l.tags[s*l.ways : (s+1)*l.ways]
+		for w, t := range set {
+			switch {
+			case t == 0:
+			case w > 0 && set[w-1] == 0:
+				return fmt.Errorf("set %d slot %d: tag %#x after an empty slot", s, w, t)
+			case int((t-1)&l.setsMask) != s:
+				return fmt.Errorf("set %d slot %d: tag %#x belongs to set %d", s, w, t, (t-1)&l.setsMask)
+			case slices.Contains(set[:w], t):
+				return fmt.Errorf("set %d: duplicate tag %#x", s, t)
+			}
+		}
+	}
+	return nil
 }

@@ -49,7 +49,7 @@ import (
 // an image of an older format fails cleanly instead of decoding as
 // garbage (the key handles spec changes; the version handles format
 // changes).
-const Version = 4
+const Version = 5
 
 var magic = [8]byte{'G', 'M', 'C', 'K', 'P', 'T', '0', '\n'}
 

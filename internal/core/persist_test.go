@@ -223,13 +223,15 @@ var imageDigests = map[uint32]string{
 	2: "4de349fc2293c1f94247e7590ecf30a7840e7ac4b6987499acaf887cd8ccc80d",
 	3: "609a7713a2c991129fb2320722b43f26c91c83aaa27d7ab27e5d4b9cec9978de",
 	4: "694cf8954b415bb82fdf1abcb09691a68087e6b0888d21c49dd57adac25c5742",
+	5: "a0d7029e91afebb25464e3933fc0da1b40f131fb21b92af15ef67ebabffb755d",
 }
 
 // TestCheckpointFormatDrift guards the image format: a change to any
 // state walk, to the state it walks, or to the container moves these
-// bytes, and stores written before it would then load as garbage or fail.
-// Such a change must bump ckpt.Version, which makes older images fail
-// cleanly, and record the new digest under the new version.
+// bytes, and an image saved before the change would then decode as
+// garbage or fail partway through its walk. Such a change must bump
+// ckpt.Version, so that Load rejects an older image by its version,
+// and record the new digest under the new version.
 func TestCheckpointFormatDrift(t *testing.T) {
 	cp, err := core.Prepare(persistSpec(t, core.THPAlways()))
 	if err != nil {

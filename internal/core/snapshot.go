@@ -80,9 +80,6 @@ func Prepare(spec RunSpec) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// Spec returns the spec the checkpoint was prepared from.
-func (cp *Checkpoint) Spec() RunSpec { return cp.spec }
-
 // Fork returns an independent machine+image pair positioned at the end
 // of the load phase. Snapshot-on, that is a ForkPair of the frozen
 // machine and its image.

@@ -73,10 +73,10 @@ func TestFindAndRegistry(t *testing.T) {
 	}
 }
 
-// TestRunAndRenderUnknownID checks that a one-worker campaign rejects a
+// TestRunCampaignUnknownID checks that a one-worker campaign rejects a
 // selection holding an unknown id as a whole, before it runs or renders
 // any experiment, even the known ones listed first.
-func TestRunAndRenderUnknownID(t *testing.T) {
+func TestRunCampaignUnknownID(t *testing.T) {
 	s := testSuite()
 	var out strings.Builder
 	if _, err := RunCampaign(s, []string{"table1", "bogus"}, CampaignOptions{Workers: 1}, &out); err == nil {
@@ -155,7 +155,7 @@ var registryDigests = map[string]string{
 	"ext-grid":      "cfb82760ae364c4762e286cb4bc6b652ac6bdd7da7a88eb18f401a1b6f8ec525",
 	"ext-rollout":   "edb20826a49d9e0e2fd440bc538f7d6532af31ce7bc9a46dd65c747ac79e7b12",
 	"ext-shard":     "361f5d2779a527130e8214379daf0ff3dca991539776f2d9660868501757ee39",
-	"ext-fullscale": "774c98b20190cbeb561a1c5a748c3ea2b6bc79195743e08a512d0a189f61695f",
+	"ext-fullscale": "e7083de3c4e3b97f7230f13047ff9c80098a5909b4a25d53b6ba53ec9692da78",
 }
 
 // TestFullRegistryAtTestScale runs every registered experiment at tiny

@@ -26,7 +26,7 @@ import (
 // table hit resolves it without the radix walk. The probe is
 // functional-only — a Translate success charges no cycles either — so
 // the modeled cost is unchanged. A walked or faulted translation fills
-// its table slot.
+// its table slot. The first refill of a machine allocates the tables.
 //
 // The kernel's HandleFault returns the translation of the mapping it
 // installed, so the fault path needs no second radix walk: the returned
@@ -35,12 +35,17 @@ import (
 // HandleFault returned — emptying the whole cache — so the seed cannot
 // be stale.
 func (m *Machine) refillTranslation(va uint64) uint64 {
-	s4 := &m.tr4K[va>>memsys.PageShift&(trSlots4K-1)]
+	t := m.trTab
+	if t == nil {
+		t = new(trTables)
+		m.trTab = t
+	}
+	s4 := &t.t4K[va>>memsys.PageShift&(trSlots4K-1)]
 	if s4.key == va>>memsys.PageShift+1 {
 		m.setPrimary(s4.tr)
 		return 0
 	}
-	s2 := &m.tr2M[va>>hugeShift&(trSlots2M-1)]
+	s2 := &t.t2M[va>>hugeShift&(trSlots2M-1)]
 	if s2.key == va>>hugeShift+1 {
 		m.setPrimary(s2.tr)
 		return 0

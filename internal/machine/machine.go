@@ -87,6 +87,13 @@ type trSlot struct {
 	tr  vm.Translation
 }
 
+// trTables are the translation cache's page-indexed tables, one per
+// page size.
+type trTables struct {
+	t4K [trSlots4K]trSlot
+	t2M [trSlots2M]trSlot
+}
+
 // Machine is one simulated host running one workload.
 //
 // The fields a sharded run must keep private per shard — the TLB and

@@ -406,14 +406,16 @@ func TestTranslationCacheInvalidatedOnUnmap(t *testing.T) {
 // liveTranslations counts the translation cache's live entries: the
 // primary entry and every full slot of both tables.
 func liveTranslations(m *Machine) (primary bool, slots4K, slots2M int) {
-	for _, e := range m.tr4K {
-		if e.key != 0 {
-			slots4K++
+	if t := m.trTab; t != nil {
+		for _, e := range t.t4K {
+			if e.key != 0 {
+				slots4K++
+			}
 		}
-	}
-	for _, e := range m.tr2M {
-		if e.key != 0 {
-			slots2M++
+		for _, e := range t.t2M {
+			if e.key != 0 {
+				slots2M++
+			}
 		}
 	}
 	return m.trSpan != 0, slots4K, slots2M
@@ -585,5 +587,28 @@ func TestForkAndLoadStartTranslationCacheEmpty(t *testing.T) {
 			t.Fatalf("%s diverged from the original on the same stream: cycles %d vs %d, TLB %+v vs %+v, cache %+v vs %+v",
 				c.name, c.m.Cycles(), m.Cycles(), c.m.TLB.Stats(), m.TLB.Stats(), c.m.Cache.Stats(), m.Cache.Stats())
 		}
+	}
+}
+
+// TestForkSharesNoTranslationTables pins that a fork copies no
+// translation-cache table: a fork of a machine with live slots holds no
+// tables until its first refill allocates its own, and the source's
+// tables stay its own and full.
+func TestForkSharesNoTranslationTables(t *testing.T) {
+	m := newTestMachine(t, oskernel.DefaultConfig())
+	huge, _ := fillTranslations(t, m)
+	src := m.trTab
+	f := m
+	Walk(ckpt.Cloner(), &f, nil)
+	if f.trTab != nil {
+		t.Fatal("the fork holds translation tables before its first refill")
+	}
+	if _, n4, n2 := liveTranslations(m); m.trTab != src || n4 == 0 || n2 == 0 {
+		t.Fatalf("forking left the source %d 4 KB and %d 2 MB live slots in tables %p, want its full tables %p",
+			n4, n2, m.trTab, src)
+	}
+	f.Access(huge.Base)
+	if f.trTab == nil || f.trTab == src {
+		t.Fatalf("the fork's first refill left it tables %p (source's %p), want tables of its own", f.trTab, src)
 	}
 }

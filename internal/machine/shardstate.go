@@ -33,21 +33,21 @@ type shardState struct {
 	// entirely; trSpan == 0 means empty (the unsigned compare
 	// va-trBase >= trSpan then always misses).
 	//
-	// tr4K and tr2M are direct-mapped tables behind the primary entry,
-	// indexed by virtual page number and probed only on a primary miss
-	// (access_slow.go). Every refill fills the slot of its page, so an
-	// irregular gather cycling over a few thousand pages resolves them
-	// without a radix walk. trLive records that some slot may be full
-	// since the tables were last emptied; shootdown() empties them and
-	// the primary entry whenever any mapping changes. The cache is
-	// functional-only — Translate charges no cycles — so it changes no
-	// modeled cost, only simulator speed (MODEL.md §1), and it is not
-	// part of the state walk: a fork or a load starts it empty.
+	// trTab holds the direct-mapped tables behind the primary entry,
+	// one per page size, indexed by virtual page number and probed only
+	// on a primary miss (access_slow.go). Every refill fills the slot of
+	// its page, so an irregular gather cycling over a few thousand pages
+	// resolves them without a radix walk. trLive records that some slot
+	// may be full since the tables were last emptied; shootdown()
+	// empties them and the primary entry whenever any mapping changes.
+	// The cache is functional-only — Translate charges no cycles — so it
+	// changes no modeled cost, only simulator speed (MODEL.md §1), and it
+	// is not part of the state walk: a fork or a load starts with no
+	// tables, and its first refill allocates them.
 	tr     vm.Translation
 	trBase uint64
 	trSpan uint64
-	tr4K   [trSlots4K]trSlot
-	tr2M   [trSlots2M]trSlot
+	trTab  *trTables
 	trLive bool
 
 	// Phase and per-array accounting (stats.go).
@@ -67,8 +67,7 @@ type shardState struct {
 func (s *shardState) flushTranslations() {
 	s.tr, s.trBase, s.trSpan = vm.Translation{}, 0, 0
 	if s.trLive {
-		clear(s.tr4K[:])
-		clear(s.tr2M[:])
+		*s.trTab = trTables{}
 		s.trLive = false
 	}
 }

@@ -138,10 +138,11 @@ func (s *shardState) state(w *ckpt.Walker) {
 	// The translation cache is not walked. It is functional-only and
 	// vm.Translate has no side effects, so an empty cache yields the
 	// same simulation; and its entries name the original space's VMAs.
-	// A fork empties its copy, and a decode starts from an empty one.
-	_, _, _, _, _, _ = s.tr, s.trBase, s.trSpan, s.tr4K, s.tr2M, s.trLive
+	// A fork drops the tables its shallow copy shares with the source,
+	// and a decode starts from none.
+	_, _, _, _, _ = s.tr, s.trBase, s.trSpan, s.trTab, s.trLive
 	if w.Cloning() {
-		s.flushTranslations()
+		s.tr, s.trBase, s.trSpan, s.trTab, s.trLive = vm.Translation{}, 0, 0, nil, false
 	}
 	s.phase.state(w)
 	ckpt.Fixed(w, &s.tlbAtPhase)

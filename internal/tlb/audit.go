@@ -1,21 +1,23 @@
 package tlb
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CheckInvariants validates the structural invariants of every array in
 // the hierarchy and returns an error describing the first violation.
 // The simcheck runtime sanitizer (check.Audit) calls it at policy
 // boundaries; tests call it after operation sequences.
 //
-// Checked per set-associative structure:
+// Checked per set-associative structure, whose sets are recency lists:
 //
-//   - occupancy: each set holds at most `ways` valid entries (the set
-//     blocks are sets×ways, so a violation means index corruption);
+//   - geometry: the tag array holds sets × ways slots;
+//   - valid tags form a prefix of their set (no tag after an invalid
+//     slot), so the set's last slot is always its victim;
 //   - no duplicate tags within a set (a duplicate would make hit/evict
-//     behaviour depend on way-scan order);
-//   - set residency: a tag's key hashes to the set that holds it;
-//   - LRU sanity: stamps never exceed the structure's clock, and
-//     invalid ways carry a zero stamp.
+//     behaviour depend on slot order);
+//   - set residency: a tag's key hashes to the set that holds it.
 func (h *Hierarchy) CheckInvariants() error {
 	structs := []struct {
 		name string
@@ -38,42 +40,28 @@ func (h *Hierarchy) CheckInvariants() error {
 
 func (s *setAssoc) checkInvariants() error {
 	if s.ways == 0 {
-		if len(s.block) != 0 {
-			return fmt.Errorf("zero ways but %d way slots", len(s.block))
+		if len(s.tags) != 0 {
+			return fmt.Errorf("zero ways but %d slots", len(s.tags))
 		}
 		return nil
 	}
 	sets := int(s.setsMask) + 1
-	if len(s.block) != sets*s.ways {
-		return fmt.Errorf("geometry mismatch: %d sets × %d ways but %d way slots",
-			sets, s.ways, len(s.block))
+	if len(s.tags) != sets*s.ways {
+		return fmt.Errorf("geometry mismatch: %d sets × %d ways but %d slots",
+			sets, s.ways, len(s.tags))
 	}
-	for set := 0; set < sets; set++ {
-		blk := s.block[set*s.ways : (set+1)*s.ways]
-		occupied := 0
-		for w, e := range blk {
-			tag := e.tag
-			if tag == 0 {
-				if e.stamp != 0 {
-					return fmt.Errorf("set %d way %d: invalid entry with nonzero stamp %d", set, w, e.stamp)
-				}
-				continue
+	for i := 0; i < sets; i++ {
+		set := s.tags[i*s.ways : (i+1)*s.ways]
+		for w, t := range set {
+			switch {
+			case t == 0:
+			case w > 0 && set[w-1] == 0:
+				return fmt.Errorf("set %d slot %d: tag %#x after an invalid slot", i, w, t)
+			case int((t-1)&s.setsMask) != i:
+				return fmt.Errorf("set %d slot %d: tag %#x belongs to set %d", i, w, t, (t-1)&s.setsMask)
+			case slices.Contains(set[:w], t):
+				return fmt.Errorf("set %d: duplicate tag %#x", i, t)
 			}
-			occupied++
-			if got := int((tag - 1) & s.setsMask); got != set {
-				return fmt.Errorf("set %d way %d: tag %#x belongs to set %d", set, w, tag, got)
-			}
-			if e.stamp > s.clock {
-				return fmt.Errorf("set %d way %d: stamp %d exceeds clock %d", set, w, e.stamp, s.clock)
-			}
-			for w2 := w + 1; w2 < s.ways; w2++ {
-				if blk[w2].tag == tag {
-					return fmt.Errorf("set %d: duplicate tag %#x in ways %d and %d", set, tag, w, w2)
-				}
-			}
-		}
-		if occupied > s.ways {
-			return fmt.Errorf("set %d: occupancy %d exceeds associativity %d", set, occupied, s.ways)
 		}
 	}
 	return nil

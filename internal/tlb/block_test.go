@@ -1,20 +1,26 @@
 package tlb
 
 import (
+	"bytes"
+	"cmp"
+	"slices"
+	"strings"
 	"testing"
 
+	"graphmem/internal/ckpt"
 	"graphmem/internal/vm"
 )
 
-// setPair drives a set-block array and the parallel-array oracle
+// setPair drives a recency-list array and the stamp-based oracle
 // through the same operations and fails on the first divergence in any
-// result, tag, stamp or clock.
+// result or set order.
 type setPair struct {
 	t   testing.TB
 	s   *setAssoc
 	ref *refSetAssoc
-	// Inserts into a set with two or more invalid ways (the last-invalid
-	// rule decides), and inserts into a full set (the lowest stamp does).
+	// Inserts into a set with two or more invalid ways (the oracle's
+	// last-invalid rule decides), and inserts into a full set (its
+	// lowest stamp does).
 	fillsPastEmpty, evictions int
 }
 
@@ -47,27 +53,63 @@ func (p *setPair) countRule(key uint64) {
 	}
 }
 
+// check requires every set of the array to list exactly the oracle's
+// valid tags of that set, most recent stamp first, then zeros.
 func (p *setPair) check(op string, key uint64) {
 	p.t.Helper()
 	s, r := p.s, p.ref
-	if s.clock != uint64(r.clock) || len(s.block) != len(r.tags) {
-		p.t.Fatalf("after %s(%d): clock %d (%d ways), reference clock %d (%d ways)",
-			op, key, s.clock, len(s.block), r.clock, len(r.tags))
+	if len(s.tags) != len(r.tags) {
+		p.t.Fatalf("after %s(%d): %d slots, reference %d", op, key, len(s.tags), len(r.tags))
 	}
-	for i, e := range s.block {
-		if e.tag != r.tags[i] || e.stamp != uint64(r.stamp[i]) {
-			p.t.Fatalf("after %s(%d): way %d holds tag %#x stamp %d, reference tag %#x stamp %d",
-				op, key, i, e.tag, e.stamp, r.tags[i], r.stamp[i])
+	for base := 0; base < len(s.tags); base += s.ways {
+		want := recencyOrder(p.t, r.tags[base:base+s.ways], r.stamp[base:base+s.ways])
+		if got := s.tags[base : base+s.ways]; !slices.Equal(got, want) {
+			p.t.Fatalf("after %s(%d): set %d is %#x, reference order %#x", op, key, base/s.ways, got, want)
 		}
 	}
 }
 
+// refMRU reports whether key is the oracle's most recently used entry of
+// its set.
+func (p *setPair) refMRU(key uint64) bool {
+	r := p.ref
+	if r.ways == 0 {
+		return false
+	}
+	base := int(key&r.setsMask) * r.ways
+	return recencyOrder(p.t, r.tags[base:base+r.ways], r.stamp[base:base+r.ways])[0] == key+1
+}
+
+// recencyOrder returns a stamp-LRU set as a recency list: its valid
+// tags by descending stamp, then zeros. Two valid tags with one stamp
+// would leave the order undefined, so they fail the test.
+func recencyOrder(t testing.TB, tags []uint64, stamps []uint32) []uint64 {
+	t.Helper()
+	var live []int
+	for w, tag := range tags {
+		if tag != 0 {
+			live = append(live, w)
+		}
+	}
+	slices.SortFunc(live, func(a, b int) int { return cmp.Compare(stamps[b], stamps[a]) })
+	order := make([]uint64, len(tags))
+	for i, w := range live {
+		if i > 0 && stamps[w] == stamps[live[i-1]] {
+			t.Fatalf("reference set %#x: two valid tags share stamp %d", tags, stamps[w])
+		}
+		order[i] = tags[w]
+	}
+	return order
+}
+
 // replay decodes data two bytes per operation over 24 keys, three times
 // the capacity of the arrays it is used on: lookups, repeat hits,
-// inserts, invalidations and resets. Inserts outnumber invalidations
-// only two to one, so sets keep holes for inserts to fill. It stops
-// after 4096 operations, so the clock stays far below 2^32, where the
-// oracle's 32-bit stamps wrap.
+// inserts, invalidations and resets. A repeat hit is legal only on its
+// set's MRU entry, so it runs on the oracle only where the array's
+// isMRU, which must agree with the oracle's stamps, allows it. Inserts
+// outnumber invalidations only two to one, so sets keep holes for
+// inserts to fill. It stops after 4096 operations, so the oracle's
+// clock stays far below 2^32, where its 32-bit stamps wrap.
 func (p *setPair) replay(data []byte) {
 	p.t.Helper()
 	for ops := 0; len(data) >= 2 && ops < 4096; ops++ {
@@ -82,10 +124,14 @@ func (p *setPair) replay(data []byte) {
 			p.check("lookup", key)
 		case 2:
 			n := uint64(op >> 3)
-			if got, want := p.s.repeatHit(key, n), p.ref.repeatHit(key, n); got != want {
-				p.t.Fatalf("repeatHit(%d, %d) = %v, reference %v", key, n, got, want)
+			mru := p.s.isMRU(key)
+			if want := p.refMRU(key); mru != want {
+				p.t.Fatalf("isMRU(%d) = %v, reference %v", key, mru, want)
 			}
-			p.check("repeatHit", key)
+			if mru {
+				p.ref.repeatHit(key, n)
+				p.check("repeatHit", key)
+			}
 		case 3, 4, 5, 6:
 			p.countRule(key)
 			p.s.insert(key)
@@ -111,7 +157,7 @@ var pairConfigs = []SetConfig{{Entries: 8, Ways: 4}, {Entries: 8, Ways: 8}, {}}
 
 // TestSetAssocMatchesReference replays a long pseudo-random stream
 // against the oracle and requires it to have exercised both the
-// last-invalid rule and lowest-stamp eviction.
+// oracle's last-invalid rule and its lowest-stamp eviction.
 func TestSetAssocMatchesReference(t *testing.T) {
 	data := make([]byte, 8000)
 	x := uint64(1)
@@ -141,17 +187,17 @@ func FuzzSetAssocMatchesReference(f *testing.F) {
 	})
 }
 
-// TestLRUAcrossOldClockWrap starts the L1 4K array's clock just below
-// 2^32, where 32-bit stamps used to wrap, fills one set, re-touches
-// every way but the first, and requires the next fill to evict that
-// untouched way: with a wrapped clock the re-touched entries looked
-// oldest instead.
+// TestLRUAcrossOldClockWrap pins the scenario 32-bit LRU stamps once
+// got wrong where they wrapped: fill one set of the L1 4K array,
+// re-touch every page but the first, and the next fill must evict that
+// untouched page. The set is its own recency list, with no clock to
+// wrap, so the test reads the order directly.
 func TestLRUAcrossOldClockWrap(t *testing.T) {
 	h := New(Haswell())
 	s := h.l14k
-	s.clock = 0xFFFFFFFD
 	sets := s.setsMask + 1
 	va := func(k int) uint64 { return uint64(k) * sets << 12 } // all in set 0
+	tag := func(k int) uint64 { return va(k)>>12 + 1 }
 	for k := 0; k < s.ways; k++ {
 		h.Fill(va(k), vm.Page4K)
 	}
@@ -160,18 +206,54 @@ func TestLRUAcrossOldClockWrap(t *testing.T) {
 			t.Fatalf("re-touch of page %d missed the L1", k)
 		}
 	}
-	if s.clock <= 1<<32 {
-		t.Fatalf("clock %#x did not cross 2^32", s.clock)
+	if got := s.tags[s.ways-1]; got != tag(0) {
+		t.Fatalf("LRU slot holds tag %#x, want the untouched page 0 (tag %#x)", got, tag(0))
 	}
 	h.Fill(va(s.ways), vm.Page4K)
-	// The lookup misses the L1 and refills page 0 from the STLB,
-	// evicting page 1, now the least recent.
-	if h.Lookup(va(0), vm.Page4K).L1Hit {
-		t.Fatal("untouched page 0 survived the fill; a recently used page was evicted")
+	want := []uint64{tag(s.ways)}
+	for k := s.ways - 1; k >= 1; k-- {
+		want = append(want, tag(k))
 	}
-	for k := 2; k <= s.ways; k++ {
-		if !h.Lookup(va(k), vm.Page4K).L1Hit {
-			t.Fatalf("page %d was evicted out of LRU order", k)
+	if got := s.tags[:s.ways]; !slices.Equal(got, want) {
+		t.Fatalf("after the fill set 0 is %#x, want %#x: page 0 evicted, the rest most recent first", got, want)
+	}
+}
+
+// TestDecodeRejectsMalformedSets plants each way a set can fail to be a
+// recency list in an L1 4K set of an encoded hierarchy, and requires
+// decoding to fail; the unplanted hierarchy decodes to the same sets.
+func TestDecodeRejectsMalformedSets(t *testing.T) {
+	// Set 0 of Haswell's 16-set L1 4K array holds the keys that are
+	// multiples of 16, whose tags are 1, 17, 33, ...
+	for _, c := range []struct {
+		set0 []uint64
+		want string // in the decode error; "" for a clean set
+	}{
+		{[]uint64{17, 1, 0, 0}, ""},
+		{[]uint64{17, 0, 1, 0}, "after an invalid slot"},
+		{[]uint64{17, 17, 0, 0}, "duplicate tag"},
+		{[]uint64{17, 2, 0, 0}, "belongs to set 1"},
+	} {
+		h := New(Haswell())
+		copy(h.l14k.tags, c.set0)
+		var buf bytes.Buffer
+		if _, err := ckpt.Save(&buf, "tlb", func(e *ckpt.Encoder) { Walk(e.Walker(), &h) }); err != nil {
+			t.Fatal(err)
+		}
+		d, err := ckpt.Load(bytes.NewReader(buf.Bytes()), "tlb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got *Hierarchy
+		Walk(d.Walker(), &got)
+		err = d.Finish()
+		switch {
+		case c.want == "" && err != nil:
+			t.Fatalf("set 0 = %#x failed to decode: %v", c.set0, err)
+		case c.want == "" && !slices.Equal(got.l14k.tags, h.l14k.tags):
+			t.Fatalf("decoded L1 4K array %#x, encoded %#x", got.l14k.tags, h.l14k.tags)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Fatalf("set 0 = %#x decoded with error %v, want one naming %q", c.set0, err, c.want)
 		}
 	}
 }

@@ -2,13 +2,14 @@ package tlb
 
 import "graphmem/internal/ckpt"
 
-// State walk (DESIGN.md §5e). The set blocks (tags and stamps) and the
-// clock of every set-associative array are walked verbatim: replacement
-// decisions depend on exact LRU stamps, so anything less would break
-// the fork and reload determinism contract (MODEL.md §7). A decoded
+// State walk (DESIGN.md §5e). The tag array of every set-associative
+// array is walked verbatim: each set's order is its LRU stack, which
+// replacement decisions depend on, so anything less would break the
+// fork and reload determinism contract (MODEL.md §7). A decoded
 // hierarchy is validated against its decoded Config with the same rules
-// New enforces, failing the Decoder instead of panicking, since the
-// image may be hostile.
+// New enforces, and every decoded set must pass the audit's recency
+// list check, failing the Decoder instead of panicking or
+// mis-simulating, since the image may be hostile.
 
 func (c *SetConfig) state(w *ckpt.Walker) {
 	w.Int(&c.Entries)
@@ -31,8 +32,7 @@ func (c *Config) state(w *ckpt.Walker) {
 func (s *setAssoc) state(w *ckpt.Walker) {
 	w.U64(&s.setsMask)
 	w.Int(&s.ways)
-	ckpt.Slice(w, &s.block)
-	w.U64(&s.clock)
+	ckpt.Slice(w, &s.tags)
 }
 
 func (h *Hierarchy) state(w *ckpt.Walker) {
@@ -62,13 +62,13 @@ func Walk(w *ckpt.Walker, p **Hierarchy) {
 }
 
 // checkGeometry fails the decoder unless s has exactly the shape
-// newSetAssoc(c) would build.
+// newSetAssoc(c) would build and every set is a recency list.
 func (s *setAssoc) checkGeometry(d *ckpt.Decoder, c SetConfig, name string) {
 	if d.Err() != nil {
 		return
 	}
 	if c.Entries == 0 {
-		if s.setsMask != 0 || s.ways != 0 || len(s.block) != 0 {
+		if s.setsMask != 0 || s.ways != 0 || len(s.tags) != 0 {
 			d.Failf("tlb: %s: zero-entry config with non-empty array", name)
 		}
 		return
@@ -82,8 +82,12 @@ func (s *setAssoc) checkGeometry(d *ckpt.Decoder, c SetConfig, name string) {
 		d.Failf("tlb: %s: set count %d not a power of two", name, sets)
 		return
 	}
-	if s.ways != c.Ways || s.setsMask != uint64(sets-1) || len(s.block) != sets*c.Ways {
+	if s.ways != c.Ways || s.setsMask != uint64(sets-1) || len(s.tags) != sets*c.Ways {
 		d.Failf("tlb: %s: array shape does not match config (%d entries, %d ways)",
 			name, c.Entries, c.Ways)
+		return
+	}
+	if err := s.checkInvariants(); err != nil {
+		d.Failf("tlb: %s: %v", name, err)
 	}
 }

@@ -100,23 +100,15 @@ func Scaled(c Config, div int) Config {
 	}
 }
 
-// way is one entry slot of a set: the key's tag (key+1, so 0 means
-// invalid) next to its LRU stamp. A set's ways are contiguous, so one
-// probe reads a single block of tags and stamps.
-type way struct {
-	tag   uint64
-	stamp uint64
-}
-
 // setAssoc is a generic set-associative tag array with per-set LRU.
+// Each set is its LRU stack: the tags (key+1) of its valid entries,
+// most recently used first, then its invalid slots (0). The order is
+// the replacement state, so the LRU entry, or an invalid slot, is
+// always the set's last slot and no victim search is needed.
 type setAssoc struct {
 	setsMask uint64
 	ways     int
-	block    []way // sets × ways; set s holds block[s*ways : (s+1)*ways]
-	// clock advances once per hit or fill and by n per repeat hit; at
-	// 64 bits it cannot wrap within any run, so a larger stamp is always
-	// the more recent touch.
-	clock uint64
+	tags     []uint64 // sets × ways; set s holds tags[s*ways : (s+1)*ways]
 }
 
 func newSetAssoc(c SetConfig) *setAssoc {
@@ -130,109 +122,79 @@ func newSetAssoc(c SetConfig) *setAssoc {
 	return &setAssoc{
 		setsMask: uint64(sets - 1),
 		ways:     c.Ways,
-		block:    make([]way, sets*c.Ways),
+		tags:     make([]uint64, sets*c.Ways),
 	}
 }
 
-// probe returns key's set and the way holding key in it, or -1. The
-// scan has no early exit: its select compiles to a conditional move, so
-// a hit in a different way on every probe costs no branch mispredict.
-func (s *setAssoc) probe(key uint64) ([]way, int) {
+// set returns the slots of key's set.
+func (s *setAssoc) set(key uint64) []uint64 {
 	base := int(key&s.setsMask) * s.ways
-	set := s.block[base : base+s.ways]
-	hit := -1
-	for w := range set {
-		if set[w].tag == key+1 {
-			hit = w
-		}
-	}
-	return set, hit
+	return s.tags[base : base+s.ways]
 }
 
-// lookup probes for key; on hit it refreshes LRU and returns true.
+// lookup probes for key; on a hit it moves key to the front of its set.
 func (s *setAssoc) lookup(key uint64) bool {
 	if s.ways == 0 {
 		return false
 	}
-	set, hit := s.probe(key)
-	if hit < 0 {
-		return false
+	tag := key + 1
+	set := s.set(key)
+	for w, t := range set {
+		if t == tag {
+			for ; w > 0; w-- {
+				set[w] = set[w-1]
+			}
+			set[0] = tag
+			return true
+		}
 	}
-	s.clock++
-	set[hit].stamp = s.clock
-	return true
+	return false
 }
 
-// repeatHit refreshes key's LRU state as n consecutive hitting lookups
-// would: each hit advances the set's clock by one and leaves the entry's
-// stamp at the new clock, so n hits in a row net to clock += n with the
-// stamp landing on the final value and no other way touched. Returns
-// false when the entry is absent (the caller's residency guarantee was
-// broken).
-func (s *setAssoc) repeatHit(key, n uint64) bool {
-	if s.ways == 0 {
-		return false
-	}
-	set, hit := s.probe(key)
-	if hit < 0 {
-		return false
-	}
-	s.clock += n
-	set[hit].stamp = s.clock
-	return true
+// isMRU reports whether key is the most recently used entry of its set.
+// n hitting lookups of such an entry leave its set as it is.
+func (s *setAssoc) isMRU(key uint64) bool {
+	return s.ways != 0 && s.set(key)[0] == key+1
 }
 
-// insert fills key, evicting the LRU way of its set if necessary: a
-// present key is only refreshed; otherwise the victim is the last
-// invalid way, else the way with the lowest stamp, the earliest index
-// breaking ties. One pass finds the hit, the last invalid way and the
-// lowest stamp together.
+// insert moves key to the front of its set, filling it if absent. One
+// walk does the probe and the update: each entry it passes shifts down
+// one slot, and it stops at key or falls off the end of the set,
+// dropping the LRU entry or an invalid slot.
 func (s *setAssoc) insert(key uint64) {
 	if s.ways == 0 {
 		return
 	}
 	tag := key + 1
-	base := int(key&s.setsMask) * s.ways
-	set := s.block[base : base+s.ways]
-	hit, empty, victim, oldest := -1, -1, 0, set[0].stamp
-	for w := range set {
-		t, st := set[w].tag, set[w].stamp
+	set := s.set(key)
+	prev := tag
+	for w, t := range set {
+		set[w] = prev
 		if t == tag {
-			hit = w
+			return
 		}
-		if t == 0 {
-			empty = w
-		}
-		if st < oldest {
-			victim, oldest = w, st
-		}
+		prev = t
 	}
-	s.clock++
-	switch {
-	case hit >= 0:
-		set[hit].stamp = s.clock
-		return
-	case empty >= 0:
-		victim = empty
-	}
-	set[victim] = way{tag: tag, stamp: s.clock}
 }
 
-// invalidate removes key if present.
+// invalidate removes key if present, moving the older entries up one
+// slot.
 func (s *setAssoc) invalidate(key uint64) {
 	if s.ways == 0 {
 		return
 	}
-	if set, hit := s.probe(key); hit >= 0 {
-		set[hit] = way{}
+	set := s.set(key)
+	for w, t := range set {
+		if t == key+1 {
+			copy(set[w:], set[w+1:])
+			set[len(set)-1] = 0
+			return
+		}
 	}
 }
 
 // reset clears all entries.
-func (s *setAssoc) reset() {
-	clear(s.block)
-	s.clock = 0
-}
+func (s *setAssoc) reset() { clear(s.tags) }
 
 // Stats holds the hierarchy's counters. DTLB terminology follows the
 // paper: a "DTLB miss" is a first-level miss; those either hit the STLB
@@ -374,20 +336,22 @@ func (h *Hierarchy) L1Holds(size vm.PageSizeClass) bool {
 
 // LookupRepeatHit charges n translation lookups of va that are known to
 // hit the L1 array: an earlier Lookup in the same access run installed
-// or refreshed the entry and nothing has invalidated it since. Counters
-// and the array's LRU clock advance exactly as n Lookup calls returning
-// L1Hit would. It panics when the entry is absent, because that means a
-// bulk caller's same-page residency guarantee does not hold.
+// or refreshed the entry, leaving it the most recently used entry of
+// its set, and no lookup has touched the array since. n hits on an MRU
+// entry change only the counters, exactly as n Lookup calls returning
+// L1Hit would. It panics when the entry is absent or not MRU, because
+// that means a bulk caller's same-page residency guarantee does not
+// hold.
 func (h *Hierarchy) LookupRepeatHit(va uint64, size vm.PageSizeClass, n uint64) {
 	h.stats.Lookups += n
 	var ok bool
 	if size == vm.Page2M {
-		ok = h.l12m.repeatHit(va>>21, n)
+		ok = h.l12m.isMRU(va >> 21)
 	} else {
-		ok = h.l14k.repeatHit(va>>12, n)
+		ok = h.l14k.isMRU(va >> 12)
 	}
 	if !ok {
-		panic(check.Failf("tlb: bulk repeat hit on absent translation va=%#x size=%v", va, size))
+		panic(check.Failf("tlb: bulk repeat hit on va=%#x size=%v, whose translation is not the MRU entry of its L1 set", va, size))
 	}
 }
 
@@ -434,8 +398,8 @@ func (h *Hierarchy) WalkCost(va uint64, size vm.PageSizeClass) (memLevels, cache
 	}
 
 	// The walk populates the paging-structure caches on its way down.
-	// The level that hit is already refreshed by its lookup: inserting
-	// it again would only advance its array's clock once more.
+	// The level that hit is already at the front of its set from its
+	// lookup: inserting it again would only walk that set once more.
 	if cachedLevels != 1 {
 		h.pwcPML4E.insert(pml4e)
 	}

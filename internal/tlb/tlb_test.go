@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -162,33 +163,75 @@ func TestWalkCostLevels(t *testing.T) {
 	}
 }
 
-// TestWalkCostRefreshesHitLevelOnce pins that a walk refreshes the
-// paging-structure-cache entry that hit exactly once: the hit level's
-// array clock advances by 1, for its lookup, and is not advanced again
-// by a second insert of the same entry.
+// TestWalkCostRefreshesHitLevelOnce pins what a walk does to the
+// paging-structure cache that hit: its entry, second in its set before
+// the walk, moves to the front, and no other entry of that array
+// moves, since the walk does not insert the level that hit.
 func TestWalkCostRefreshesHitLevelOnce(t *testing.T) {
 	const va = uint64(0x7000_1234_5678)
 	h := New(Haswell())
 	for _, c := range []struct {
 		level  string
+		other  uint64 // walked after va: its entry lands in front of va's
 		va     uint64
 		size   vm.PageSizeClass
 		cached int
 		pwc    *setAssoc
+		key    uint64
 	}{
-		{"PDE", va + 4096, vm.Page4K, 3, h.pwcPDE},      // same 2MB region
-		{"PDPTE", va + 2<<21, vm.Page2M, 2, h.pwcPDPTE}, // same 1GB region
-		{"PML4E", va + 1<<30, vm.Page4K, 1, h.pwcPML4E}, // same 512GB region
+		// other is the next key of va's set (the PDE cache has 8 sets, the
+		// others one); each va is in the same 2MB, 1GB or 512GB region.
+		{"PDE", va + 8<<21, va + 4096, vm.Page4K, 3, h.pwcPDE, va >> 21},
+		{"PDPTE", va + 1<<30, va + 2<<21, vm.Page2M, 2, h.pwcPDPTE, va >> 30},
+		{"PML4E", va + 1<<39, va + 1<<30, vm.Page4K, 1, h.pwcPML4E, va >> 39},
 	} {
 		h.Reset()
 		h.WalkCost(va, vm.Page4K)
-		before := c.pwc.clock
+		h.WalkCost(c.other, vm.Page4K)
+		want := slices.Clone(c.pwc.tags)
+		base := int(c.key&c.pwc.setsMask) * c.pwc.ways
+		if want[base+1] != c.key+1 {
+			t.Fatalf("%s: set before the walk is %#x, want key %#x second",
+				c.level, want[base:base+c.pwc.ways], c.key)
+		}
+		want[base], want[base+1] = want[base+1], want[base]
 		if _, cached := h.WalkCost(c.va, c.size); cached != c.cached {
 			t.Fatalf("%s: walk found %d cached levels, want %d", c.level, cached, c.cached)
 		}
-		if got := c.pwc.clock - before; got != 1 {
-			t.Errorf("%s hit advanced its array clock by %d, want 1", c.level, got)
+		if !slices.Equal(c.pwc.tags, want) {
+			t.Errorf("%s array after the hit is %#x, want %#x: the hit entry in front, nothing else moved",
+				c.level, c.pwc.tags, want)
 		}
+	}
+}
+
+// TestLookupRepeatHitRequiresMRU pins the bulk repeat contract: n
+// repeat hits on the MRU entry of its L1 set count n lookups and move
+// nothing, and a repeat hit on an entry that is resident but not MRU,
+// or absent, panics.
+func TestLookupRepeatHitRequiresMRU(t *testing.T) {
+	h := New(Haswell())
+	sets := h.l14k.setsMask + 1
+	a, b := uint64(0), sets<<12 // both in set 0
+	h.Fill(a, vm.Page4K)
+	h.Fill(b, vm.Page4K)
+	before := slices.Clone(h.l14k.tags)
+	h.LookupRepeatHit(b, vm.Page4K, 5)
+	if got := h.Stats().Lookups; got != 5 {
+		t.Fatalf("5 repeat hits counted %d lookups", got)
+	}
+	if !slices.Equal(h.l14k.tags, before) {
+		t.Fatal("repeat hits on the MRU entry moved an entry")
+	}
+	for _, va := range []uint64{a, 2 * sets << 12} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("repeat hit on va %#x, not MRU in its set, did not panic", va)
+				}
+			}()
+			h.LookupRepeatHit(va, vm.Page4K, 1)
+		}()
 	}
 }
 

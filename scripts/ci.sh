@@ -12,7 +12,7 @@
 #                       suite again with runtime invariant audits live
 #                       (buddy allocator, TLB arrays, VM accounting,
 #                       scheduler task conservation, promise quiescence)
-#   7. zero-alloc + bench smoke + engine gate + set-block oracles
+#   7. zero-alloc + bench smoke + engine gate + LRU oracles
 #                       the staged access engine's fast path, the bulk
 #                       AccessRun path, and the gather AccessGather
 #                       path must stay allocation-free, every machine,
@@ -25,10 +25,10 @@
 #                       of 3 interleaved testing.Benchmark runs per
 #                       side), and 30s runs of FuzzLevelMatchesReference
 #                       and FuzzSetAssocMatchesReference require the
-#                       data-cache levels and TLB arrays, stored as set
-#                       blocks, to match the parallel-array reference
-#                       layouts on every result, victim, tag, stamp,
-#                       clock and counter
+#                       data-cache levels and TLB arrays, whose sets are
+#                       recency lists, to match the stamp-based reference
+#                       copies on every result and counter and on each
+#                       set's LRU order
 #   8. expdriver -j diff
 #                       a bench-scale campaign subset run at -j 1 and
 #                       -j 4 must be byte-identical on every surface
@@ -149,7 +149,7 @@ go test -race ./...
 echo "== test -tags simcheck (runtime audits live)"
 go test -tags simcheck ./internal/...
 
-echo "== zero-alloc fast path + bench smoke + engine gate + set-block oracles"
+echo "== zero-alloc fast path + bench smoke + engine gate + LRU oracles"
 go test -run 'TestAccessFastPathZeroAllocs|TestAccessRunZeroAllocs|TestAccessGatherZeroAllocs' -count=1 ./internal/machine
 go test -run '^$' -bench '^Benchmark' -benchtime 1x ./internal/machine ./internal/memsys ./internal/workload
 GRAPHMEM_SPEEDUP_GATE=1 go test -run '^TestAccessEngineSpeedup$' -count=1 -v ./internal/machine
