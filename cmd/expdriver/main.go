@@ -105,6 +105,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "expdriver: unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "expdriver: -j %d: want a worker count, or 0 for all CPUs\n", *workers)
+		os.Exit(2)
+	}
+	if *priters < 1 {
+		fmt.Fprintf(os.Stderr, "expdriver: -pr-iters %d: want at least 1 iteration\n", *priters)
+		os.Exit(2)
+	}
 
 	if *workers == 0 {
 		*workers = runtime.NumCPU()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"graphmem/internal/cli/clitest"
@@ -32,5 +33,22 @@ func TestFootprintReadsLiveHeap(t *testing.T) {
 					inUse[1], fmt.Sprintf("%.2f", float64(want)/(1<<20)), out)
 			}
 		})
+	}
+}
+
+// TestBadFlagsExit2: a negative -j or a -pr-iters below 1 is rejected
+// before anything runs, with exit status 2, as an unknown -scale is.
+func TestBadFlagsExit2(t *testing.T) {
+	bin := clitest.Build(t, "graphmem/cmd/expdriver")
+	for _, c := range []struct{ flag, value, want string }{
+		{"-scale", "nope", `unknown scale "nope"`},
+		{"-j", "-3", "-j -3"},
+		{"-pr-iters", "0", "-pr-iters 0"},
+		{"-pr-iters", "-2", "-pr-iters -2"},
+	} {
+		out, code := clitest.Run(t, bin, "-scale", "test", "-exp", "fig1", c.flag, c.value)
+		if code != 2 || !strings.Contains(out, c.want) {
+			t.Fatalf("expdriver %s %s: exit %d, want 2 and %q; output:\n%s", c.flag, c.value, code, c.want, out)
+		}
 	}
 }

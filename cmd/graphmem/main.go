@@ -25,8 +25,8 @@ func main() {
 	dataset := flag.String("dataset", "kr25", "dataset: kr25, twit, web, wiki")
 	file := flag.String("file", "", "load a GMG1 graph file instead of generating a dataset")
 	scale := flag.String("scale", "full", "generated dataset scale: full, bench, test")
-	policy := flag.String("policy", "4k", "page policy: 4k, thp, madvise-prop, selective, auto, ingens, hawkeye")
-	sel := flag.Float64("sel", 0.2, "property-array fraction for -policy selective")
+	policy := flag.String("policy", "4k", "page policy: 4k, thp, madvise-prop, selective, hugetlb, auto, ingens, hawkeye")
+	sel := flag.Float64("sel", 0.2, "property-array fraction in (0,1] for -policy selective and hugetlb; WSS fraction of the -policy auto budget")
 	method := flag.String("reorder", "orig", "vertex reordering: orig, dbg, sort, rand")
 	order := flag.String("order", "natural", "allocation order: natural or prop-first")
 	pressureGB := flag.Float64("pressure", -1, "memory pressure: free slack beyond WSS in paper-GB (negative disables memhog)")

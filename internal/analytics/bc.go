@@ -42,13 +42,10 @@ func bcSources(g *graph.Graph, k int) []uint32 {
 
 // runBC executes k-source Brandes against the simulated memory system
 // and returns the (unnormalized) centrality scores. Both phases'
-// per-neighbor dist/sigma/delta accesses gather-batch per vertex,
-// exactly as in BFS.
-func (img *Image) runBC(k int) []float64 {
+// per-neighbor dist/sigma/delta accesses stream to s exactly as in BFS.
+func (img *Image) runBC(s *stream, k int) []float64 {
 	g := img.G
-	m := img.M
 	n := g.N
-	gb := img.gbuf
 
 	bc := make([]float64, n)
 	dist := make([]int32, n)
@@ -66,7 +63,7 @@ func (img *Image) runBC(k int) []float64 {
 	for _, src := range bcSources(g, k) {
 		// Reset per-source state: streaming pass over the property
 		// array, one bulk run of dist-field writes.
-		m.AccessRun(distAddr(0), n, bcPropEntryBytes)
+		s.run(distAddr(0), n, bcPropEntryBytes)
 		for v := 0; v < n; v++ {
 			dist[v] = -1
 			sigma[v] = 0
@@ -74,38 +71,36 @@ func (img *Image) runBC(k int) []float64 {
 		}
 		dist[src] = 0
 		sigma[src] = 1
-		m.Access(sigmaAddr(src))
+		s.access(sigmaAddr(src))
 
 		order = order[:0]
 		cur := []uint32{src}
-		m.Access(img.workAddr(0, 0))
+		s.access(img.workAddr(0, 0))
 		level := int32(0)
 		buf := 0
 		for len(cur) > 0 {
 			level++
 			var next []uint32
 			for i, v := range cur {
-				m.Access(img.workAddr(buf, i))
+				s.access(img.workAddr(buf, i))
 				order = append(order, v)
-				m.AccessRun(img.vertexAddr(v), 2, graph.VertexEntryBytes)
+				s.run(img.vertexAddr(v), 2, graph.VertexEntryBytes)
 				sv := sigma[v]
 				lo, hi := g.Offsets[v], g.Offsets[v+1]
-				m.AccessRun(img.edgeAddr(lo), int(hi-lo), graph.EdgeEntryBytes)
-				gb = gb[:0]
+				s.run(img.edgeAddr(lo), int(hi-lo), graph.EdgeEntryBytes)
 				for e := lo; e < hi; e++ {
 					w := g.Neighbors[e]
-					gb = append(gb, distAddr(w))
+					s.access(distAddr(w))
 					if dist[w] == -1 {
 						dist[w] = level
-						gb = append(gb, img.workAddr(1-buf, len(next)))
+						s.access(img.workAddr(1-buf, len(next)))
 						next = append(next, w)
 					}
 					if dist[w] == level {
 						sigma[w] += sv
-						gb = append(gb, sigmaAddr(w))
+						s.access(sigmaAddr(w))
 					}
 				}
-				m.AccessGather(gb)
 			}
 			cur = next
 			buf = 1 - buf
@@ -117,32 +112,30 @@ func (img *Image) runBC(k int) []float64 {
 		// successors (Brandes' accumulation over out-edges).
 		for i := len(order) - 1; i >= 0; i-- {
 			v := order[i]
-			m.Access(img.workAddr(0, i))
-			m.AccessRun(img.vertexAddr(v), 2, graph.VertexEntryBytes)
+			s.access(img.workAddr(0, i))
+			s.run(img.vertexAddr(v), 2, graph.VertexEntryBytes)
 			dv := dist[v]
 			sv := sigma[v]
-			m.Access(sigmaAddr(v))
+			s.access(sigmaAddr(v))
 			acc := 0.0
 			lo, hi := g.Offsets[v], g.Offsets[v+1]
-			m.AccessRun(img.edgeAddr(lo), int(hi-lo), graph.EdgeEntryBytes)
-			gb = gb[:0]
+			s.run(img.edgeAddr(lo), int(hi-lo), graph.EdgeEntryBytes)
 			for e := lo; e < hi; e++ {
 				w := g.Neighbors[e]
-				gb = append(gb, distAddr(w))
+				s.access(distAddr(w))
 				if dist[w] == dv+1 {
-					gb = append(gb, sigmaAddr(w), deltaAddr(w))
+					s.access(sigmaAddr(w))
+					s.access(deltaAddr(w))
 					acc += sv / sigma[w] * (1 + delta[w])
 				}
 			}
-			m.AccessGather(gb)
 			delta[v] = acc
-			m.Access(deltaAddr(v))
+			s.access(deltaAddr(v))
 			if v != src {
 				bc[v] += delta[v]
 			}
 		}
 	}
-	img.gbuf = gb
 	return bc
 }
 

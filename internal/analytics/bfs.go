@@ -6,15 +6,11 @@ import "graphmem/internal/graph"
 // programming model): iterate the current worklist, read each vertex's
 // CSR offsets, stream its neighbor IDs from the edge array (one bulk
 // run), and perform the pointer-indirect read-modify-write of the
-// property array entry for every unvisited neighbor. The per-neighbor
-// property reads/writes and frontier pushes are collected into the
-// image's gather buffer in exact scalar order and issued as one
-// AccessGather batch per vertex — the simulated stream is unchanged,
-// only the simulator's dispatch is batched.
-func (img *Image) runBFS(root uint32) []int64 {
+// property array entry for every unvisited neighbor. Every access goes
+// to s in exact scalar order; the per-neighbor property reads/writes
+// and frontier pushes reach the machine as gather batches.
+func (img *Image) runBFS(s *stream, root uint32) []int64 {
 	g := img.G
-	m := img.M
-	gb := img.gbuf
 
 	hops := make([]int64, g.N)
 	for i := range hops {
@@ -25,8 +21,8 @@ func (img *Image) runBFS(root uint32) []int64 {
 	cur := make([]uint32, 0, g.N)
 	next := make([]uint32, 0, g.N)
 	cur = append(cur, root)
-	m.Access(img.workAddr(0, 0)) // push root
-	m.Access(img.propAddr(root)) // initialize root's property entry
+	s.access(img.workAddr(0, 0)) // push root
+	s.access(img.propAddr(root)) // initialize root's property entry
 
 	level := int64(0)
 	buf := 0
@@ -34,30 +30,26 @@ func (img *Image) runBFS(root uint32) []int64 {
 		level++
 		next = next[:0]
 		for i, v := range cur {
-			m.Access(img.workAddr(buf, i)) // pop v from the worklist
+			s.access(img.workAddr(buf, i)) // pop v from the worklist
 			// Two adjacent offset reads delimit the neighbor run.
-			m.AccessRun(img.vertexAddr(v), 2, graph.VertexEntryBytes)
+			s.run(img.vertexAddr(v), 2, graph.VertexEntryBytes)
 			lo, hi := g.Offsets[v], g.Offsets[v+1]
 			// Sequential neighbor fetch: the whole run streams from the
 			// edge array before the per-neighbor property work.
-			m.AccessRun(img.edgeAddr(lo), int(hi-lo), graph.EdgeEntryBytes)
-			gb = gb[:0]
+			s.run(img.edgeAddr(lo), int(hi-lo), graph.EdgeEntryBytes)
 			for e := lo; e < hi; e++ {
 				w := g.Neighbors[e]
-				gb = append(gb, img.propAddr(w)) // irregular property read
+				s.access(img.propAddr(w)) // irregular property read
 				if hops[w] == -1 {
 					hops[w] = level
-					gb = append(gb,
-						img.propAddr(w), // property write
-						img.workAddr(1-buf, len(next)))
+					s.access(img.propAddr(w)) // property write
+					s.access(img.workAddr(1-buf, len(next)))
 					next = append(next, w)
 				}
 			}
-			m.AccessGather(gb)
 		}
 		cur, next = next, cur
 		buf = 1 - buf
 	}
-	img.gbuf = gb
 	return hops
 }

@@ -13,12 +13,10 @@ import "graphmem/internal/graph"
 // min-label propagation.
 
 // runCC executes label propagation against the simulated memory system.
-// Per-neighbor label reads/writes and frontier pushes gather-batch per
-// vertex, exactly as in BFS.
-func (img *Image) runCC() []int64 {
+// Per-neighbor label reads/writes and frontier pushes stream to s
+// exactly as in BFS.
+func (img *Image) runCC(s *stream) []int64 {
 	g := img.G
-	m := img.M
-	gb := img.gbuf
 
 	label := make([]int64, g.N)
 	cur := make([]uint32, 0, g.N)
@@ -26,8 +24,8 @@ func (img *Image) runCC() []int64 {
 	inNext := make([]bool, g.N)
 	for v := 0; v < g.N; v++ {
 		label[v] = int64(v)
-		m.Access(img.propAddr(uint32(v))) // initialize label
-		m.Access(img.workAddr(0, v))      // enqueue everyone
+		s.access(img.propAddr(uint32(v))) // initialize label
+		s.access(img.workAddr(0, v))      // enqueue everyone
 		cur = append(cur, uint32(v))
 	}
 
@@ -35,26 +33,24 @@ func (img *Image) runCC() []int64 {
 	for len(cur) > 0 {
 		next = next[:0]
 		for i, v := range cur {
-			m.Access(img.workAddr(buf, i))
-			m.AccessRun(img.vertexAddr(v), 2, graph.VertexEntryBytes)
+			s.access(img.workAddr(buf, i))
+			s.run(img.vertexAddr(v), 2, graph.VertexEntryBytes)
 			lv := label[v]
 			lo, hi := g.Offsets[v], g.Offsets[v+1]
-			m.AccessRun(img.edgeAddr(lo), int(hi-lo), graph.EdgeEntryBytes)
-			gb = gb[:0]
+			s.run(img.edgeAddr(lo), int(hi-lo), graph.EdgeEntryBytes)
 			for e := lo; e < hi; e++ {
 				w := g.Neighbors[e]
-				gb = append(gb, img.propAddr(w)) // read neighbor label
+				s.access(img.propAddr(w)) // read neighbor label
 				if label[w] > lv {
 					label[w] = lv
-					gb = append(gb, img.propAddr(w)) // write
+					s.access(img.propAddr(w)) // write
 					if !inNext[w] {
 						inNext[w] = true
-						gb = append(gb, img.workAddr(1-buf, len(next)))
+						s.access(img.workAddr(1-buf, len(next)))
 						next = append(next, w)
 					}
 				}
 			}
-			m.AccessGather(gb)
 		}
 		for _, w := range next {
 			inNext[w] = false
@@ -62,7 +58,6 @@ func (img *Image) runCC() []int64 {
 		cur, next = next, cur
 		buf = 1 - buf
 	}
-	img.gbuf = gb
 	return label
 }
 

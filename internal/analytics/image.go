@@ -2,9 +2,12 @@
 // push-based BFS, SSSP, and PageRank — running against the simulated
 // memory system. Each algorithm computes real results over the graph
 // while routing every access to the vertex, edge, values, property, and
-// worklist arrays through the machine's access engine (scalar Access,
-// sequential AccessRun, irregular AccessGather), so the simulator
-// observes the exact access stream the paper characterizes.
+// worklist arrays through the machine's access engine (sequential
+// AccessRun, irregular AccessGather), so the simulator observes the
+// exact access stream the paper characterizes. A monolithic kernel
+// appends its accesses to a stream (stream.go), which a replay
+// goroutine feeds to the machine while the kernel computes ahead;
+// sharded kernels (shard.go) drive their shard machines directly.
 package analytics
 
 import (
@@ -125,11 +128,13 @@ type Image struct {
 
 	initialized bool
 
-	// gbuf is the reusable gather buffer: kernels collect one vertex's
-	// irregular neighbor/property addresses into it, in exact scalar
-	// access order, and issue them as a single machine.AccessGather
-	// batch (DESIGN.md §4e). Reused across vertices, so it allocates
-	// only while growing toward the maximum per-vertex batch size.
+	// gbuf is the sharded kernels' reusable gather buffer: a shard
+	// worker collects its irregular property and frontier addresses
+	// into it, in exact scalar access order, and issues them as
+	// machine.AccessGather batches (DESIGN.md §4e). Reused across
+	// batches, so it allocates only while growing toward the batch
+	// bound. Monolithic kernels stream instead (stream.go) and leave
+	// it nil.
 	gbuf []uint64
 }
 
@@ -141,7 +146,7 @@ func NewImage(m *machine.Machine, g *graph.Graph, app App) (*Image, error) {
 	if app == SSSP && !g.Weighted() {
 		return nil, fmt.Errorf("analytics: SSSP requires a weighted graph")
 	}
-	img := &Image{App: app, G: g, M: m, gbuf: make([]uint64, 0, 256)}
+	img := &Image{App: app, G: g, M: m}
 	img.Vertex = m.Space.Mmap("vertex", uint64(len(g.Offsets))*graph.VertexEntryBytes)
 	img.Edge = m.Space.Mmap("edge", uint64(g.NumEdges())*graph.EdgeEntryBytes)
 	if app == SSSP {
@@ -201,30 +206,42 @@ func (img *Image) Init(order AllocOrder) {
 //   - BFS: hop counts (int64, -1 unreached)
 //   - SSSP: distances (int64, -1 unreached)
 //   - PR: ranks (float64)
+//
+// The kernel streams its accesses to the machine (stream.go); Run
+// returns only after the machine has replayed every one of them.
 func (img *Image) Run(opt RunOptions) Result {
 	if !img.initialized {
 		panic(check.Failf("analytics: Run before Init"))
 	}
+	s := newStream(img.M, streamBlockWords)
+	defer s.stop()
+	return img.kernel(s, opt)
+}
+
+// kernel runs the app's kernel in the "kernel" phase, streaming its
+// accesses to s, and closes s.
+func (img *Image) kernel(s *stream, opt RunOptions) Result {
 	img.M.BeginPhase("kernel")
 	var res Result
 	switch img.App {
 	case BFS:
-		res.Hops = img.runBFS(opt.Root)
+		res.Hops = img.runBFS(s, opt.Root)
 	case SSSP:
-		res.Dist = img.runSSSP(opt.Root)
+		res.Dist = img.runSSSP(s, opt.Root)
 	case PR:
-		res.Ranks, res.Iterations = img.runPR(opt.PREpsilon, opt.PRMaxIters)
+		res.Ranks, res.Iterations = img.runPR(s, opt.PREpsilon, opt.PRMaxIters)
 	case CC:
-		res.Labels = img.runCC()
+		res.Labels = img.runCC(s)
 	case BC:
 		k := opt.BCSources
 		if k <= 0 {
 			k = 4
 		}
-		res.Centrality = img.runBC(k)
+		res.Centrality = img.runBC(s, k)
 	default:
 		panic(check.Failf("analytics: unknown app %s", img.App))
 	}
+	s.close()
 	return res
 }
 

@@ -14,11 +14,9 @@ const prDamping = 0.85
 // update next[w] += contrib(v) lands in the same property array whose
 // prefix the selective-THP policy covers. Iteration stops when the
 // largest per-vertex rank change falls below eps, or after maxIters.
-func (img *Image) runPR(eps float64, maxIters int) ([]float64, int) {
+func (img *Image) runPR(s *stream, eps float64, maxIters int) ([]float64, int) {
 	g := img.G
-	m := img.M
 	n := g.N
-	gb := img.gbuf
 
 	if eps <= 0 {
 		eps = 1e-4
@@ -43,29 +41,26 @@ func (img *Image) runPR(eps float64, maxIters int) ([]float64, int) {
 			nextRank[i] = 0
 		}
 		for v := uint32(0); int(v) < n; v++ {
-			m.AccessRun(img.vertexAddr(v), 2, graph.VertexEntryBytes)
+			s.run(img.vertexAddr(v), 2, graph.VertexEntryBytes)
 			lo, hi := g.Offsets[v], g.Offsets[v+1]
 			deg := hi - lo
 			if deg == 0 {
 				continue
 			}
-			m.Access(img.propAddr(v)) // sequential read of rank[v]
+			s.access(img.propAddr(v)) // sequential read of rank[v]
 			contrib := prDamping * rank[v] / float64(deg)
 			// The neighbor IDs stream from the edge array in one run.
-			m.AccessRun(img.edgeAddr(lo), int(deg), graph.EdgeEntryBytes)
-			// Irregular read-modify-write scatter of next-rank[w],
-			// gather-batched per vertex.
-			gb = gb[:0]
+			s.run(img.edgeAddr(lo), int(deg), graph.EdgeEntryBytes)
+			// Irregular read-modify-write scatter of next-rank[w].
 			for e := lo; e < hi; e++ {
 				w := g.Neighbors[e]
-				gb = append(gb, img.propAddr(w)+8)
+				s.access(img.propAddr(w) + 8)
 				nextRank[w] += contrib
 			}
-			m.AccessGather(gb)
 		}
 		// Sequential pass folding next into rank: one property write
 		// per vertex, streamed as a single bulk run.
-		m.AccessRun(img.propAddr(0), n, PropEntryBytes(img.App))
+		s.run(img.propAddr(0), n, PropEntryBytes(img.App))
 		var maxDelta float64
 		for v := 0; v < n; v++ {
 			nr := nextRank[v] + base
@@ -78,6 +73,5 @@ func (img *Image) runPR(eps float64, maxIters int) ([]float64, int) {
 			break
 		}
 	}
-	img.gbuf = gb
 	return rank, iters
 }

@@ -45,7 +45,7 @@ const probeNeighborCap = 64
 // accesses, visiting vertices in a full-range stride permutation. Per
 // visit it replays the kernel access shape exactly: two CSR offset
 // reads, a sequential neighbor-run stream (capped at probeNeighborCap),
-// then one AccessGather batch of those neighbors' property entries. The
+// then those neighbors' property entries as a gather batch. The
 // stride keeps the touched footprint as wide as the kernel's — beyond
 // TLB reach — so the probe pays realistic translation costs, and
 // background kernel activity (khugepaged scans and promotions) keeps
@@ -60,6 +60,14 @@ func (img *Image) RunProbe(budget int) ProbeResult {
 	if !img.initialized {
 		panic(check.Failf("analytics: RunProbe before Init"))
 	}
+	s := newStream(img.M, streamBlockWords)
+	defer s.stop()
+	return img.probe(s, budget)
+}
+
+// probe runs the probe in the "probe" phase, streaming its accesses to
+// s, closes s, and reports the machine's deltas over the probe.
+func (img *Image) probe(s *stream, budget int) ProbeResult {
 	g := img.G
 	m := img.M
 	stride := probeStride(g.N)
@@ -69,7 +77,6 @@ func (img *Image) RunProbe(budget int) ProbeResult {
 	os0 := m.Kernel.Stats()
 
 	m.BeginPhase("probe")
-	gb := img.gbuf
 	var accesses uint64
 	rem := budget
 	v := uint64(0)
@@ -77,7 +84,7 @@ func (img *Image) RunProbe(budget int) ProbeResult {
 		issued := false
 		for i := 0; i < g.N && rem > 0; i++ {
 			v = (v + stride) % uint64(g.N)
-			m.AccessRun(img.vertexAddr(uint32(v)), 2, graph.VertexEntryBytes)
+			s.run(img.vertexAddr(uint32(v)), 2, graph.VertexEntryBytes)
 			lo, hi := g.Offsets[v], g.Offsets[v+1]
 			n := int(hi - lo)
 			if n > probeNeighborCap {
@@ -89,12 +96,10 @@ func (img *Image) RunProbe(budget int) ProbeResult {
 			if n == 0 {
 				continue
 			}
-			m.AccessRun(img.edgeAddr(lo), n, graph.EdgeEntryBytes)
-			gb = gb[:0]
+			s.run(img.edgeAddr(lo), n, graph.EdgeEntryBytes)
 			for e := lo; e < lo+uint64(n); e++ {
-				gb = append(gb, img.propAddr(g.Neighbors[e]))
+				s.access(img.propAddr(g.Neighbors[e]))
 			}
-			m.AccessGather(gb)
 			accesses += uint64(n)
 			rem -= n
 			issued = true
@@ -103,7 +108,7 @@ func (img *Image) RunProbe(budget int) ProbeResult {
 			break // edgeless graph: no gather traffic to issue
 		}
 	}
-	img.gbuf = gb
+	s.close()
 
 	tlb1 := m.TLB.Stats()
 	os1 := m.Kernel.Stats()

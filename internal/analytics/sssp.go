@@ -6,12 +6,10 @@ import "graphmem/internal/graph"
 // reading the values (weight) array alongside each neighbor and
 // re-enqueueing vertices whose distance improves. A membership bitmap
 // deduplicates frontier insertions, as work-efficient CPU
-// implementations do. The per-neighbor relaxation accesses gather-batch
-// per vertex, exactly as in BFS.
-func (img *Image) runSSSP(root uint32) []int64 {
+// implementations do. The per-neighbor relaxation accesses stream to s
+// exactly as in BFS.
+func (img *Image) runSSSP(s *stream, root uint32) []int64 {
 	g := img.G
-	m := img.M
-	gb := img.gbuf
 
 	dist := make([]int64, g.N)
 	for i := range dist {
@@ -23,37 +21,35 @@ func (img *Image) runSSSP(root uint32) []int64 {
 	cur := make([]uint32, 0, g.N)
 	next := make([]uint32, 0, g.N)
 	cur = append(cur, root)
-	m.Access(img.workAddr(0, 0))
-	m.Access(img.propAddr(root))
+	s.access(img.workAddr(0, 0))
+	s.access(img.propAddr(root))
 
 	buf := 0
 	for len(cur) > 0 {
 		next = next[:0]
 		for i, v := range cur {
-			m.Access(img.workAddr(buf, i))
-			m.AccessRun(img.vertexAddr(v), 2, graph.VertexEntryBytes)
+			s.access(img.workAddr(buf, i))
+			s.run(img.vertexAddr(v), 2, graph.VertexEntryBytes)
 			dv := dist[v]
 			lo, hi := g.Offsets[v], g.Offsets[v+1]
 			// The neighbor IDs and their weights stream sequentially
 			// from the edge and values arrays before the relaxations.
-			m.AccessRun(img.edgeAddr(lo), int(hi-lo), graph.EdgeEntryBytes)
-			m.AccessRun(img.valueAddr(lo), int(hi-lo), graph.ValueEntryBytes)
-			gb = gb[:0]
+			s.run(img.edgeAddr(lo), int(hi-lo), graph.EdgeEntryBytes)
+			s.run(img.valueAddr(lo), int(hi-lo), graph.ValueEntryBytes)
 			for e := lo; e < hi; e++ {
 				w := g.Neighbors[e]
 				nd := dv + int64(g.Weights[e])
-				gb = append(gb, img.propAddr(w)) // property read
+				s.access(img.propAddr(w)) // property read
 				if dist[w] == -1 || nd < dist[w] {
 					dist[w] = nd
-					gb = append(gb, img.propAddr(w)) // property write
+					s.access(img.propAddr(w)) // property write
 					if !inNext[w] {
 						inNext[w] = true
-						gb = append(gb, img.workAddr(1-buf, len(next)))
+						s.access(img.workAddr(1-buf, len(next)))
 						next = append(next, w)
 					}
 				}
 			}
-			m.AccessGather(gb)
 		}
 		for _, w := range next {
 			inNext[w] = false
@@ -61,6 +57,5 @@ func (img *Image) runSSSP(root uint32) []int64 {
 		cur, next = next, cur
 		buf = 1 - buf
 	}
-	img.gbuf = gb
 	return dist
 }

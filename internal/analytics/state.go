@@ -21,13 +21,12 @@ import (
 func (img *Image) Initialized() bool { return img.initialized }
 
 // Walk forks, encodes, or decodes the image *p. A fork or a decoded copy
-// is bound to m — the forked or decoded machine — and g, with a fresh
-// gather buffer (scratch, dead between accesses).
+// is bound to m — the forked or decoded machine — and g, and shares no
+// gather buffer with its source (scratch, dead between accesses).
 func Walk(w *ckpt.Walker, p **Image, m *machine.Machine, g *graph.Graph) {
 	ckpt.Ptr(w, p, func(img *Image, w *ckpt.Walker) {
 		if w.Encoder() == nil {
-			img.M, img.G = m, g
-			img.gbuf = make([]uint64, 0, 256)
+			img.M, img.G, img.gbuf = m, g, nil
 		}
 		img.state(w)
 	})

@@ -78,7 +78,11 @@ func ParseOrder(name string) (analytics.AllocOrder, error) {
 	return 0, fmt.Errorf("unknown allocation order %q (want natural or prop-first)", name)
 }
 
-// ParsePolicy resolves a policy name; sel parameterizes selective/auto.
+// ParsePolicy resolves a policy name; sel (the -sel flag) parameterizes
+// selective, hugetlb and auto. selective and hugetlb cover a fraction
+// of the property array, so sel must lie in (0,1]; auto's budget is sel
+// times the working set, so sel must be positive and the budget must
+// fit in a uint64.
 func ParsePolicy(name string, sel float64, app analytics.App, g *graph.Graph) (core.Policy, error) {
 	switch name {
 	case "4k":
@@ -87,12 +91,22 @@ func ParsePolicy(name string, sel float64, app analytics.App, g *graph.Graph) (c
 		return core.THPAlways(), nil
 	case "madvise-prop":
 		return core.PerStructure("prop"), nil
-	case "selective":
+	case "selective", "hugetlb":
+		if !(sel > 0 && sel <= 1) {
+			return core.Policy{}, fmt.Errorf("-sel %v out of (0,1] for policy %s", sel, name)
+		}
+		if name == "hugetlb" {
+			return core.HugetlbSelective(sel), nil
+		}
 		return core.SelectiveTHP(sel), nil
-	case "hugetlb":
-		return core.HugetlbSelective(sel), nil
 	case "auto":
-		budget := uint64(sel * float64(analytics.WSSBytes(app, g)))
+		// Go leaves converting a float outside uint64's range to the
+		// platform, so such a budget is rejected, not converted.
+		b := sel * float64(analytics.WSSBytes(app, g))
+		if !(sel > 0 && b < 1<<64) {
+			return core.Policy{}, fmt.Errorf("-sel %v: want a positive, finite WSS fraction for policy auto", sel)
+		}
+		budget := uint64(b)
 		if budget < 2<<20 {
 			budget = 2 << 20
 		}

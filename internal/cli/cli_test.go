@@ -1,8 +1,10 @@
 package cli
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"graphmem/internal/analytics"
@@ -85,6 +87,30 @@ func TestParsePolicyVariants(t *testing.T) {
 	}
 	if _, err := ParsePolicy("yolo", 0.5, analytics.BFS, g); err == nil {
 		t.Fatal("bad policy accepted")
+	}
+	// A -sel outside (0,1] (or NaN) would reach core.SelectiveTHP and
+	// core.HugetlbSelective, which panic on it. auto's budget is sel
+	// times the working set, so sel must be positive and the budget must
+	// fit in a uint64: Go leaves converting a float outside its range to
+	// the platform.
+	for _, c := range []struct {
+		policy string
+		sel    float64
+	}{
+		{"selective", 2}, {"selective", 0}, {"selective", -1}, {"selective", math.NaN()},
+		{"hugetlb", 2}, {"hugetlb", 0}, {"hugetlb", math.NaN()},
+		{"auto", math.NaN()}, {"auto", 0}, {"auto", -1},
+		{"auto", math.Inf(1)}, {"auto", math.Inf(-1)}, {"auto", 1e300},
+	} {
+		_, err := ParsePolicy(c.policy, c.sel, analytics.BFS, g)
+		if err == nil || !strings.Contains(err.Error(), "-sel") {
+			t.Fatalf("ParsePolicy(%q, %v) = %v, want an error naming -sel", c.policy, c.sel, err)
+		}
+	}
+	for _, policy := range []string{"selective", "hugetlb", "auto"} {
+		if _, err := ParsePolicy(policy, 1, analytics.BFS, g); err != nil {
+			t.Fatalf("ParsePolicy(%q, 1): %v", policy, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -247,37 +248,43 @@ func TestShardedMakespan(t *testing.T) {
 
 // TestConcurrentCheckpointRuns: campaign workers fork one cached
 // checkpoint at once, each fork shares the frozen node's memory pages,
-// and every sharded run copies the pages it writes. Concurrent Runs must
-// each reproduce the serial result (go test -race checks the sharing).
+// and every run copies the pages it writes. Concurrent Runs — sharded,
+// and monolithic, whose kernels each stream to their own replay
+// goroutine — must each reproduce the serial result (go test -race
+// checks the sharing).
 func TestConcurrentCheckpointRuns(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	cp, err := core.Prepare(shardedSpec(t, analytics.BFS, core.SelectiveTHP(0.5), 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := cp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const runners = 4
-	results := make([]*core.RunResult, runners)
-	errs := make([]error, runners)
-	var wg sync.WaitGroup
-	for i := range results {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = cp.Run()
-		}()
-	}
-	wg.Wait()
-	for i, got := range results {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("concurrent run %d diverged from the serial run:\n--- serial ---\n%s--- concurrent ---\n%s",
-				i, formatResult(ref), formatResult(got))
-		}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cp, err := core.Prepare(shardedSpec(t, analytics.BFS, core.SelectiveTHP(0.5), shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := cp.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			const runners = 4
+			results := make([]*core.RunResult, runners)
+			errs := make([]error, runners)
+			var wg sync.WaitGroup
+			for i := range results {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					results[i], errs[i] = cp.Run()
+				}()
+			}
+			wg.Wait()
+			for i, got := range results {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				if !reflect.DeepEqual(ref, got) {
+					t.Fatalf("concurrent run %d diverged from the serial run:\n--- serial ---\n%s--- concurrent ---\n%s",
+						i, formatResult(ref), formatResult(got))
+				}
+			}
+		})
 	}
 }

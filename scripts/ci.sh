@@ -28,10 +28,18 @@
 #                       data-cache levels and TLB arrays, whose sets are
 #                       recency lists, to match the stamp-based reference
 #                       copies on every result and counter and on each
-#                       set's LRU order
+#                       set's LRU order. Every fuzz run (here and in step
+#                       15) bounds minimization at 10 execs per input
+#                       (-fuzzminimizetime 10x): under the 60s default
+#                       three of the four stalled minimizing their first
+#                       new inputs and stopped exploring within seconds
 #   8. expdriver -j diff
 #                       a bench-scale campaign subset run at -j 1 and
-#                       -j 4 must be byte-identical on every surface
+#                       -j 4 must be byte-identical on every surface,
+#                       and so must a -j 1 run at GOMAXPROCS=1, where
+#                       each monolithic kernel and the goroutine that
+#                       replays its access stream take turns on one
+#                       processor
 #   9. bulk-engine equivalence
 #                       the same campaign subset with the bulk path
 #                       force-disabled (GRAPHMEM_NO_BULK=1) must be
@@ -90,13 +98,17 @@
 #                       check its outputs against bench/testdata's
 #                       golden digests, so a change that moves a
 #                       simulated counter fails here
-#  18. inputs independent of GOMAXPROCS
+#  18. inputs and kernels independent of GOMAXPROCS
 #                       the generator, CSR and reordering packages'
 #                       tests (the sequential reference oracles and the
 #                       graph digests recorded from them) pass at
 #                       GOMAXPROCS 1, 2 and 4: generation and relabeling
 #                       split their work across GOMAXPROCS workers, and
-#                       the split must not reach a byte
+#                       the split must not reach a byte. So do the
+#                       analytics tests, whose stream oracle holds each
+#                       kernel's streamed run to a scalar twin, however
+#                       the kernel and its replay goroutine are
+#                       scheduled
 #  19. code-line count (informational, not a gate)
 #                       scripts/loc.sh prints the non-blank, non-comment
 #                       line count of non-test Go under internal/ and
@@ -153,8 +165,8 @@ echo "== zero-alloc fast path + bench smoke + engine gate + LRU oracles"
 go test -run 'TestAccessFastPathZeroAllocs|TestAccessRunZeroAllocs|TestAccessGatherZeroAllocs' -count=1 ./internal/machine
 go test -run '^$' -bench '^Benchmark' -benchtime 1x ./internal/machine ./internal/memsys ./internal/workload
 GRAPHMEM_SPEEDUP_GATE=1 go test -run '^TestAccessEngineSpeedup$' -count=1 -v ./internal/machine
-go test -run '^$' -fuzz '^FuzzLevelMatchesReference$' -fuzztime 30s ./internal/cache
-go test -run '^$' -fuzz '^FuzzSetAssocMatchesReference$' -fuzztime 30s ./internal/tlb
+go test -run '^$' -fuzz '^FuzzLevelMatchesReference$' -fuzztime 30s -fuzzminimizetime 10x ./internal/cache
+go test -run '^$' -fuzz '^FuzzSetAssocMatchesReference$' -fuzztime 30s -fuzzminimizetime 10x ./internal/tlb
 
 go build -o "$tmp/expdriver" ./cmd/expdriver
 expdriver="$tmp/expdriver"
@@ -176,10 +188,11 @@ campaign() {
     fi
 }
 
-echo "== expdriver determinism: bench-scale -j 1 vs -j 4"
+echo "== expdriver determinism: bench-scale -j 1 vs -j 4 and GOMAXPROCS=1"
 subset="fig5,pagecache"
 campaign j1 - "$expdriver" -exp "$subset" -j 1
 campaign j4 j1 "$expdriver" -exp "$subset" -j 4
+campaign gmp1 j1 GOMAXPROCS=1 "$expdriver" -exp "$subset" -j 1
 
 echo "== bulk-engine equivalence: GRAPHMEM_NO_BULK=1 vs bulk-enabled"
 campaign nobulk j1 GRAPHMEM_NO_BULK=1 "$expdriver" -exp "$subset" -j 1
@@ -236,10 +249,10 @@ echo "== checkpoint reload gate + loader and fork fuzzing"
 GRAPHMEM_SPEEDUP_GATE=1 go test -run '^TestCkptReloadSpeedup$' -count=1 -v ./internal/exp
 # Bounded fuzzing of the loader: every payload it accepts must re-save
 # to exactly its own bytes and run without panicking.
-go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 30s ./internal/core
+go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 30s -fuzzminimizetime 10x ./internal/core
 # Bounded fuzzing of copy-on-write forks of the physical node: a fork and
 # its original never see each other's writes.
-go test -run '^$' -fuzz '^FuzzAllocFree$' -fuzztime 30s ./internal/memsys
+go test -run '^$' -fuzz '^FuzzAllocFree$' -fuzztime 30s -fuzzminimizetime 10x ./internal/memsys
 
 echo "== docsplice -check (EXPERIMENTS.md in sync with results/)"
 go run ./cmd/docsplice -doc EXPERIMENTS.md -results results/expdriver_full.txt -check
@@ -247,8 +260,8 @@ go run ./cmd/docsplice -doc EXPERIMENTS.md -results results/expdriver_full.txt -
 echo "== benchmark self-test (bench/ outputs vs golden digests)"
 (cd bench && go test -count=1 .)
 
-echo "== inputs independent of GOMAXPROCS (generators, CSR, reordering)"
-go test -count=1 -cpu 1,2,4 ./internal/gen ./internal/graph ./internal/reorder
+echo "== inputs and kernels independent of GOMAXPROCS (generators, CSR, reordering, kernel streams)"
+go test -count=1 -cpu 1,2,4 ./internal/gen ./internal/graph ./internal/reorder ./internal/analytics
 
 echo "== code-line count (informational)"
 ./scripts/loc.sh || true
