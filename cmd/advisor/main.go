@@ -46,14 +46,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "advisor: %v\n", err)
 		os.Exit(2)
 	}
+	if *budgetMB <= 0 {
+		switch {
+		case *coverage == 0:
+			fmt.Fprintln(os.Stderr, "advisor: provide -budget-mb or -coverage")
+			os.Exit(2)
+		case !(*coverage > 0 && *coverage <= 1): // NaN fails too
+			fmt.Fprintf(os.Stderr, "advisor: -coverage %v is not in (0,1]\n", *coverage)
+			os.Exit(2)
+		}
+	}
 	g, err := cli.LoadGraph(*file, ds, sc, false)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "advisor: %v\n", err)
 		os.Exit(1)
-	}
-	if *budgetMB <= 0 && (*coverage <= 0 || *coverage > 1) {
-		fmt.Fprintln(os.Stderr, "advisor: provide -budget-mb or -coverage")
-		os.Exit(2)
 	}
 
 	entry := analytics.PropEntryBytes(a)

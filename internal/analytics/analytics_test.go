@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"graphmem/internal/cache"
@@ -310,6 +311,39 @@ func TestBCMatchesNative(t *testing.T) {
 				t.Fatalf("%s: bc[%d] = %g, want %g", ds, v, res.Centrality[v], want[v])
 			}
 		}
+	}
+}
+
+// TestZeroOptionsTakeDefaults requires the kernels and the native
+// references to agree on zero kernel parameters: each takes the default
+// DefaultRunOptions sets, so a BC run with no source count matches
+// NativeBC(g, 0), and NativePR(g, 0, 0) is NativePR with the defaults.
+func TestZeroOptionsTakeDefaults(t *testing.T) {
+	g := gen.Generate(gen.Wiki, gen.ScaleTest, false)
+	def := DefaultRunOptions(g)
+	if want := (RunOptions{Root: def.Root, PREpsilon: 1e-4, PRMaxIters: 10, BCSources: 4}); def != want {
+		t.Fatalf("DefaultRunOptions = %+v, want %+v", def, want)
+	}
+	want := NativeBC(g, 0)
+	if !slices.Equal(want, NativeBC(g, def.BCSources)) {
+		t.Fatal("NativeBC(g, 0) differs from NativeBC with the default source count")
+	}
+	m := testMachine(t, oskernel.DefaultConfig())
+	img, err := NewImage(m, g, BC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Init(Natural)
+	res := img.Run(RunOptions{Root: def.Root})
+	for v := range want {
+		if math.Abs(res.Centrality[v]-want[v]) > 1e-9 {
+			t.Fatalf("BC with no source count: bc[%d] = %g, NativeBC(g, 0) %g", v, res.Centrality[v], want[v])
+		}
+	}
+	ranks, iters := NativePR(g, 0, 0)
+	wantRanks, wantIters := NativePR(g, def.PREpsilon, def.PRMaxIters)
+	if iters != wantIters || !slices.Equal(ranks, wantRanks) {
+		t.Fatalf("NativePR(g, 0, 0) ran %d iterations, with the defaults %d (or the ranks differ)", iters, wantIters)
 	}
 }
 

@@ -17,12 +17,9 @@ import "graphmem/internal/graph"
 // bcPropEntryBytes is the BC property entry size (three 8-byte fields).
 const bcPropEntryBytes = 24
 
-// bcSources picks k deterministic, distinct, non-isolated source
-// vertices spread over the degree distribution.
+// bcSources picks k (at least 1) deterministic, distinct, non-isolated
+// source vertices spread over the degree distribution.
 func bcSources(g *graph.Graph, k int) []uint32 {
-	if k < 1 {
-		k = 1
-	}
 	var sources []uint32
 	stride := g.N/k + 1
 	for v := 0; v < g.N && len(sources) < k; v += stride {
@@ -140,8 +137,9 @@ func (img *Image) runBC(s *stream, k int) []float64 {
 }
 
 // NativeBC is the uninstrumented reference implementation with
-// identical source selection and accumulation order.
+// identical source selection, default included, and accumulation order.
 func NativeBC(g *graph.Graph, k int) []float64 {
+	k = RunOptions{BCSources: k}.withDefaults().BCSources
 	n := g.N
 	bc := make([]float64, n)
 	dist := make([]int32, n)

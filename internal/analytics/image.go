@@ -215,11 +215,11 @@ func (img *Image) Run(opt RunOptions) Result {
 	}
 	s := newStream(img.M, streamBlockWords)
 	defer s.stop()
-	return img.kernel(s, opt)
+	return img.kernel(s, opt.withDefaults())
 }
 
 // kernel runs the app's kernel in the "kernel" phase, streaming its
-// accesses to s, and closes s.
+// accesses to s, and closes s. Every field of opt is set.
 func (img *Image) kernel(s *stream, opt RunOptions) Result {
 	img.M.BeginPhase("kernel")
 	var res Result
@@ -233,11 +233,7 @@ func (img *Image) kernel(s *stream, opt RunOptions) Result {
 	case CC:
 		res.Labels = img.runCC(s)
 	case BC:
-		k := opt.BCSources
-		if k <= 0 {
-			k = 4
-		}
-		res.Centrality = img.runBC(s, k)
+		res.Centrality = img.runBC(s, opt.BCSources)
 	default:
 		panic(check.Failf("analytics: unknown app %s", img.App))
 	}
@@ -245,7 +241,8 @@ func (img *Image) kernel(s *stream, opt RunOptions) Result {
 	return res
 }
 
-// RunOptions parameterizes a kernel execution.
+// RunOptions parameterizes a kernel execution. Run and RunSharded
+// replace each kernel parameter that is not positive with its default.
 type RunOptions struct {
 	Root       uint32  // BFS/SSSP source
 	PREpsilon  float64 // PageRank convergence threshold (default 1e-4)
@@ -253,15 +250,25 @@ type RunOptions struct {
 	BCSources  int     // Betweenness Centrality source sample size (default 4)
 }
 
+// withDefaults returns opt with every kernel parameter that is not
+// positive set to its default.
+func (opt RunOptions) withDefaults() RunOptions {
+	if !(opt.PREpsilon > 0) {
+		opt.PREpsilon = 1e-4
+	}
+	if opt.PRMaxIters <= 0 {
+		opt.PRMaxIters = 10
+	}
+	if opt.BCSources <= 0 {
+		opt.BCSources = 4
+	}
+	return opt
+}
+
 // DefaultRunOptions picks the max-degree vertex as root (a large
 // traversal, deterministic) and the paper-style PR parameters.
 func DefaultRunOptions(g *graph.Graph) RunOptions {
-	return RunOptions{
-		Root:       g.MaxDegreeVertex(),
-		PREpsilon:  1e-4,
-		PRMaxIters: 10,
-		BCSources:  4,
-	}
+	return RunOptions{Root: g.MaxDegreeVertex()}.withDefaults()
 }
 
 // Result carries whichever output the app produced.

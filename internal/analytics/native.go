@@ -73,15 +73,11 @@ func NativeSSSP(g *graph.Graph, root uint32) []int64 {
 }
 
 // NativePR returns PageRank scores with the same damping, epsilon, and
-// iteration-cap semantics as the simulated kernel.
+// iteration-cap semantics as the simulated kernel, defaults included.
 func NativePR(g *graph.Graph, eps float64, maxIters int) ([]float64, int) {
 	n := g.N
-	if eps <= 0 {
-		eps = 1e-4
-	}
-	if maxIters <= 0 {
-		maxIters = 10
-	}
+	opt := RunOptions{PREpsilon: eps, PRMaxIters: maxIters}.withDefaults()
+	eps, maxIters = opt.PREpsilon, opt.PRMaxIters
 	rank := make([]float64, n)
 	next := make([]float64, n)
 	init := 1 / float64(n)

@@ -18,13 +18,6 @@ func (img *Image) runPR(s *stream, eps float64, maxIters int) ([]float64, int) {
 	g := img.G
 	n := g.N
 
-	if eps <= 0 {
-		eps = 1e-4
-	}
-	if maxIters <= 0 {
-		maxIters = 10
-	}
-
 	rank := make([]float64, n)
 	nextRank := make([]float64, n)
 	init := 1 / float64(n)

@@ -82,6 +82,7 @@ func RunSharded(imgs []*Image, cuts []uint32, opt RunOptions, parallel func(int,
 	}
 	g := imgs[0].G
 	app := imgs[0].App
+	opt = opt.withDefaults()
 	for _, img := range imgs {
 		if !img.initialized {
 			panic(check.Failf("analytics: RunSharded before Init"))
@@ -126,11 +127,7 @@ func RunSharded(imgs []*Image, cuts []uint32, opt RunOptions, parallel func(int,
 	case CC:
 		res.Labels = sg.runCC()
 	case BC:
-		k := opt.BCSources
-		if k <= 0 {
-			k = 4
-		}
-		res.Centrality = sg.runBC(k)
+		res.Centrality = sg.runBC(opt.BCSources)
 	default:
 		panic(check.Failf("analytics: unknown app %s", app))
 	}
@@ -218,12 +215,6 @@ func (sg *ShardGroup) runSSSP(root uint32) []int64 {
 }
 
 func (sg *ShardGroup) runPR(eps float64, maxIters int) ([]float64, int) {
-	if eps <= 0 {
-		eps = 1e-4
-	}
-	if maxIters <= 0 {
-		maxIters = 10
-	}
 	n := sg.imgs[0].G.N
 	r := &prShardRun{
 		sg:       sg,

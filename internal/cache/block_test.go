@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"graphmem/internal/ckpt"
+	"graphmem/internal/lru"
 )
 
 // tinyConfig is a hierarchy small enough that a short address stream
@@ -106,15 +107,16 @@ func (p *cachePair) check(op string) {
 
 // sameLevel requires every set of l to list exactly the oracle's
 // resident tags of that set, most recent stamp first, then zeros.
-func sameLevel(t testing.TB, op, name string, l *level, ref *refLevel) {
+func sameLevel(t testing.TB, op, name string, l *lru.Sets, ref *refLevel) {
 	t.Helper()
-	if len(l.tags) != len(ref.tags) {
-		t.Fatalf("after %s: %s holds %d slots, reference %d", op, name, len(l.tags), len(ref.tags))
+	if l.Ways() != ref.ways {
+		t.Fatalf("after %s: %s has %d ways, reference %d", op, name, l.Ways(), ref.ways)
 	}
-	for base := 0; base < len(l.tags); base += l.ways {
-		want := recencyOrder(t, ref.tags[base:base+l.ways], ref.stamp[base:base+l.ways])
-		if got := l.tags[base : base+l.ways]; !slices.Equal(got, want) {
-			t.Fatalf("after %s: %s set %d is %#x, reference order %#x", op, name, base/l.ways, got, want)
+	for s := 0; s <= int(ref.setsMask); s++ {
+		base := s * ref.ways
+		want := recencyOrder(t, ref.tags[base:base+ref.ways], ref.stamp[base:base+ref.ways])
+		if got := l.Set(uint64(s)); !slices.Equal(got, want) {
+			t.Fatalf("after %s: %s set %d is %#x, reference order %#x", op, name, s, got, want)
 		}
 	}
 }
@@ -203,34 +205,37 @@ func FuzzLevelMatchesReference(f *testing.F) {
 // the order directly.
 func TestLRUAcrossOldClockWrap(t *testing.T) {
 	h := New(Haswell())
-	l := h.l1
-	sets := l.setsMask + 1
-	pa := func(k int) uint64 { return uint64(k) * sets << LineShift } // all in set 0
+	sets, _ := h.cfg.L1D.sets()
+	ways := h.l1.Ways()
+	pa := func(k int) uint64 { return uint64(k*sets) << LineShift } // all in set 0
 	tag := func(k int) uint64 { return pa(k)>>LineShift + 1 }
-	for k := 0; k < l.ways; k++ {
+	for k := 0; k < ways; k++ {
 		h.Access(pa(k))
 	}
-	for k := 1; k < l.ways; k++ {
+	for k := 1; k < ways; k++ {
 		if h.Access(pa(k)) != HitL1 {
 			t.Fatalf("re-touch of line %d missed", k)
 		}
 	}
-	if got := l.tags[l.ways-1]; got != tag(0) {
+	set0 := h.l1.Set(0)
+	if got := set0[ways-1]; got != tag(0) {
 		t.Fatalf("LRU slot holds tag %#x, want the untouched line 0 (tag %#x)", got, tag(0))
 	}
-	h.Access(pa(l.ways))
-	want := []uint64{tag(l.ways)}
-	for k := l.ways - 1; k >= 1; k-- {
+	h.Access(pa(ways))
+	want := []uint64{tag(ways)}
+	for k := ways - 1; k >= 1; k-- {
 		want = append(want, tag(k))
 	}
-	if got := l.tags[:l.ways]; !slices.Equal(got, want) {
-		t.Fatalf("after the fill set 0 is %#x, want %#x: line 0 evicted, the rest most recent first", got, want)
+	if !slices.Equal(set0, want) {
+		t.Fatalf("after the fill set 0 is %#x, want %#x: line 0 evicted, the rest most recent first", set0, want)
 	}
 }
 
-// TestDecodeRejectsMalformedSets plants each way a set can fail to be a
-// recency list in an L1 set of an encoded hierarchy, and requires
-// decoding to fail; the unplanted hierarchy decodes to the same sets.
+// TestDecodeRejectsMalformedSets requires decoding an encoded hierarchy
+// to reproduce its L1 sets, and to fail, naming the level, once a
+// duplicate tag is planted in one of them. lru's
+// TestCheckRejectsMalformedSets covers every way a set can be
+// malformed.
 func TestDecodeRejectsMalformedSets(t *testing.T) {
 	// Set 0 of the tiny L1 holds the even lines, whose tags are odd.
 	for _, c := range []struct {
@@ -238,12 +243,10 @@ func TestDecodeRejectsMalformedSets(t *testing.T) {
 		want string // in the decode error; "" for a clean set
 	}{
 		{[]uint64{5, 1, 0, 0}, ""},
-		{[]uint64{5, 0, 1, 0}, "after an empty slot"},
-		{[]uint64{5, 5, 0, 0}, "duplicate tag"},
-		{[]uint64{5, 2, 0, 0}, "belongs to set 1"},
+		{[]uint64{5, 5, 0, 0}, "cache: l1: set 0: duplicate tag"},
 	} {
 		h := New(tinyConfig())
-		copy(h.l1.tags, c.set0)
+		copy(h.l1.Set(0), c.set0)
 		var buf bytes.Buffer
 		if _, err := ckpt.Save(&buf, "cache", func(e *ckpt.Encoder) { Walk(e.Walker(), &h) }); err != nil {
 			t.Fatal(err)
@@ -258,8 +261,8 @@ func TestDecodeRejectsMalformedSets(t *testing.T) {
 		switch {
 		case c.want == "" && err != nil:
 			t.Fatalf("set 0 = %#x failed to decode: %v", c.set0, err)
-		case c.want == "" && !slices.Equal(got.l1.tags, h.l1.tags):
-			t.Fatalf("decoded L1 %#x, encoded %#x", got.l1.tags, h.l1.tags)
+		case c.want == "" && !slices.Equal(got.l1.Set(0), c.set0):
+			t.Fatalf("decoded L1 set 0 %#x, encoded %#x", got.l1.Set(0), c.set0)
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
 			t.Fatalf("set 0 = %#x decoded with error %v, want one naming %q", c.set0, err, c.want)
 		}

@@ -1,15 +1,18 @@
 // Package cache models the data-side cache hierarchy with two
 // set-associative levels (L1D and LLC) of 64-byte lines, physically
-// indexed. The model exists to keep relative performance honest: the
-// paper notes that degree-based reordering improves on-chip locality as
-// well as TLB behaviour, and both effects must be present for the
-// headline ratios to have the right shape.
+// indexed. Each level is an lru.Sets keyed by line number, so its sets
+// keep true-LRU order and an access is one move-to-front walk. The
+// model exists to keep relative performance honest: the paper notes
+// that degree-based reordering improves on-chip locality as well as TLB
+// behaviour, and both effects must be present for the headline ratios
+// to have the right shape.
 package cache
 
 import (
 	"fmt"
 
 	"graphmem/internal/check"
+	"graphmem/internal/lru"
 )
 
 // LineShift is log2 of the cache line size (64B lines).
@@ -19,6 +22,20 @@ const LineShift = 6
 type LevelConfig struct {
 	Bytes int
 	Ways  int
+}
+
+// sets returns the level's set count: its lines must split evenly into
+// its ways, and into a positive power-of-two number of sets.
+func (c LevelConfig) sets() (int, error) {
+	lines := c.Bytes >> LineShift
+	if c.Ways <= 0 || lines%c.Ways != 0 {
+		return 0, fmt.Errorf("%d lines not divisible by %d ways", lines, c.Ways)
+	}
+	sets := lines / c.Ways
+	if sets == 0 || sets&(sets-1) != 0 {
+		return 0, fmt.Errorf("set count %d not a positive power of two", sets)
+	}
+	return sets, nil
 }
 
 // Config describes the data cache hierarchy.
@@ -92,69 +109,26 @@ func (s Stats) LLCMissRate() float64 {
 	return float64(s.LLCMiss) / float64(s.Accesses)
 }
 
-// level is one set-associative cache level. Each set is its LRU stack:
-// the tags (line+1) of its resident lines, most recently used first,
-// then its empty slots (0). The order is the replacement state, so the
-// least recently used line, or an empty slot, is always the set's last
-// slot and no victim search is needed.
-type level struct {
-	setsMask uint64
-	ways     int
-	tags     []uint64 // sets × ways; set s holds tags[s*ways : (s+1)*ways]
-}
-
-func newLevel(c LevelConfig) *level {
-	lines := c.Bytes >> LineShift
-	if lines%c.Ways != 0 {
-		panic(check.Failf("cache: %d lines not divisible by %d ways", lines, c.Ways))
-	}
-	sets := lines / c.Ways
-	if sets&(sets-1) != 0 {
-		panic(check.Failf("cache: set count %d not a power of two", sets))
-	}
-	return &level{
-		setsMask: uint64(sets - 1),
-		ways:     c.Ways,
-		tags:     make([]uint64, lines),
-	}
-}
-
-// set returns the slots of line's set.
-func (l *level) set(line uint64) []uint64 {
-	base := int(line&l.setsMask) * l.ways
-	return l.tags[base : base+l.ways]
-}
-
-// access moves line to the front of its set and reports whether it was
-// resident. One walk does the probe and the update: each entry it
-// passes shifts down one slot, and it stops at line (a hit) or falls
-// off the end of the set, dropping the LRU line or an empty slot (a
-// miss).
-func (l *level) access(line uint64) bool {
-	tag := line + 1
-	set := l.set(line)
-	prev := tag
-	for w, t := range set {
-		set[w] = prev
-		if t == tag {
-			return true
-		}
-		prev = t
-	}
-	return false
-}
-
 // Hierarchy is a live two-level data cache.
 type Hierarchy struct {
 	cfg   Config
-	l1    *level
-	llc   *level
+	l1    *lru.Sets // keyed by line number
+	llc   *lru.Sets
 	stats Stats
 }
 
-// New builds a hierarchy.
+// New builds a hierarchy. It panics if a level's geometry is not one
+// LevelConfig.sets accepts.
 func New(cfg Config) *Hierarchy {
 	return &Hierarchy{cfg: cfg, l1: newLevel(cfg.L1D), llc: newLevel(cfg.LLC)}
+}
+
+func newLevel(c LevelConfig) *lru.Sets {
+	sets, err := c.sets()
+	if err != nil {
+		panic(check.Failf("cache: %v", err))
+	}
+	return lru.New(sets, c.Ways)
 }
 
 // Config returns the configuration.
@@ -168,8 +142,8 @@ func (h *Hierarchy) ResetStats() { h.stats = Stats{} }
 
 // Reset clears contents and counters.
 func (h *Hierarchy) Reset() {
-	clear(h.l1.tags)
-	clear(h.llc.tags)
+	h.l1.Reset()
+	h.llc.Reset()
 	h.stats = Stats{}
 }
 
@@ -196,7 +170,7 @@ func (h *Hierarchy) AccessRepeatL1(pa, n uint64) {
 	h.stats.Accesses += n
 	if check.Enabled {
 		line := pa >> LineShift
-		if mru := h.l1.set(line)[0]; mru != line+1 {
+		if mru := h.l1.Set(line)[0]; mru != line+1 {
 			panic(check.Failf("cache: bulk repeat hit on line %#x, which is not the MRU line of its L1 set (MRU tag %#x)",
 				line, mru))
 		}
@@ -208,11 +182,11 @@ func (h *Hierarchy) AccessRepeatL1(pa, n uint64) {
 func (h *Hierarchy) Access(pa uint64) AccessLevel {
 	h.stats.Accesses++
 	line := pa >> LineShift
-	if h.l1.access(line) {
+	if h.l1.Touch(line) {
 		return HitL1
 	}
 	h.stats.L1Misses++
-	if h.llc.access(line) {
+	if h.llc.Touch(line) {
 		return HitLLC
 	}
 	h.stats.LLCMiss++

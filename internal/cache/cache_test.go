@@ -120,8 +120,8 @@ func TestQuickStatsMonotone(t *testing.T) {
 // not MRU in its set panics.
 func TestAccessRepeatL1RequiresMRU(t *testing.T) {
 	h := New(Haswell())
-	sets := h.l1.setsMask + 1
-	a, b := uint64(0), sets<<LineShift // both in L1 set 0
+	sets, _ := h.cfg.L1D.sets()
+	a, b := uint64(0), uint64(sets)<<LineShift // both in L1 set 0
 	h.Access(a)
 	h.Access(b)
 	h.AccessRepeatL1(b, 5)

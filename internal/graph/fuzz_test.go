@@ -22,6 +22,7 @@ func FuzzRead(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("GMG1"))
 	f.Add([]byte{})
+	f.Add(hugeHeader())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))

@@ -2,8 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -169,6 +172,36 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(nil)); err == nil {
 		t.Fatal("accepted empty input")
+	}
+}
+
+// hugeHeader is a GMG1 header and nothing else, claiming 2^32 vertices
+// and 2^33 edges.
+func hugeHeader() []byte {
+	b := append([]byte("GMG1"), 0, 0, 0, 0)
+	b = binary.LittleEndian.AppendUint64(b, 1<<32)
+	return binary.LittleEndian.AppendUint64(b, 1<<33)
+}
+
+// TestReadBoundsAllocationByInput requires a header that claims far
+// more than the input holds to fail, naming the array it could not
+// read, after allocating about what the input holds rather than what
+// the header claims (2^32+1 offsets alone would be 32 GiB).
+func TestReadBoundsAllocationByInput(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(hugeHeader()))
+	runtime.ReadMemStats(&after)
+	if err == nil || err.Error() != "graph: reading offsets: unexpected EOF" {
+		t.Fatalf("header-only file: err = %v, want graph: reading offsets: unexpected EOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Fatalf("header-only file allocated %d bytes, want under 4 MiB", got)
+	}
+	b := hugeHeader()
+	binary.LittleEndian.PutUint64(b[8:], 1<<32+1)
+	if _, err := Read(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "implausible header") {
+		t.Fatalf("2^32+1 vertices: err = %v, want an implausible header", err)
 	}
 }
 

@@ -67,35 +67,28 @@ func Read(r io.Reader) (*Graph, error) {
 	if m != magic {
 		return nil, errors.New("graph: bad magic (not a GMG1 file)")
 	}
-	var flags uint32
-	var n, edges uint64
-	if err := binary.Read(br, binary.LittleEndian, &flags); err != nil {
-		return nil, err
+	var hdr struct {
+		Flags    uint32
+		N, Edges uint64
 	}
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, err
+	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+		return nil, fmt.Errorf("graph: reading header: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &edges); err != nil {
-		return nil, err
-	}
-	const maxReasonable = 1 << 33
-	if n == 0 || n > maxReasonable || edges > maxReasonable {
+	n, edges := hdr.N, hdr.Edges
+	// Vertex IDs are uint32, so n is at most 2^32.
+	if n == 0 || n > 1<<32 || edges > 1<<33 {
 		return nil, fmt.Errorf("graph: implausible header n=%d m=%d", n, edges)
 	}
-	g := &Graph{
-		N:         int(n),
-		Offsets:   make([]uint64, n+1),
-		Neighbors: make([]uint32, edges),
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.Offsets); err != nil {
+	g := &Graph{N: int(n)}
+	var err error
+	if g.Offsets, err = readArray[uint64](br, n+1, "offsets"); err != nil {
 		return nil, err
 	}
-	if err := binary.Read(br, binary.LittleEndian, g.Neighbors); err != nil {
+	if g.Neighbors, err = readArray[uint32](br, edges, "neighbors"); err != nil {
 		return nil, err
 	}
-	if flags&flagWeighted != 0 {
-		g.Weights = make([]uint32, edges)
-		if err := binary.Read(br, binary.LittleEndian, g.Weights); err != nil {
+	if hdr.Flags&flagWeighted != 0 {
+		if g.Weights, err = readArray[uint32](br, edges, "weights"); err != nil {
 			return nil, err
 		}
 	}
@@ -103,4 +96,26 @@ func Read(r io.Reader) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// readArray reads n little-endian values a chunk at a time into a
+// slice that grows as their bytes arrive, so a header that claims more
+// than the input holds fails after allocating about the input's size.
+func readArray[T uint32 | uint64](r io.Reader, n uint64, name string) ([]T, error) {
+	const chunk = 1 << 16 // values per read
+	s := make([]T, 0, min(n, chunk))
+	for uint64(len(s)) < n {
+		k := int(min(n-uint64(len(s)), chunk))
+		if len(s)+k > cap(s) {
+			s = append(make([]T, 0, min(n, 2*uint64(len(s))+chunk)), s...)
+		}
+		if err := binary.Read(r, binary.LittleEndian, s[len(s):len(s)+k]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised these bytes
+			}
+			return nil, fmt.Errorf("graph: reading %s: %w", name, err)
+		}
+		s = s[:len(s)+k]
+	}
+	return s, nil
 }

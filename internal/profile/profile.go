@@ -106,8 +106,9 @@ func (p *Profile) PlanBudget(budgetBytes uint64) Plan {
 
 // PlanCoverage selects the fewest hottest regions that capture at least
 // `coverage` (0..1] of the estimated accesses — the dual of PlanBudget.
+// A coverage that is not positive, NaN included, selects nothing.
 func (p *Profile) PlanCoverage(coverage float64) Plan {
-	if coverage <= 0 {
+	if !(coverage > 0) {
 		return Plan{}
 	}
 	if coverage > 1 {

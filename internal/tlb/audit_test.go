@@ -1,8 +1,12 @@
 package tlb
 
 import (
+	"bytes"
+	"slices"
+	"strings"
 	"testing"
 
+	"graphmem/internal/ckpt"
 	"graphmem/internal/vm"
 )
 
@@ -46,7 +50,7 @@ func TestCheckInvariantsCleanAfterTraffic(t *testing.T) {
 
 func TestCheckInvariantsDetectsDuplicateTag(t *testing.T) {
 	h := New(Haswell())
-	copy(h.stlb.tags, []uint64{1, 1}) // key 0 planted twice in set 0
+	copy(h.stlb.Set(0), []uint64{1, 1}) // key 0 planted twice in set 0
 	if err := h.CheckInvariants(); err == nil {
 		t.Fatal("duplicate tag within a set not detected")
 	}
@@ -54,7 +58,7 @@ func TestCheckInvariantsDetectsDuplicateTag(t *testing.T) {
 
 func TestCheckInvariantsDetectsWrongSet(t *testing.T) {
 	h := New(Haswell())
-	h.l14k.tags[0] = 2 // key 1 belongs to set 1, planted in set 0
+	h.l14k.Set(0)[0] = 2 // key 1 belongs to set 1, planted in set 0
 	if err := h.CheckInvariants(); err == nil {
 		t.Fatal("tag resident in the wrong set not detected")
 	}
@@ -62,8 +66,47 @@ func TestCheckInvariantsDetectsWrongSet(t *testing.T) {
 
 func TestCheckInvariantsDetectsHole(t *testing.T) {
 	h := New(Haswell())
-	h.pwcPDE.tags[1] = 1 // key 0 planted behind set 0's invalid first slot
+	h.pwcPDE.Set(0)[1] = 1 // key 0 planted behind set 0's invalid first slot
 	if err := h.CheckInvariants(); err == nil {
 		t.Fatal("valid tag after an invalid slot not detected")
+	}
+}
+
+// TestDecodeRejectsMalformedSets requires decoding an encoded hierarchy
+// to reproduce its L1 4K sets, and to fail, naming the array, once a
+// duplicate tag is planted in one of them: decoding runs
+// CheckInvariants. lru's TestCheckRejectsMalformedSets covers every way
+// a set can be malformed.
+func TestDecodeRejectsMalformedSets(t *testing.T) {
+	// Set 0 of Haswell's 16-set L1 4K array holds the keys that are
+	// multiples of 16, whose tags are 1, 17, 33, ...
+	for _, c := range []struct {
+		set0 []uint64
+		want string // in the decode error; "" for a clean set
+	}{
+		{[]uint64{17, 1, 0, 0}, ""},
+		{[]uint64{17, 17, 0, 0}, "tlb: l1d4k: set 0: duplicate tag"},
+	} {
+		h := New(Haswell())
+		copy(h.l14k.Set(0), c.set0)
+		var buf bytes.Buffer
+		if _, err := ckpt.Save(&buf, "tlb", func(e *ckpt.Encoder) { Walk(e.Walker(), &h) }); err != nil {
+			t.Fatal(err)
+		}
+		d, err := ckpt.Load(bytes.NewReader(buf.Bytes()), "tlb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got *Hierarchy
+		Walk(d.Walker(), &got)
+		err = d.Finish()
+		switch {
+		case c.want == "" && err != nil:
+			t.Fatalf("set 0 = %#x failed to decode: %v", c.set0, err)
+		case c.want == "" && !slices.Equal(got.l14k.Set(0), c.set0):
+			t.Fatalf("decoded L1 4K set 0 %#x, encoded %#x", got.l14k.Set(0), c.set0)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Fatalf("set 0 = %#x decoded with error %v, want one naming %q", c.set0, err, c.want)
+		}
 	}
 }

@@ -4,14 +4,15 @@
 // and 2MB translations, and the page-walk caches (PML4E/PDPTE/PDE) that
 // shorten radix walks on STLB misses.
 //
-// All structures are set-associative with true-LRU replacement inside
-// each set, and all state updates are deterministic.
+// Every structure is an lru.Sets: set-associative with true-LRU
+// replacement inside each set. All state updates are deterministic.
 package tlb
 
 import (
 	"fmt"
 
 	"graphmem/internal/check"
+	"graphmem/internal/lru"
 	"graphmem/internal/vm"
 )
 
@@ -21,14 +22,21 @@ type SetConfig struct {
 	Ways    int
 }
 
-func (c SetConfig) sets() int {
+// sets returns the structure's set count: 0 for a zero-entry
+// structure, which holds nothing; otherwise its entries must split
+// evenly into its ways, and into a power-of-two number of sets.
+func (c SetConfig) sets() (int, error) {
 	if c.Entries == 0 {
-		return 0
+		return 0, nil
 	}
 	if c.Ways <= 0 || c.Entries%c.Ways != 0 {
-		panic(check.Failf("tlb: %d entries not divisible by %d ways", c.Entries, c.Ways))
+		return 0, fmt.Errorf("%d entries not divisible by %d ways", c.Entries, c.Ways)
 	}
-	return c.Entries / c.Ways
+	sets := c.Entries / c.Ways
+	if sets&(sets-1) != 0 {
+		return 0, fmt.Errorf("set count %d not a power of two", sets)
+	}
+	return sets, nil
 }
 
 // Config describes a full translation-caching hierarchy.
@@ -100,102 +108,6 @@ func Scaled(c Config, div int) Config {
 	}
 }
 
-// setAssoc is a generic set-associative tag array with per-set LRU.
-// Each set is its LRU stack: the tags (key+1) of its valid entries,
-// most recently used first, then its invalid slots (0). The order is
-// the replacement state, so the LRU entry, or an invalid slot, is
-// always the set's last slot and no victim search is needed.
-type setAssoc struct {
-	setsMask uint64
-	ways     int
-	tags     []uint64 // sets × ways; set s holds tags[s*ways : (s+1)*ways]
-}
-
-func newSetAssoc(c SetConfig) *setAssoc {
-	sets := c.sets()
-	if sets == 0 {
-		return &setAssoc{}
-	}
-	if sets&(sets-1) != 0 {
-		panic(check.Failf("tlb: set count %d not a power of two", sets))
-	}
-	return &setAssoc{
-		setsMask: uint64(sets - 1),
-		ways:     c.Ways,
-		tags:     make([]uint64, sets*c.Ways),
-	}
-}
-
-// set returns the slots of key's set.
-func (s *setAssoc) set(key uint64) []uint64 {
-	base := int(key&s.setsMask) * s.ways
-	return s.tags[base : base+s.ways]
-}
-
-// lookup probes for key; on a hit it moves key to the front of its set.
-func (s *setAssoc) lookup(key uint64) bool {
-	if s.ways == 0 {
-		return false
-	}
-	tag := key + 1
-	set := s.set(key)
-	for w, t := range set {
-		if t == tag {
-			for ; w > 0; w-- {
-				set[w] = set[w-1]
-			}
-			set[0] = tag
-			return true
-		}
-	}
-	return false
-}
-
-// isMRU reports whether key is the most recently used entry of its set.
-// n hitting lookups of such an entry leave its set as it is.
-func (s *setAssoc) isMRU(key uint64) bool {
-	return s.ways != 0 && s.set(key)[0] == key+1
-}
-
-// insert moves key to the front of its set, filling it if absent. One
-// walk does the probe and the update: each entry it passes shifts down
-// one slot, and it stops at key or falls off the end of the set,
-// dropping the LRU entry or an invalid slot.
-func (s *setAssoc) insert(key uint64) {
-	if s.ways == 0 {
-		return
-	}
-	tag := key + 1
-	set := s.set(key)
-	prev := tag
-	for w, t := range set {
-		set[w] = prev
-		if t == tag {
-			return
-		}
-		prev = t
-	}
-}
-
-// invalidate removes key if present, moving the older entries up one
-// slot.
-func (s *setAssoc) invalidate(key uint64) {
-	if s.ways == 0 {
-		return
-	}
-	set := s.set(key)
-	for w, t := range set {
-		if t == key+1 {
-			copy(set[w:], set[w+1:])
-			set[len(set)-1] = 0
-			return
-		}
-	}
-}
-
-// reset clears all entries.
-func (s *setAssoc) reset() { clear(s.tags) }
-
 // Stats holds the hierarchy's counters. DTLB terminology follows the
 // paper: a "DTLB miss" is a first-level miss; those either hit the STLB
 // or walk.
@@ -238,28 +150,37 @@ func (s Stats) STLBMissRate() float64 {
 type Hierarchy struct {
 	cfg Config
 
-	l14k *setAssoc
-	l12m *setAssoc
-	stlb *setAssoc
+	l14k *lru.Sets // keyed by va>>12
+	l12m *lru.Sets // keyed by va>>21
+	stlb *lru.Sets // keyed by stlbKey
 
-	pwcPDE   *setAssoc
-	pwcPDPTE *setAssoc
-	pwcPML4E *setAssoc
+	pwcPDE   *lru.Sets
+	pwcPDPTE *lru.Sets
+	pwcPML4E *lru.Sets
 
 	stats Stats
 }
 
-// New builds a hierarchy from a config.
+// New builds a hierarchy from a config. It panics if a structure's
+// geometry is not one SetConfig.sets accepts.
 func New(cfg Config) *Hierarchy {
 	return &Hierarchy{
 		cfg:      cfg,
-		l14k:     newSetAssoc(cfg.L1D4K),
-		l12m:     newSetAssoc(cfg.L1D2M),
-		stlb:     newSetAssoc(cfg.STLB),
-		pwcPDE:   newSetAssoc(cfg.PWCPDE),
-		pwcPDPTE: newSetAssoc(cfg.PWCPDPTE),
-		pwcPML4E: newSetAssoc(cfg.PWCPML4E),
+		l14k:     newSets(cfg.L1D4K),
+		l12m:     newSets(cfg.L1D2M),
+		stlb:     newSets(cfg.STLB),
+		pwcPDE:   newSets(cfg.PWCPDE),
+		pwcPDPTE: newSets(cfg.PWCPDPTE),
+		pwcPML4E: newSets(cfg.PWCPML4E),
 	}
+}
+
+func newSets(c SetConfig) *lru.Sets {
+	sets, err := c.sets()
+	if err != nil {
+		panic(check.Failf("tlb: %v", err))
+	}
+	return lru.New(sets, c.Ways)
 }
 
 // Config returns the hierarchy's configuration.
@@ -274,12 +195,12 @@ func (h *Hierarchy) ResetStats() { h.stats = Stats{} }
 
 // Reset clears all cached translations and counters.
 func (h *Hierarchy) Reset() {
-	h.l14k.reset()
-	h.l12m.reset()
-	h.stlb.reset()
-	h.pwcPDE.reset()
-	h.pwcPDPTE.reset()
-	h.pwcPML4E.reset()
+	h.l14k.Reset()
+	h.l12m.Reset()
+	h.stlb.Reset()
+	h.pwcPDE.Reset()
+	h.pwcPDPTE.Reset()
+	h.pwcPML4E.Reset()
 	h.stats = Stats{}
 }
 
@@ -307,16 +228,16 @@ func (h *Hierarchy) Lookup(va uint64, size vm.PageSizeClass) Result {
 	h.stats.Lookups++
 	switch size {
 	case vm.Page4K:
-		if h.l14k.lookup(va >> 12) {
+		if h.l14k.Lookup(va >> 12) {
 			return Result{L1Hit: true}
 		}
 	case vm.Page2M:
-		if h.l12m.lookup(va >> 21) {
+		if h.l12m.Lookup(va >> 21) {
 			return Result{L1Hit: true}
 		}
 	}
 	h.stats.L1Misses++
-	if h.stlb.lookup(stlbKey(va, size)) {
+	if h.stlb.Lookup(stlbKey(va, size)) {
 		h.fillL1(va, size)
 		return Result{STLBHit: true}
 	}
@@ -329,9 +250,9 @@ func (h *Hierarchy) Lookup(va uint64, size vm.PageSizeClass) Result {
 // batching that relies on residency after a fill must not engage.
 func (h *Hierarchy) L1Holds(size vm.PageSizeClass) bool {
 	if size == vm.Page2M {
-		return h.l12m.ways != 0
+		return h.l12m.Ways() != 0
 	}
-	return h.l14k.ways != 0
+	return h.l14k.Ways() != 0
 }
 
 // LookupRepeatHit charges n translation lookups of va that are known to
@@ -346,9 +267,9 @@ func (h *Hierarchy) LookupRepeatHit(va uint64, size vm.PageSizeClass, n uint64) 
 	h.stats.Lookups += n
 	var ok bool
 	if size == vm.Page2M {
-		ok = h.l12m.isMRU(va >> 21)
+		ok = h.l12m.IsMRU(va >> 21)
 	} else {
-		ok = h.l14k.isMRU(va >> 12)
+		ok = h.l14k.IsMRU(va >> 12)
 	}
 	if !ok {
 		panic(check.Failf("tlb: bulk repeat hit on va=%#x size=%v, whose translation is not the MRU entry of its L1 set", va, size))
@@ -358,15 +279,15 @@ func (h *Hierarchy) LookupRepeatHit(va uint64, size vm.PageSizeClass, n uint64) 
 // fillL1 installs the translation into the size-appropriate L1 array.
 func (h *Hierarchy) fillL1(va uint64, size vm.PageSizeClass) {
 	if size == vm.Page2M {
-		h.l12m.insert(va >> 21)
+		h.l12m.Touch(va >> 21)
 	} else {
-		h.l14k.insert(va >> 12)
+		h.l14k.Touch(va >> 12)
 	}
 }
 
 // Fill installs a completed walk's translation into the STLB and L1.
 func (h *Hierarchy) Fill(va uint64, size vm.PageSizeClass) {
-	h.stlb.insert(stlbKey(va, size))
+	h.stlb.Touch(stlbKey(va, size))
 	h.fillL1(va, size)
 }
 
@@ -387,11 +308,11 @@ func (h *Hierarchy) WalkCost(va uint64, size vm.PageSizeClass) (memLevels, cache
 	// Find the deepest cached level; everything above it is "cached",
 	// everything below (including the terminal entry) goes to memory.
 	switch {
-	case levels == 4 && h.pwcPDE.lookup(pde):
+	case levels == 4 && h.pwcPDE.Lookup(pde):
 		memLevels, cachedLevels = 1, 3 // only the PTE fetch
-	case h.pwcPDPTE.lookup(pdpte):
+	case h.pwcPDPTE.Lookup(pdpte):
 		memLevels, cachedLevels = levels-2, 2
-	case h.pwcPML4E.lookup(pml4e):
+	case h.pwcPML4E.Lookup(pml4e):
 		memLevels, cachedLevels = levels-1, 1
 	default:
 		memLevels, cachedLevels = levels, 0
@@ -401,13 +322,13 @@ func (h *Hierarchy) WalkCost(va uint64, size vm.PageSizeClass) (memLevels, cache
 	// The level that hit is already at the front of its set from its
 	// lookup: inserting it again would only walk that set once more.
 	if cachedLevels != 1 {
-		h.pwcPML4E.insert(pml4e)
+		h.pwcPML4E.Touch(pml4e)
 	}
 	if cachedLevels != 2 {
-		h.pwcPDPTE.insert(pdpte)
+		h.pwcPDPTE.Touch(pdpte)
 	}
 	if levels == 4 && cachedLevels != 3 {
-		h.pwcPDE.insert(pde)
+		h.pwcPDE.Touch(pde)
 	}
 	return memLevels, cachedLevels
 }
@@ -420,10 +341,10 @@ func (h *Hierarchy) AddWalkCycles(c uint64) { h.stats.WalkCycles += c }
 // given size (and conservatively drops the matching PWC entries).
 func (h *Hierarchy) Invalidate(va uint64, size vm.PageSizeClass) {
 	if size == vm.Page2M {
-		h.l12m.invalidate(va >> 21)
+		h.l12m.Invalidate(va >> 21)
 	} else {
-		h.l14k.invalidate(va >> 12)
+		h.l14k.Invalidate(va >> 12)
 	}
-	h.stlb.invalidate(stlbKey(va, size))
-	h.pwcPDE.invalidate(va >> 21)
+	h.stlb.Invalidate(stlbKey(va, size))
+	h.pwcPDE.Invalidate(va >> 21)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"graphmem/internal/lru"
 	"graphmem/internal/vm"
 )
 
@@ -163,6 +164,20 @@ func TestWalkCostLevels(t *testing.T) {
 	}
 }
 
+// slots returns a copy of every set of s, which has c's geometry, in
+// set order.
+func slots(s *lru.Sets, c SetConfig) []uint64 {
+	sets, err := c.sets()
+	if err != nil {
+		panic(err)
+	}
+	var all []uint64
+	for i := range sets {
+		all = append(all, s.Set(uint64(i))...)
+	}
+	return all
+}
+
 // TestWalkCostRefreshesHitLevelOnce pins what a walk does to the
 // paging-structure cache that hit: its entry, second in its set before
 // the walk, moves to the front, and no other entry of that array
@@ -176,31 +191,31 @@ func TestWalkCostRefreshesHitLevelOnce(t *testing.T) {
 		va     uint64
 		size   vm.PageSizeClass
 		cached int
-		pwc    *setAssoc
+		pwc    *lru.Sets
+		cfg    SetConfig
 		key    uint64
 	}{
 		// other is the next key of va's set (the PDE cache has 8 sets, the
 		// others one); each va is in the same 2MB, 1GB or 512GB region.
-		{"PDE", va + 8<<21, va + 4096, vm.Page4K, 3, h.pwcPDE, va >> 21},
-		{"PDPTE", va + 1<<30, va + 2<<21, vm.Page2M, 2, h.pwcPDPTE, va >> 30},
-		{"PML4E", va + 1<<39, va + 1<<30, vm.Page4K, 1, h.pwcPML4E, va >> 39},
+		{"PDE", va + 8<<21, va + 4096, vm.Page4K, 3, h.pwcPDE, h.cfg.PWCPDE, va >> 21},
+		{"PDPTE", va + 1<<30, va + 2<<21, vm.Page2M, 2, h.pwcPDPTE, h.cfg.PWCPDPTE, va >> 30},
+		{"PML4E", va + 1<<39, va + 1<<30, vm.Page4K, 1, h.pwcPML4E, h.cfg.PWCPML4E, va >> 39},
 	} {
 		h.Reset()
 		h.WalkCost(va, vm.Page4K)
 		h.WalkCost(c.other, vm.Page4K)
-		want := slices.Clone(c.pwc.tags)
-		base := int(c.key&c.pwc.setsMask) * c.pwc.ways
-		if want[base+1] != c.key+1 {
-			t.Fatalf("%s: set before the walk is %#x, want key %#x second",
-				c.level, want[base:base+c.pwc.ways], c.key)
+		want := slots(c.pwc, c.cfg)
+		i := slices.Index(want, c.key+1)
+		if i%c.cfg.Ways != 1 {
+			t.Fatalf("%s: set before the walk is %#x, want key %#x second", c.level, c.pwc.Set(c.key), c.key)
 		}
-		want[base], want[base+1] = want[base+1], want[base]
+		want[i-1], want[i] = want[i], want[i-1]
 		if _, cached := h.WalkCost(c.va, c.size); cached != c.cached {
 			t.Fatalf("%s: walk found %d cached levels, want %d", c.level, cached, c.cached)
 		}
-		if !slices.Equal(c.pwc.tags, want) {
+		if got := slots(c.pwc, c.cfg); !slices.Equal(got, want) {
 			t.Errorf("%s array after the hit is %#x, want %#x: the hit entry in front, nothing else moved",
-				c.level, c.pwc.tags, want)
+				c.level, got, want)
 		}
 	}
 }
@@ -211,19 +226,19 @@ func TestWalkCostRefreshesHitLevelOnce(t *testing.T) {
 // or absent, panics.
 func TestLookupRepeatHitRequiresMRU(t *testing.T) {
 	h := New(Haswell())
-	sets := h.l14k.setsMask + 1
-	a, b := uint64(0), sets<<12 // both in set 0
+	sets, _ := h.cfg.L1D4K.sets()
+	a, b := uint64(0), uint64(sets)<<12 // both in set 0
 	h.Fill(a, vm.Page4K)
 	h.Fill(b, vm.Page4K)
-	before := slices.Clone(h.l14k.tags)
+	before := slots(h.l14k, h.cfg.L1D4K)
 	h.LookupRepeatHit(b, vm.Page4K, 5)
 	if got := h.Stats().Lookups; got != 5 {
 		t.Fatalf("5 repeat hits counted %d lookups", got)
 	}
-	if !slices.Equal(h.l14k.tags, before) {
+	if !slices.Equal(slots(h.l14k, h.cfg.L1D4K), before) {
 		t.Fatal("repeat hits on the MRU entry moved an entry")
 	}
-	for _, va := range []uint64{a, 2 * sets << 12} {
+	for _, va := range []uint64{a, 2 * uint64(sets) << 12} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -232,6 +247,39 @@ func TestLookupRepeatHitRequiresMRU(t *testing.T) {
 			}()
 			h.LookupRepeatHit(va, vm.Page4K, 1)
 		}()
+	}
+}
+
+// TestLRUAcrossOldClockWrap pins the scenario 32-bit LRU stamps once
+// got wrong where they wrapped: fill one set of the L1 4K array,
+// re-touch every page but the first, and the next fill must evict that
+// untouched page. The set is its own recency list, with no clock to
+// wrap, so the test reads the order directly.
+func TestLRUAcrossOldClockWrap(t *testing.T) {
+	h := New(Haswell())
+	sets, _ := h.cfg.L1D4K.sets()
+	ways := h.l14k.Ways()
+	va := func(k int) uint64 { return uint64(k*sets) << 12 } // all in set 0
+	tag := func(k int) uint64 { return va(k)>>12 + 1 }
+	for k := 0; k < ways; k++ {
+		h.Fill(va(k), vm.Page4K)
+	}
+	for k := 1; k < ways; k++ {
+		if !h.Lookup(va(k), vm.Page4K).L1Hit {
+			t.Fatalf("re-touch of page %d missed the L1", k)
+		}
+	}
+	set0 := h.l14k.Set(0)
+	if got := set0[ways-1]; got != tag(0) {
+		t.Fatalf("LRU slot holds tag %#x, want the untouched page 0 (tag %#x)", got, tag(0))
+	}
+	h.Fill(va(ways), vm.Page4K)
+	want := []uint64{tag(ways)}
+	for k := ways - 1; k >= 1; k-- {
+		want = append(want, tag(k))
+	}
+	if !slices.Equal(set0, want) {
+		t.Fatalf("after the fill set 0 is %#x, want %#x: page 0 evicted, the rest most recent first", set0, want)
 	}
 }
 

@@ -24,12 +24,15 @@
 #                       (TestAccessEngineSpeedup: same-host ratios, min
 #                       of 3 interleaved testing.Benchmark runs per
 #                       side), and 30s runs of FuzzLevelMatchesReference
-#                       and FuzzSetAssocMatchesReference require the
-#                       data-cache levels and TLB arrays, whose sets are
-#                       recency lists, to match the stamp-based reference
-#                       copies on every result and counter and on each
-#                       set's LRU order. Every fuzz run (here and in step
-#                       15) bounds minimization at 10 execs per input
+#                       (internal/cache: the data-cache hierarchy) and
+#                       FuzzSetsMatchReference (internal/lru: the array
+#                       behind every cache level and TLB array, on every
+#                       geometry the cache and TLB tests use) require
+#                       sets kept as recency lists to match the
+#                       stamp-based reference copies on every result and
+#                       counter and on each set's LRU order. Every fuzz
+#                       run (here and in step 15) bounds minimization at
+#                       10 execs per input
 #                       (-fuzzminimizetime 10x): under the 60s default
 #                       three of the four stalled minimizing their first
 #                       new inputs and stopped exploring within seconds
@@ -166,7 +169,7 @@ go test -run 'TestAccessFastPathZeroAllocs|TestAccessRunZeroAllocs|TestAccessGat
 go test -run '^$' -bench '^Benchmark' -benchtime 1x ./internal/machine ./internal/memsys ./internal/workload
 GRAPHMEM_SPEEDUP_GATE=1 go test -run '^TestAccessEngineSpeedup$' -count=1 -v ./internal/machine
 go test -run '^$' -fuzz '^FuzzLevelMatchesReference$' -fuzztime 30s -fuzzminimizetime 10x ./internal/cache
-go test -run '^$' -fuzz '^FuzzSetAssocMatchesReference$' -fuzztime 30s -fuzzminimizetime 10x ./internal/tlb
+go test -run '^$' -fuzz '^FuzzSetsMatchReference$' -fuzztime 30s -fuzzminimizetime 10x ./internal/lru
 
 go build -o "$tmp/expdriver" ./cmd/expdriver
 expdriver="$tmp/expdriver"
