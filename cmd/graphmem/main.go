@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"graphmem/internal/analytics"
@@ -54,6 +55,23 @@ func buildSpec(app, dataset, file, scale, policy string, sel float64,
 	method, order string, pressureGB, frag, aged float64, prIters int) (core.RunSpec, error) {
 
 	var spec core.RunSpec
+
+	// The numeric flags are checked before any graph is generated or
+	// loaded. A negative -pressure disables memhog.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"frag", frag}, {"aged", aged}} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return spec, fmt.Errorf("-%s %v: want a fraction in [0,1]", f.name, f.v)
+		}
+	}
+	if math.IsNaN(pressureGB) || math.IsInf(pressureGB, 0) {
+		return spec, fmt.Errorf("-pressure %v: want a finite number of paper-GB", pressureGB)
+	}
+	if prIters < 1 {
+		return spec, fmt.Errorf("-pr-iters %d: want at least 1 iteration", prIters)
+	}
 
 	var err error
 	if spec.App, err = cli.ParseApp(app); err != nil {

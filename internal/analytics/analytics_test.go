@@ -3,6 +3,7 @@ package analytics
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"graphmem/internal/cache"
@@ -134,6 +135,26 @@ func TestImageRequiresWeightsForSSSP(t *testing.T) {
 	m := testMachine(t, oskernel.BaselineConfig())
 	if _, err := NewImage(m, g, SSSP); err == nil {
 		t.Fatal("SSSP accepted unweighted graph")
+	}
+}
+
+// TestImageRequiresEdges: a valid graph with no edges is refused with an
+// error for every app, not a panic mapping its empty edge array.
+func TestImageRequiresEdges(t *testing.T) {
+	for _, weighted := range []bool{false, true} {
+		g, err := graph.FromEdges(1, nil, weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, app := range []App{BFS, SSSP, PR, CC, BC} {
+			if app == SSSP && !weighted {
+				continue
+			}
+			m := testMachine(t, oskernel.BaselineConfig())
+			if _, err := NewImage(m, g, app); err == nil || !strings.Contains(err.Error(), "edges") {
+				t.Fatalf("%s on an edgeless graph (weighted %t): err %v, want the no-edges error", app, weighted, err)
+			}
+		}
 	}
 }
 

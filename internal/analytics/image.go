@@ -141,10 +141,14 @@ type Image struct {
 // NewImage mmaps the arrays an app needs. Nothing is faulted in yet:
 // callers apply madvise policy first, then call Init, which touches the
 // arrays in the configured order (triggering demand faults exactly as
-// initialization I/O would).
+// initialization I/O would). A graph with no edges has no edge array
+// to map, so it is refused like an unweighted graph for SSSP.
 func NewImage(m *machine.Machine, g *graph.Graph, app App) (*Image, error) {
 	if app == SSSP && !g.Weighted() {
 		return nil, fmt.Errorf("analytics: SSSP requires a weighted graph")
+	}
+	if g.NumEdges() == 0 {
+		return nil, fmt.Errorf("analytics: %s requires a graph with edges; this one has %d vertices and none", app, g.N)
 	}
 	img := &Image{App: app, G: g, M: m}
 	img.Vertex = m.Space.Mmap("vertex", uint64(len(g.Offsets))*graph.VertexEntryBytes)
@@ -222,6 +226,7 @@ func (img *Image) Run(opt RunOptions) Result {
 // accesses to s, and closes s. Every field of opt is set.
 func (img *Image) kernel(s *stream, opt RunOptions) Result {
 	img.M.BeginPhase("kernel")
+	s.dst.StartCacheStage()
 	var res Result
 	switch img.App {
 	case BFS:

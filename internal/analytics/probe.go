@@ -77,11 +77,11 @@ func (img *Image) probe(s *stream, budget int) ProbeResult {
 	os0 := m.Kernel.Stats()
 
 	m.BeginPhase("probe")
+	s.dst.StartCacheStage()
 	var accesses uint64
 	rem := budget
 	v := uint64(0)
 	for rem > 0 {
-		issued := false
 		for i := 0; i < g.N && rem > 0; i++ {
 			v = (v + stride) % uint64(g.N)
 			s.run(img.vertexAddr(uint32(v)), 2, graph.VertexEntryBytes)
@@ -102,10 +102,6 @@ func (img *Image) probe(s *stream, budget int) ProbeResult {
 			}
 			accesses += uint64(n)
 			rem -= n
-			issued = true
-		}
-		if !issued {
-			break // edgeless graph: no gather traffic to issue
 		}
 	}
 	s.close()

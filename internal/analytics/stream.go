@@ -42,10 +42,14 @@ const (
 )
 
 // sink is what a stream replays into: the image's machine, or in tests
-// a machine driven one scalar Access at a time.
+// a machine driven one scalar Access at a time. The kernel starts the
+// sink's cache stage (machine/cachestage.go) once it has begun its
+// phase, and the stream stops it after the replay goroutine has exited.
 type sink interface {
 	AccessRun(va uint64, count int, stride uint64)
 	AccessGather(vas []uint64)
+	StartCacheStage()
+	StopCacheStage() error
 }
 
 // stream carries one kernel's accesses from the kernel's goroutine to
@@ -130,22 +134,27 @@ func (s *stream) seal() []uint64 {
 	return s.blk[:s.n]
 }
 
-// close replays the last block, waits for the replay goroutine to exit
-// and raises its failure, if any, on the caller. After close the
-// machine is the caller's again.
+// close replays the last block, waits for the replay goroutine to exit,
+// stops the sink's cache stage, and raises the first failure of either
+// goroutine, if any, on the caller. After close the machine is the
+// caller's again.
 func (s *stream) close() {
 	s.full <- s.seal()
 	close(s.full)
 	s.closed = true
 	<-s.done
+	err := s.dst.StopCacheStage()
 	if s.fail != nil {
 		s.raise()
+	}
+	if err != nil {
+		panic(check.Failf("%v", err))
 	}
 }
 
 // stop ends a replay goroutine the kernel left without close — a
-// kernel-side panic — skipping the blocks still queued. It is a no-op
-// after close; callers defer it.
+// kernel-side panic — skipping the blocks still queued, then stops the
+// sink's cache stage. It is a no-op after close; callers defer it.
 func (s *stream) stop() {
 	if s.closed {
 		return
@@ -154,6 +163,7 @@ func (s *stream) stop() {
 	close(s.full)
 	s.closed = true
 	<-s.done
+	_ = s.dst.StopCacheStage() // a panic is already unwinding
 }
 
 // raise re-raises the replay goroutine's panic on the kernel's

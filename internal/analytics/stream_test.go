@@ -78,6 +78,10 @@ func (s scalarSink) AccessGather(vas []uint64) {
 	}
 }
 
+// The scalar twin probes its caches inline: it starts no cache stage.
+func (scalarSink) StartCacheStage()      {}
+func (scalarSink) StopCacheStage() error { return nil }
+
 // recorder is a tracer that keeps every access.
 type recorder struct {
 	vas  []uint64
@@ -139,11 +143,12 @@ func streamImage(t *testing.T, sc streamConfig, g *graph.Graph, app App) (*Image
 }
 
 // streamVariant runs app's kernel (or, for app "probe", the rollout
-// probe on a BFS image) on a fresh image. A nil dst streams through
+// probe on a BFS image) on a fresh image, and returns what it produced
+// and the machine's cache-stage counters. A nil dst streams through
 // Image.Run or RunProbe as callers do; otherwise the kernel streams to
 // dst(img's machine) in words-word blocks.
 func streamVariant(t *testing.T, sc streamConfig, g *graph.Graph, app App, opt RunOptions,
-	dst func(*machine.Machine) sink, words int) streamRun {
+	dst func(*machine.Machine) sink, words int) (streamRun, machine.CacheStageStats) {
 	t.Helper()
 	kernelApp, probe := app, app == "probe"
 	if probe {
@@ -178,7 +183,7 @@ func streamVariant(t *testing.T, sc streamConfig, g *graph.Graph, app App, opt R
 		}
 	}
 	out.Trace = rec
-	return out
+	return out, m.CacheStageStats()
 }
 
 const probeBudget = 50_000
@@ -191,7 +196,12 @@ func oracleSink(m *machine.Machine) sink  { return scalarSink{m} }
 // streamed run — through Image.Run or RunProbe, and again in blocks of
 // a few words, so that gathers split and every op lands near a block
 // boundary — must equal a twin machine fed the same ops one scalar
-// Access at a time, in its result and in every counter.
+// Access at a time, with its caches probed inline, in its result and in
+// every counter. Each streamed run must start one cache goroutine
+// unless page tables are simulated, a tracer is attached or GOMAXPROCS
+// is 1, and under a promoting configuration must drain it at an event
+// deadline, not only when it stops: a stage that always probed inline
+// would match the twin too.
 func TestStreamMatchesScalar(t *testing.T) {
 	promoted := false
 	for _, sc := range streamConfigs() {
@@ -203,7 +213,7 @@ func TestStreamMatchesScalar(t *testing.T) {
 				if app == SSSP {
 					g = weighted
 				}
-				want := streamVariant(t, sc, g, app, opt, oracleSink, streamBlockWords)
+				want, _ := streamVariant(t, sc, g, app, opt, oracleSink, streamBlockWords)
 				if sc.promote && want.OS.Promotions > 0 {
 					promoted = true
 				}
@@ -215,9 +225,19 @@ func TestStreamMatchesScalar(t *testing.T) {
 					{"Run", nil, 0},
 					{"5-word blocks", machineSink, 5},
 				} {
-					got := streamVariant(t, sc, g, app, opt, v.dst, v.words)
+					got, stage := streamVariant(t, sc, g, app, opt, v.dst, v.words)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s diverged from the scalar twin:\ngot  %+v\nwant %+v", v.name, got, want)
+					}
+					starts := uint64(1)
+					if sc.cfg.SimulatePageTables || sc.trace || runtime.GOMAXPROCS(0) < 2 {
+						starts = 0
+					}
+					if stage.Starts != starts {
+						t.Fatalf("%s started %d cache goroutines, want %d", v.name, stage.Starts, starts)
+					}
+					if sc.promote && starts > 0 && stage.Drains <= stage.Starts {
+						t.Fatalf("%s drained its cache goroutine %d times over %d starts: never at a deadline", v.name, stage.Drains, stage.Starts)
 					}
 				}
 			})
@@ -294,6 +314,56 @@ func TestStreamReplayFailure(t *testing.T) {
 	}
 }
 
+// TestStreamCacheFailure: a panic on the cache goroutine — here a data
+// cache with no levels, swapped in behind the kernel's back — must
+// reach the caller as a check.Failure whose first line is the panic's
+// own message and whose text carries the cache goroutine's stack, with
+// no goroutine left behind: from Image.Run, where the replay goroutine
+// meets the failure as it hands over a block, and from a probe small
+// enough to fit one block, whose failure surfaces when the stage stops.
+func TestStreamCacheFailure(t *testing.T) {
+	for _, procs := range []int{2, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			g := gen.Generate(gen.Kron25, gen.ScaleTest, false)
+			k := oskernel.DefaultConfig()
+			k.KhugepagedEnabled = false // no deadline: every probe goes to the cache goroutine
+			m := testMachine(t, k)
+			img, err := NewImage(m, g, BFS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img.Init(Natural)
+			m.Cache = new(cache.Hierarchy) // its first probe dereferences a nil level
+			before := runtime.NumGoroutine()
+			for _, c := range []struct {
+				name string
+				run  func()
+			}{
+				{"Run", func() { img.Run(DefaultRunOptions(g)) }},
+				{"RunProbe", func() { img.RunProbe(100) }},
+			} {
+				name := c.name
+				v := catch(c.run)
+				fail, ok := v.(check.Failure)
+				if !ok {
+					t.Fatalf("%s panicked with %T %v, want a check.Failure", name, v, v)
+				}
+				msg := fail.Error()
+				if line, _, _ := strings.Cut(msg, "\n"); !strings.HasPrefix(line, "runtime error: invalid memory address") {
+					t.Fatalf("%s failed with %q, want the cache goroutine's nil dereference", name, line)
+				}
+				if !strings.Contains(msg, "cache goroutine:") || !strings.Contains(msg, "machine.(*cacheStage).apply") {
+					t.Fatalf("%s's failure does not carry the cache goroutine's stack:\n%s", name, msg)
+				}
+			}
+			if n := settledGoroutines(before); n > before {
+				t.Fatalf("%d goroutines after the failed runs, %d before", n, before)
+			}
+		})
+	}
+}
+
 // TestStreamKernelFailure: a kernel-side panic mid-stream — PageRank
 // meeting a neighbor ID past the graph after many blocks have gone to
 // replay — must reach the caller unchanged and stop the replay
@@ -322,8 +392,9 @@ func TestStreamKernelFailure(t *testing.T) {
 	}
 }
 
-// TestStreamLeavesNoGoroutine: a normal Run and RunProbe end their
-// replay goroutine before they return.
+// TestStreamLeavesNoGoroutine: a normal Run and RunProbe each start a
+// cache goroutine beside their replay goroutine and end both before
+// they return.
 func TestStreamLeavesNoGoroutine(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g := gen.Generate(gen.Kron25, gen.ScaleTest, false)
@@ -338,5 +409,8 @@ func TestStreamLeavesNoGoroutine(t *testing.T) {
 	img.RunProbe(10_000)
 	if n := settledGoroutines(before); n != before {
 		t.Fatalf("%d goroutines after Run and RunProbe, %d before", n, before)
+	}
+	if st := m.CacheStageStats(); st.Starts != 2 {
+		t.Fatalf("Run and RunProbe started %d cache goroutines, want 2", st.Starts)
 	}
 }

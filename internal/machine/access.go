@@ -2,10 +2,7 @@
 
 package machine
 
-import (
-	"graphmem/internal/cache"
-	"graphmem/internal/memsys"
-)
+import "graphmem/internal/memsys"
 
 // Access simulates one data memory access at virtual address va and
 // advances simulated time. Both loads and stores take this path: the
@@ -47,18 +44,17 @@ func (m *Machine) Access(va uint64) {
 	}
 
 	// Data access at the physical address.
+	// While a cache stage hands probes off, the cache goroutine probes
+	// pa later and the access is charged the dearest level now
+	// (cachestage.go).
 	pa := uint64(tr.Frame)<<memsys.PageShift + (va - tr.BaseVA)
 	var dataCycles uint64
-	lvl := m.Cache.Access(pa)
-	switch lvl {
-	case cache.HitL1:
-		dataCycles = m.Model.L1DHit
-	case cache.HitLLC:
-		dataCycles = m.Model.LLCHit
-	default:
-		dataCycles = m.Model.DRAM
+	if st := m.handoff; st != nil {
+		st.probe(pa)
+		dataCycles = st.cMax
+	} else {
+		dataCycles = m.dataCycles(m.Cache.Access(pa))
 	}
-	dataCycles += m.Model.Compute
 	cycles += dataCycles
 	m.phase.DataCycles += dataCycles
 
@@ -77,6 +73,6 @@ func (m *Machine) Access(va uint64) {
 
 	// Event layer: dispatch background actors only when one is due.
 	if m.cycles >= m.nextEvent {
-		m.runEvents() //simlint:ignore SL012 due-event dispatch; registered tickers own their allocation budget
+		m.atDeadline() //simlint:ignore SL012 due-event dispatch; registered tickers own their allocation budget
 	}
 }

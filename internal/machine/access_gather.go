@@ -106,6 +106,7 @@ func (m *Machine) gatherSegment(vas []uint64, i int) int {
 	// nothing of machine time), so they write back only where control
 	// leaves — before flushBulk, whose events must see true time.
 	cyc, deadline := m.cycles, m.nextEvent
+	st := m.handoff // the cache stage probes go to, or nil: inline
 	var done, data uint64
 	// The last probed address: its line is L1-resident. Each loop trip
 	// charges that line's same-line followers first (a line never spans a
@@ -135,7 +136,11 @@ func (m *Machine) gatherSegment(vas []uint64, i int) int {
 			if gap <= (k-1)*cHit {
 				k = (gap-1)/cHit + 1
 			}
-			m.Cache.AccessRepeatL1(lineVA+paDelta, k)
+			if st != nil {
+				st.repeat(lineVA+paDelta, k)
+			} else {
+				m.Cache.AccessRepeatL1(lineVA+paDelta, k)
+			}
 			cyc += k * cHit
 			done += k
 			data += k * cHit
@@ -143,7 +148,7 @@ func (m *Machine) gatherSegment(vas []uint64, i int) int {
 			if cyc >= deadline {
 				m.cycles = cyc
 				m.flushBulk(done, data)
-				m.runEvents() //simlint:ignore SL012 due-event dispatch; registered tickers own their allocation budget
+				m.atDeadline() //simlint:ignore SL012 due-event dispatch; registered tickers own their allocation budget
 				return i
 			}
 		}
@@ -155,20 +160,18 @@ func (m *Machine) gatherSegment(vas []uint64, i int) int {
 			break
 		}
 		// First access on a new line: real data-cache probe (the fill
-		// makes the line resident for the run above). Translation is
-		// still a guaranteed L1 TLB hit, so the access costs data only.
+		// makes the line resident for the run above), handed off or
+		// inline. Translation is still a guaranteed L1 TLB hit, so the
+		// access costs data only.
 		lineVA = va
 		line = va >> cache.LineShift
 		var d uint64
-		switch m.Cache.Access(va + paDelta) {
-		case cache.HitL1:
-			d = m.Model.L1DHit
-		case cache.HitLLC:
-			d = m.Model.LLCHit
-		default:
-			d = m.Model.DRAM
+		if st != nil {
+			st.probe(va + paDelta)
+			d = st.cMax
+		} else {
+			d = m.dataCycles(m.Cache.Access(va + paDelta))
 		}
-		d += m.Model.Compute
 		cyc += d
 		done++
 		data += d
@@ -176,7 +179,7 @@ func (m *Machine) gatherSegment(vas []uint64, i int) int {
 		if cyc >= deadline {
 			m.cycles = cyc
 			m.flushBulk(done, data)
-			m.runEvents() //simlint:ignore SL012 due-event dispatch; registered tickers own their allocation budget
+			m.atDeadline() //simlint:ignore SL012 due-event dispatch; registered tickers own their allocation budget
 			return i
 		}
 	}

@@ -90,6 +90,7 @@ func (m *Machine) bulkSegment(va uint64, count int, stride uint64) (uint64, int)
 	base, span := m.trBase, m.trSpan
 	paDelta := uint64(m.tr.Frame)<<memsys.PageShift - m.tr.BaseVA
 	cHit := m.Model.L1DHit + m.Model.Compute
+	st := m.handoff // the cache stage probes go to, or nil: inline
 	var done, data uint64
 	lineVA := va - stride // last probed address: its line is L1-resident
 
@@ -112,7 +113,11 @@ func (m *Machine) bulkSegment(va uint64, count int, stride uint64) (uint64, int)
 			if gap <= (n-1)*cHit {
 				n = (gap-1)/cHit + 1
 			}
-			m.Cache.AccessRepeatL1(va+paDelta, n)
+			if st != nil {
+				st.repeat(va+paDelta, n)
+			} else {
+				m.Cache.AccessRepeatL1(va+paDelta, n)
+			}
 			m.cycles += n * cHit
 			done += n
 			data += n * cHit
@@ -120,25 +125,23 @@ func (m *Machine) bulkSegment(va uint64, count int, stride uint64) (uint64, int)
 			count -= int(n)
 			if m.cycles >= m.nextEvent {
 				m.flushBulk(done, data)
-				m.runEvents() //simlint:ignore SL012 due-event dispatch; registered tickers own their allocation budget
+				m.atDeadline() //simlint:ignore SL012 due-event dispatch; registered tickers own their allocation budget
 				return va, count
 			}
 			continue
 		}
 		// First access on a new line: real data-cache probe (the fill
-		// makes the line resident for the batch above). Translation is
-		// still a guaranteed L1 TLB hit, so the access costs data only.
+		// makes the line resident for the batch above), handed off or
+		// inline. Translation is still a guaranteed L1 TLB hit, so the
+		// access costs data only.
 		lineVA = va
 		var d uint64
-		switch m.Cache.Access(va + paDelta) {
-		case cache.HitL1:
-			d = m.Model.L1DHit
-		case cache.HitLLC:
-			d = m.Model.LLCHit
-		default:
-			d = m.Model.DRAM
+		if st != nil {
+			st.probe(va + paDelta)
+			d = st.cMax
+		} else {
+			d = m.dataCycles(m.Cache.Access(va + paDelta))
 		}
-		d += m.Model.Compute
 		m.cycles += d
 		done++
 		data += d
@@ -146,7 +149,7 @@ func (m *Machine) bulkSegment(va uint64, count int, stride uint64) (uint64, int)
 		count--
 		if m.cycles >= m.nextEvent {
 			m.flushBulk(done, data)
-			m.runEvents() //simlint:ignore SL012 due-event dispatch; registered tickers own their allocation budget
+			m.atDeadline() //simlint:ignore SL012 due-event dispatch; registered tickers own their allocation budget
 			return va, count
 		}
 	}

@@ -8,7 +8,7 @@
 // configurations are ratios of these counters over identical access
 // streams.
 //
-// The access engine is staged across six files (DESIGN.md §4):
+// The access engine is staged across seven files (DESIGN.md §4):
 //
 //   - access.go        the branch-lean fast path: one translation-cache
 //     compare, TLB probe, data-cache probe, and inlined allocation-free
@@ -26,6 +26,9 @@
 //     compare per access and dispatches only when a deadline is due.
 //   - stats.go        phases, per-array attribution, and the tracer
 //     hook.
+//   - cachestage.go   the cache stage: while a kernel streams, the data
+//     caches run on a goroutine of their own, one step behind the
+//     probe sites, and event deadlines read a clock bound (§4g).
 //
 // This file holds construction and the cross-cutting small pieces.
 package machine
@@ -132,6 +135,13 @@ type Machine struct {
 	// tracer receives every access while attached (stats.go). The fast
 	// path tests it for nil only.
 	tracer Tracer
+
+	// stage is the open cache stage (cachestage.go), or nil; handoff is
+	// stage while the probe sites hand their probes to it, and nil
+	// while they probe inline. The fast path tests handoff for nil only.
+	stage      *cacheStage
+	handoff    *cacheStage
+	stageStats CacheStageStats
 
 	shardState
 }

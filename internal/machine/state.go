@@ -61,6 +61,9 @@ func (m *Machine) state(w *ckpt.Walker, owner memsys.OwnerFunc) {
 	// fork's shallow copy keeps the original's, and a loader applies its
 	// own (core's applyAccessHatches).
 	_, _ = m.noBulk, m.noGather
+	// A cache stage lives only while a kernel streams, and no walk runs
+	// then; its counters are host-side diagnostics.
+	_, _, _ = m.stage, m.handoff, m.stageStats
 	w.U64(&m.cycles)
 	w.Bool(&m.simPT)
 	w.U64(&m.nextEvent)

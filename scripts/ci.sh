@@ -12,7 +12,7 @@
 #                       suite again with runtime invariant audits live
 #                       (buddy allocator, TLB arrays, VM accounting,
 #                       scheduler task conservation, promise quiescence)
-#   7. zero-alloc + bench smoke + engine gate + LRU oracles
+#   7. zero-alloc + bench smoke + engine gate + LRU and cache-stage oracles
 #                       the staged access engine's fast path, the bulk
 #                       AccessRun path, and the gather AccessGather
 #                       path must stay allocation-free, every machine,
@@ -30,7 +30,12 @@
 #                       geometry the cache and TLB tests use) require
 #                       sets kept as recency lists to match the
 #                       stamp-based reference copies on every result and
-#                       counter and on each set's LRU order. Every fuzz
+#                       counter and on each set's LRU order; a 30s run
+#                       of FuzzCacheStageMatchesScalar (internal/machine)
+#                       requires a machine whose data caches run on a
+#                       cache goroutine, with event deadlines a few
+#                       hundred cycles apart, to match a scalar twin
+#                       that probes inline on every counter. Every fuzz
 #                       run (here and in step 15) bounds minimization at
 #                       10 execs per input
 #                       (-fuzzminimizetime 10x): under the 60s default
@@ -109,9 +114,11 @@
 #                       split their work across GOMAXPROCS workers, and
 #                       the split must not reach a byte. So do the
 #                       analytics tests, whose stream oracle holds each
-#                       kernel's streamed run to a scalar twin, however
-#                       the kernel and its replay goroutine are
-#                       scheduled
+#                       kernel's streamed run to a scalar twin, and the
+#                       machine tests, whose cache-stage oracle holds a
+#                       machine with a cache goroutine to one, however
+#                       the kernel, its replay goroutine and its cache
+#                       goroutine are scheduled
 #  19. code-line count (informational, not a gate)
 #                       scripts/loc.sh prints the non-blank, non-comment
 #                       line count of non-test Go under internal/ and
@@ -164,12 +171,13 @@ go test -race ./...
 echo "== test -tags simcheck (runtime audits live)"
 go test -tags simcheck ./internal/...
 
-echo "== zero-alloc fast path + bench smoke + engine gate + LRU oracles"
+echo "== zero-alloc fast path + bench smoke + engine gate + LRU and cache-stage oracles"
 go test -run 'TestAccessFastPathZeroAllocs|TestAccessRunZeroAllocs|TestAccessGatherZeroAllocs' -count=1 ./internal/machine
 go test -run '^$' -bench '^Benchmark' -benchtime 1x ./internal/machine ./internal/memsys ./internal/workload
 GRAPHMEM_SPEEDUP_GATE=1 go test -run '^TestAccessEngineSpeedup$' -count=1 -v ./internal/machine
 go test -run '^$' -fuzz '^FuzzLevelMatchesReference$' -fuzztime 30s -fuzzminimizetime 10x ./internal/cache
 go test -run '^$' -fuzz '^FuzzSetsMatchReference$' -fuzztime 30s -fuzzminimizetime 10x ./internal/lru
+go test -run '^$' -fuzz '^FuzzCacheStageMatchesScalar$' -fuzztime 30s -fuzzminimizetime 10x ./internal/machine
 
 go build -o "$tmp/expdriver" ./cmd/expdriver
 expdriver="$tmp/expdriver"
@@ -263,8 +271,8 @@ go run ./cmd/docsplice -doc EXPERIMENTS.md -results results/expdriver_full.txt -
 echo "== benchmark self-test (bench/ outputs vs golden digests)"
 (cd bench && go test -count=1 .)
 
-echo "== inputs and kernels independent of GOMAXPROCS (generators, CSR, reordering, kernel streams)"
-go test -count=1 -cpu 1,2,4 ./internal/gen ./internal/graph ./internal/reorder ./internal/analytics
+echo "== inputs and kernels independent of GOMAXPROCS (generators, CSR, reordering, kernel streams, cache stage)"
+go test -count=1 -cpu 1,2,4 ./internal/gen ./internal/graph ./internal/reorder ./internal/analytics ./internal/machine
 
 echo "== code-line count (informational)"
 ./scripts/loc.sh || true
