@@ -4,10 +4,11 @@
 // while routing every access to the vertex, edge, values, property, and
 // worklist arrays through the machine's access engine (sequential
 // AccessRun, irregular AccessGather), so the simulator observes the
-// exact access stream the paper characterizes. A monolithic kernel
-// appends its accesses to a stream (stream.go), which a replay
-// goroutine feeds to the machine while the kernel computes ahead;
-// sharded kernels (shard.go) drive their shard machines directly.
+// exact access stream the paper characterizes. Every kernel appends its
+// accesses to a stream (stream.go): a monolithic kernel's stream has a
+// replay goroutine that feeds the machine while the kernel computes
+// ahead, and each shard worker of a sharded kernel (shard.go) replays
+// its own stream inline.
 package analytics
 
 import (
@@ -127,15 +128,6 @@ type Image struct {
 	Misc   *vm.VMA // process overhead (stack, loader, heap metadata)
 
 	initialized bool
-
-	// gbuf is the sharded kernels' reusable gather buffer: a shard
-	// worker collects its irregular property and frontier addresses
-	// into it, in exact scalar access order, and issues them as
-	// machine.AccessGather batches (DESIGN.md §4e). Reused across
-	// batches, so it allocates only while growing toward the batch
-	// bound. Monolithic kernels stream instead (stream.go) and leave
-	// it nil.
-	gbuf []uint64
 }
 
 // NewImage mmaps the arrays an app needs. Nothing is faulted in yet:
@@ -210,6 +202,9 @@ func (img *Image) Init(order AllocOrder) {
 //   - BFS: hop counts (int64, -1 unreached)
 //   - SSSP: distances (int64, -1 unreached)
 //   - PR: ranks (float64)
+//   - CC: component labels (int64, the least vertex ID min-label
+//     propagation carries to each vertex)
+//   - BC: unnormalized centrality scores (float64)
 //
 // The kernel streams its accesses to the machine (stream.go); Run
 // returns only after the machine has replayed every one of them.
@@ -217,7 +212,7 @@ func (img *Image) Run(opt RunOptions) Result {
 	if !img.initialized {
 		panic(check.Failf("analytics: Run before Init"))
 	}
-	s := newStream(img.M, streamBlockWords)
+	s := newStream(img.M, streamBlockWords, streamBlocks)
 	defer s.stop()
 	return img.kernel(s, opt.withDefaults())
 }

@@ -60,7 +60,7 @@ func (img *Image) RunProbe(budget int) ProbeResult {
 	if !img.initialized {
 		panic(check.Failf("analytics: RunProbe before Init"))
 	}
-	s := newStream(img.M, streamBlockWords)
+	s := newStream(img.M, streamBlockWords, streamBlocks)
 	defer s.stop()
 	return img.probe(s, budget)
 }

@@ -33,14 +33,10 @@ type shardMsg struct {
 	x uint64
 }
 
-// shardGatherChunk bounds the gather batch the apply phase accumulates
-// before flushing to AccessGather, so inbox drains reuse one bounded
-// buffer instead of materializing an addresses-per-round slice.
-const shardGatherChunk = 1 << 14
-
 // ShardGroup drives one sharded kernel execution over S images.
 type ShardGroup struct {
 	imgs  []*Image
+	st    []*stream // st[sh] carries shard sh's accesses to its machine, inline
 	cuts  []uint32
 	owner []uint8
 
@@ -97,6 +93,7 @@ func RunSharded(imgs []*Image, cuts []uint32, opt RunOptions, parallel func(int,
 
 	sg := &ShardGroup{
 		imgs:     imgs,
+		st:       make([]*stream, s),
 		cuts:     cuts,
 		owner:    make([]uint8, g.N),
 		parallel: parallel,
@@ -113,6 +110,7 @@ func RunSharded(imgs []*Image, cuts []uint32, opt RunOptions, parallel func(int,
 	}
 	for sh, img := range imgs {
 		img.M.BeginPhase("kernel")
+		sg.st[sh] = newStream(img.M, streamBlockWords, 1)
 		sg.last[sh] = img.M.Cycles()
 	}
 
@@ -134,12 +132,16 @@ func RunSharded(imgs []*Image, cuts []uint32, opt RunOptions, parallel func(int,
 	return res, sg.makespan
 }
 
-// step runs one bulk-synchronous superstep — fn on every shard, then a
-// barrier — and folds the slowest shard's cycle delta into the
-// makespan. Iterating shards in index order here (not completion
-// order) is what keeps the accounting independent of worker count.
+// step runs one bulk-synchronous superstep — fn on every shard, which
+// then flushes its stream, and a barrier — and folds the slowest shard's
+// cycle delta into the makespan. Iterating shards in index order here
+// (not completion order) is what keeps the accounting independent of
+// worker count.
 func (sg *ShardGroup) step(fn func(sh int)) {
-	sg.parallel(len(sg.imgs), fn)
+	sg.parallel(len(sg.imgs), func(sh int) {
+		fn(sh)
+		sg.st[sh].flush()
+	})
 	var maxd uint64
 	for sh, img := range sg.imgs {
 		c := img.M.Cycles()

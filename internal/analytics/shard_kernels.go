@@ -5,9 +5,9 @@
 // invocation per shard, between two barriers. The isolation contract —
 // enforced interprocedurally by rule SL014 — is that nothing here (or
 // anything reachable from here) writes shared global state: a worker
-// may touch only its own shard's machine, its own windows of the
-// shared algorithm slices (hops, dist, rank, …), its own outbox row,
-// and the inbox cells it owns as the destination. Simulated addresses
+// may touch only its own shard's machine and stream, its own windows
+// of the shared algorithm slices (hops, dist, rank, …), its own outbox
+// row, and the inbox cells it owns as the destination. Simulated addresses
 // are not so restricted: each shard machine maps the full logical
 // address space, and the BC reverse sweep deliberately reads
 // finalized remote property addresses, charged to the local machine
@@ -26,27 +26,18 @@ import (
 // edge enqueues (w, x(e)) on the owner's inbox. Message transport
 // itself charges nothing — it models on-chip work distribution, not a
 // memory access (MODEL.md).
-func (sg *ShardGroup) sendAll(sh int, img *Image, v uint32, x func(e uint64, w uint32) uint64) {
+func (sg *ShardGroup) sendAll(sh int, v uint32, x func(e uint64, w uint32) uint64) {
+	img, s := sg.imgs[sh], sg.st[sh]
 	g := img.G
-	img.M.AccessRun(img.vertexAddr(v), 2, graph.VertexEntryBytes)
+	s.run(img.vertexAddr(v), 2, graph.VertexEntryBytes)
 	lo, hi := g.Offsets[v], g.Offsets[v+1]
-	img.M.AccessRun(img.edgeAddr(lo), int(hi-lo), graph.EdgeEntryBytes)
+	s.run(img.edgeAddr(lo), int(hi-lo), graph.EdgeEntryBytes)
 	row := sg.out[sh]
 	for e := lo; e < hi; e++ {
 		w := g.Neighbors[e]
 		d := sg.owner[w]
 		row[d] = append(row[d], shardMsg{w: w, x: x(e, w)})
 	}
-}
-
-// flushGather issues gb when it reached the chunk bound (or force) and
-// returns the emptied buffer.
-func flushGather(img *Image, gb []uint64, force bool) []uint64 {
-	if (force && len(gb) > 0) || len(gb)+3 > shardGatherChunk {
-		img.M.AccessGather(gb)
-		gb = gb[:0]
-	}
-	return gb
 }
 
 // --- BFS ---------------------------------------------------------------
@@ -61,45 +52,41 @@ type bfsShardRun struct {
 
 func (r *bfsShardRun) seed(sh int) {
 	sg := r.sg
-	img := sg.imgs[sh]
-	img.M.Access(img.workAddr(0, int(sg.cuts[sh]))) // push root
-	img.M.Access(img.propAddr(r.root))              // initialize root's property entry
+	img, s := sg.imgs[sh], sg.st[sh]
+	s.access(img.workAddr(0, int(sg.cuts[sh]))) // push root
+	s.access(img.propAddr(r.root))              // initialize root's property entry
 	sg.cur[sh] = append(sg.cur[sh][:0], r.root)
 }
 
 func (r *bfsShardRun) scatter(sh int) {
 	sg := r.sg
-	img := sg.imgs[sh]
+	img, s := sg.imgs[sh], sg.st[sh]
 	base := int(sg.cuts[sh])
 	for i, v := range sg.cur[sh] {
-		img.M.Access(img.workAddr(r.buf, base+i)) // pop v from the worklist
-		sg.sendAll(sh, img, v, func(uint64, uint32) uint64 { return 0 })
+		s.access(img.workAddr(r.buf, base+i)) // pop v from the worklist
+		sg.sendAll(sh, v, func(uint64, uint32) uint64 { return 0 })
 	}
 }
 
 func (r *bfsShardRun) apply(sh int) {
 	sg := r.sg
-	img := sg.imgs[sh]
+	img, s := sg.imgs[sh], sg.st[sh]
 	base := int(sg.cuts[sh])
 	next := sg.next[sh][:0]
-	gb := img.gbuf[:0]
 	for src := range sg.imgs {
 		msgs := sg.out[src][sh]
 		for _, msg := range msgs {
-			gb = flushGather(img, gb, false)
 			w := msg.w
-			gb = append(gb, img.propAddr(w)) // irregular property read
+			s.access(img.propAddr(w)) // irregular property read
 			if r.hops[w] == -1 {
 				r.hops[w] = r.level
-				gb = append(gb,
-					img.propAddr(w), // property write
-					img.workAddr(1-r.buf, base+len(next)))
+				s.access(img.propAddr(w)) // property write
+				s.access(img.workAddr(1-r.buf, base+len(next)))
 				next = append(next, w)
 			}
 		}
 		sg.out[src][sh] = msgs[:0]
 	}
-	img.gbuf = flushGather(img, gb, true)
 	sg.next[sh] = next
 }
 
@@ -115,24 +102,24 @@ type ssspShardRun struct {
 
 func (r *ssspShardRun) seed(sh int) {
 	sg := r.sg
-	img := sg.imgs[sh]
-	img.M.Access(img.workAddr(0, int(sg.cuts[sh])))
-	img.M.Access(img.propAddr(r.root))
+	img, s := sg.imgs[sh], sg.st[sh]
+	s.access(img.workAddr(0, int(sg.cuts[sh])))
+	s.access(img.propAddr(r.root))
 	sg.cur[sh] = append(sg.cur[sh][:0], r.root)
 }
 
 func (r *ssspShardRun) scatter(sh int) {
 	sg := r.sg
-	img := sg.imgs[sh]
+	img, s := sg.imgs[sh], sg.st[sh]
 	g := img.G
 	base := int(sg.cuts[sh])
 	for i, v := range sg.cur[sh] {
-		img.M.Access(img.workAddr(r.buf, base+i))
+		s.access(img.workAddr(r.buf, base+i))
 		dv := r.dist[v]
 		// The weights stream alongside the neighbor IDs.
 		lo, hi := g.Offsets[v], g.Offsets[v+1]
-		img.M.AccessRun(img.valueAddr(lo), int(hi-lo), graph.ValueEntryBytes)
-		sg.sendAll(sh, img, v, func(e uint64, _ uint32) uint64 {
+		s.run(img.valueAddr(lo), int(hi-lo), graph.ValueEntryBytes)
+		sg.sendAll(sh, v, func(e uint64, _ uint32) uint64 {
 			return uint64(dv + int64(g.Weights[e]))
 		})
 	}
@@ -140,30 +127,27 @@ func (r *ssspShardRun) scatter(sh int) {
 
 func (r *ssspShardRun) apply(sh int) {
 	sg := r.sg
-	img := sg.imgs[sh]
+	img, s := sg.imgs[sh], sg.st[sh]
 	base := int(sg.cuts[sh])
 	next := sg.next[sh][:0]
-	gb := img.gbuf[:0]
 	for src := range sg.imgs {
 		msgs := sg.out[src][sh]
 		for _, msg := range msgs {
-			gb = flushGather(img, gb, false)
 			w := msg.w
 			nd := int64(msg.x)
-			gb = append(gb, img.propAddr(w)) // property read
+			s.access(img.propAddr(w)) // property read
 			if r.dist[w] == -1 || nd < r.dist[w] {
 				r.dist[w] = nd
-				gb = append(gb, img.propAddr(w)) // property write
+				s.access(img.propAddr(w)) // property write
 				if !r.inNext[w] {
 					r.inNext[w] = true
-					gb = append(gb, img.workAddr(1-r.buf, base+len(next)))
+					s.access(img.workAddr(1-r.buf, base+len(next)))
 					next = append(next, w)
 				}
 			}
 		}
 		sg.out[src][sh] = msgs[:0]
 	}
-	img.gbuf = flushGather(img, gb, true)
 	for _, w := range next {
 		r.inNext[w] = false
 	}
@@ -182,19 +166,19 @@ type prShardRun struct {
 
 func (r *prShardRun) scatter(sh int) {
 	sg := r.sg
-	img := sg.imgs[sh]
+	img, s := sg.imgs[sh], sg.st[sh]
 	g := img.G
 	for v := sg.cuts[sh]; v < sg.cuts[sh+1]; v++ {
-		img.M.AccessRun(img.vertexAddr(v), 2, graph.VertexEntryBytes)
+		s.run(img.vertexAddr(v), 2, graph.VertexEntryBytes)
 		lo, hi := g.Offsets[v], g.Offsets[v+1]
 		deg := hi - lo
 		if deg == 0 {
 			continue
 		}
-		img.M.Access(img.propAddr(v)) // sequential read of rank[v]
+		s.access(img.propAddr(v)) // sequential read of rank[v]
 		contrib := prDamping * r.rank[v] / float64(deg)
 		bits := math.Float64bits(contrib)
-		img.M.AccessRun(img.edgeAddr(lo), int(deg), graph.EdgeEntryBytes)
+		s.run(img.edgeAddr(lo), int(deg), graph.EdgeEntryBytes)
 		row := sg.out[sh]
 		for e := lo; e < hi; e++ {
 			w := g.Neighbors[e]
@@ -206,26 +190,23 @@ func (r *prShardRun) scatter(sh int) {
 
 func (r *prShardRun) apply(sh int) {
 	sg := r.sg
-	img := sg.imgs[sh]
+	img, s := sg.imgs[sh], sg.st[sh]
 	lo, hi := sg.cuts[sh], sg.cuts[sh+1]
 	for v := lo; v < hi; v++ {
 		r.nextRank[v] = 0
 	}
-	gb := img.gbuf[:0]
 	for src := range sg.imgs {
 		msgs := sg.out[src][sh]
 		for _, msg := range msgs {
-			gb = flushGather(img, gb, false)
-			gb = append(gb, img.propAddr(msg.w)+8) // next-rank RMW scatter
+			s.access(img.propAddr(msg.w) + 8) // next-rank RMW scatter
 			r.nextRank[msg.w] += math.Float64frombits(msg.x)
 		}
 		sg.out[src][sh] = msgs[:0]
 	}
-	img.gbuf = flushGather(img, gb, true)
 	// Sequential fold of next into rank over the owned window: one
 	// property write per vertex, streamed as a single bulk run.
 	if hi > lo {
-		img.M.AccessRun(img.propAddr(lo), int(hi-lo), PropEntryBytes(img.App))
+		s.run(img.propAddr(lo), int(hi-lo), PropEntryBytes(img.App))
 	}
 	var maxDelta float64
 	for v := lo; v < hi; v++ {
@@ -251,12 +232,12 @@ type ccShardRun struct {
 // its own window (label write + worklist push per vertex).
 func (r *ccShardRun) seed(sh int) {
 	sg := r.sg
-	img := sg.imgs[sh]
+	img, s := sg.imgs[sh], sg.st[sh]
 	next := sg.next[sh][:0]
 	for v := sg.cuts[sh]; v < sg.cuts[sh+1]; v++ {
 		r.label[v] = int64(v)
-		img.M.Access(img.propAddr(v))         // initialize label
-		img.M.Access(img.workAddr(0, int(v))) // enqueue everyone
+		s.access(img.propAddr(v))         // initialize label
+		s.access(img.workAddr(0, int(v))) // enqueue everyone
 		next = append(next, v)
 	}
 	sg.next[sh] = next
@@ -264,41 +245,38 @@ func (r *ccShardRun) seed(sh int) {
 
 func (r *ccShardRun) scatter(sh int) {
 	sg := r.sg
-	img := sg.imgs[sh]
+	img, s := sg.imgs[sh], sg.st[sh]
 	base := int(sg.cuts[sh])
 	for i, v := range sg.cur[sh] {
-		img.M.Access(img.workAddr(r.buf, base+i))
+		s.access(img.workAddr(r.buf, base+i))
 		lv := uint64(r.label[v])
-		sg.sendAll(sh, img, v, func(uint64, uint32) uint64 { return lv })
+		sg.sendAll(sh, v, func(uint64, uint32) uint64 { return lv })
 	}
 }
 
 func (r *ccShardRun) apply(sh int) {
 	sg := r.sg
-	img := sg.imgs[sh]
+	img, s := sg.imgs[sh], sg.st[sh]
 	base := int(sg.cuts[sh])
 	next := sg.next[sh][:0]
-	gb := img.gbuf[:0]
 	for src := range sg.imgs {
 		msgs := sg.out[src][sh]
 		for _, msg := range msgs {
-			gb = flushGather(img, gb, false)
 			w := msg.w
 			lv := int64(msg.x)
-			gb = append(gb, img.propAddr(w)) // read neighbor label
+			s.access(img.propAddr(w)) // read neighbor label
 			if r.label[w] > lv {
 				r.label[w] = lv
-				gb = append(gb, img.propAddr(w)) // write
+				s.access(img.propAddr(w)) // write
 				if !r.inNext[w] {
 					r.inNext[w] = true
-					gb = append(gb, img.workAddr(1-r.buf, base+len(next)))
+					s.access(img.workAddr(1-r.buf, base+len(next)))
 					next = append(next, w)
 				}
 			}
 		}
 		sg.out[src][sh] = msgs[:0]
 	}
-	img.gbuf = flushGather(img, gb, true)
 	for _, w := range next {
 		r.inNext[w] = false
 	}
@@ -324,10 +302,10 @@ type bcShardRun struct {
 // frontier.
 func (r *bcShardRun) reset(sh int) {
 	sg := r.sg
-	img := sg.imgs[sh]
+	img, s := sg.imgs[sh], sg.st[sh]
 	lo, hi := sg.cuts[sh], sg.cuts[sh+1]
 	if hi > lo {
-		img.M.AccessRun(img.propAddr(lo), int(hi-lo), bcPropEntryBytes)
+		s.run(img.propAddr(lo), int(hi-lo), bcPropEntryBytes)
 	}
 	for v := lo; v < hi; v++ {
 		r.dist[v] = -1
@@ -339,8 +317,8 @@ func (r *bcShardRun) reset(sh int) {
 	if r.src >= lo && r.src < hi {
 		r.dist[r.src] = 0
 		r.sigma[r.src] = 1
-		img.M.Access(img.propAddr(r.src) + 8) // sigma write
-		img.M.Access(img.workAddr(0, int(lo)))
+		s.access(img.propAddr(r.src) + 8) // sigma write
+		s.access(img.workAddr(0, int(lo)))
 		next = append(next, r.src)
 	}
 	sg.next[sh] = next
@@ -348,40 +326,37 @@ func (r *bcShardRun) reset(sh int) {
 
 func (r *bcShardRun) scatter(sh int) {
 	sg := r.sg
-	img := sg.imgs[sh]
+	img, s := sg.imgs[sh], sg.st[sh]
 	base := int(sg.cuts[sh])
 	for i, v := range sg.cur[sh] {
-		img.M.Access(img.workAddr(r.buf, base+i))
+		s.access(img.workAddr(r.buf, base+i))
 		sv := math.Float64bits(r.sigma[v])
-		sg.sendAll(sh, img, v, func(uint64, uint32) uint64 { return sv })
+		sg.sendAll(sh, v, func(uint64, uint32) uint64 { return sv })
 	}
 }
 
 func (r *bcShardRun) apply(sh int) {
 	sg := r.sg
-	img := sg.imgs[sh]
+	img, s := sg.imgs[sh], sg.st[sh]
 	base := int(sg.cuts[sh])
 	next := sg.next[sh][:0]
-	gb := img.gbuf[:0]
 	for src := range sg.imgs {
 		msgs := sg.out[src][sh]
 		for _, msg := range msgs {
-			gb = flushGather(img, gb, false)
 			w := msg.w
-			gb = append(gb, img.propAddr(w)) // dist read
+			s.access(img.propAddr(w)) // dist read
 			if r.dist[w] == -1 {
 				r.dist[w] = r.level
-				gb = append(gb, img.workAddr(1-r.buf, base+len(next)))
+				s.access(img.workAddr(1-r.buf, base+len(next)))
 				next = append(next, w)
 			}
 			if r.dist[w] == r.level {
 				r.sigma[w] += math.Float64frombits(msg.x)
-				gb = append(gb, img.propAddr(w)+8) // sigma RMW
+				s.access(img.propAddr(w) + 8) // sigma RMW
 			}
 		}
 		sg.out[src][sh] = msgs[:0]
 	}
-	img.gbuf = flushGather(img, gb, true)
 	sg.next[sh] = next
 }
 
@@ -391,38 +366,35 @@ func (r *bcShardRun) apply(sh int) {
 // locally) and writing the owned delta and centrality entries.
 func (r *bcShardRun) reverse(sh int) {
 	sg := r.sg
-	img := sg.imgs[sh]
+	img, s := sg.imgs[sh], sg.st[sh]
 	g := img.G
 	base := int(sg.cuts[sh])
-	gb := img.gbuf[:0]
 	for v := sg.cuts[sh]; v < sg.cuts[sh+1]; v++ {
 		if r.dist[v] != r.level {
 			continue
 		}
-		img.M.Access(img.workAddr(0, base+r.revCnt[sh])) // pop the order stack
+		s.access(img.workAddr(0, base+r.revCnt[sh])) // pop the order stack
 		r.revCnt[sh]++
-		img.M.AccessRun(img.vertexAddr(v), 2, graph.VertexEntryBytes)
+		s.run(img.vertexAddr(v), 2, graph.VertexEntryBytes)
 		dv := r.dist[v]
 		sv := r.sigma[v]
-		img.M.Access(img.propAddr(v) + 8) // sigma read
+		s.access(img.propAddr(v) + 8) // sigma read
 		acc := 0.0
 		lo, hi := g.Offsets[v], g.Offsets[v+1]
-		img.M.AccessRun(img.edgeAddr(lo), int(hi-lo), graph.EdgeEntryBytes)
-		gb = gb[:0]
+		s.run(img.edgeAddr(lo), int(hi-lo), graph.EdgeEntryBytes)
 		for e := lo; e < hi; e++ {
 			w := g.Neighbors[e]
-			gb = append(gb, img.propAddr(w)) // dist read
+			s.access(img.propAddr(w)) // dist read
 			if r.dist[w] == dv+1 {
-				gb = append(gb, img.propAddr(w)+8, img.propAddr(w)+16)
+				s.access(img.propAddr(w) + 8)  // sigma read
+				s.access(img.propAddr(w) + 16) // delta read
 				acc += sv / r.sigma[w] * (1 + r.delta[w])
 			}
 		}
-		img.M.AccessGather(gb)
 		r.delta[v] = acc
-		img.M.Access(img.propAddr(v) + 16) // delta write
+		s.access(img.propAddr(v) + 16) // delta write
 		if v != r.src {
 			r.bc[v] += r.delta[v]
 		}
 	}
-	img.gbuf = gb
 }

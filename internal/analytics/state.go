@@ -21,12 +21,11 @@ import (
 func (img *Image) Initialized() bool { return img.initialized }
 
 // Walk forks, encodes, or decodes the image *p. A fork or a decoded copy
-// is bound to m — the forked or decoded machine — and g, and shares no
-// gather buffer with its source (scratch, dead between accesses).
+// is bound to m — the forked or decoded machine — and g.
 func Walk(w *ckpt.Walker, p **Image, m *machine.Machine, g *graph.Graph) {
 	ckpt.Ptr(w, p, func(img *Image, w *ckpt.Walker) {
 		if w.Encoder() == nil {
-			img.M, img.G, img.gbuf = m, g, nil
+			img.M, img.G = m, g
 		}
 		img.state(w)
 	})
@@ -36,7 +35,7 @@ func Walk(w *ckpt.Walker, p **Image, m *machine.Machine, g *graph.Graph) {
 }
 
 func (img *Image) state(w *ckpt.Walker) {
-	_, _, _ = img.M, img.G, img.gbuf // bindings and scratch; set by Walk
+	_, _ = img.M, img.G // bindings; set by Walk
 	w.String((*string)(&img.App))
 	space := img.M.Space
 	vm.WalkRef(w, &img.Vertex, space, `analytics: image array "vertex"`)

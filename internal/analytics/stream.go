@@ -1,20 +1,21 @@
 package analytics
 
 import (
-	"runtime/debug"
-	"sync/atomic"
-
 	"graphmem/internal/check"
+	"graphmem/internal/sched"
 )
 
-// Kernel streams (DESIGN.md §4g). A monolithic kernel does two kinds of
-// work: its own native work over the graph and its value arrays (the
-// hops probe, the rank scatter), and the simulated machine's work for
-// every access it issues. Neither reads the other's state: while a
-// stream is open the kernel reads only the immutable graph and the
-// arrays' base addresses. So the kernel appends its accesses to a
-// stream, and a replay goroutine feeds them to the machine, in order,
-// up to streamBlocks blocks behind.
+// Kernel streams (DESIGN.md §4g). Every kernel appends its accesses to
+// a stream, which feeds them to the machine in order. A monolithic
+// kernel does two kinds of work: its own native work over the graph and
+// its value arrays (the hops probe, the rank scatter), and the simulated
+// machine's work for every access it issues. Neither reads the other's
+// state: while a stream is open the kernel reads only the immutable
+// graph and the arrays' base addresses. So its stream has a replay
+// goroutine that feeds the blocks to the machine up to streamBlocks
+// blocks behind. A shard worker's stream is inline: each full block
+// replays on the worker's own goroutine, since the shard workers
+// already fill GOMAXPROCS.
 //
 // A block is a fixed-size []uint64 of ops:
 //
@@ -33,7 +34,7 @@ import (
 
 const (
 	// streamBlockWords sizes one block (64 KB); streamBlocks blocks
-	// circulate per stream (256 KB).
+	// circulate per replayed stream (256 KB).
 	streamBlockWords = 8192
 	streamBlocks     = 4
 
@@ -42,9 +43,10 @@ const (
 )
 
 // sink is what a stream replays into: the image's machine, or in tests
-// a machine driven one scalar Access at a time. The kernel starts the
-// sink's cache stage (machine/cachestage.go) once it has begun its
-// phase, and the stream stops it after the replay goroutine has exited.
+// a machine driven one scalar Access at a time. A monolithic kernel
+// starts the sink's cache stage (machine/cachestage.go) once it has
+// begun its phase, and the stream stops it after the replay goroutine
+// has exited.
 type sink interface {
 	AccessRun(va uint64, count int, stride uint64)
 	AccessGather(vas []uint64)
@@ -59,36 +61,25 @@ type stream struct {
 	n   int      // words of blk in use
 	seg int      // index of the open gather segment's header
 
-	dst sink
-
-	// The replay goroutine's side. full carries filled blocks in order
-	// and free returns them; both have room for every block, so neither
-	// send blocks. done is closed when the goroutine exits, after it
-	// stores any panic in fail.
-	full   chan []uint64
-	free   chan []uint64
-	done   chan struct{}
-	abort  atomic.Bool // the kernel failed: skip the blocks still queued
-	closed bool        // full is closed (producer-owned)
-	fail   any
-	failAt []byte // the replay goroutine's stack at the panic
+	dst  sink
+	ring *sched.Ring // to the replay goroutine; nil: inline
 }
 
-// newStream returns a stream of words-word blocks into dst and starts
-// its replay goroutine; the caller must defer stop and finish with
+// newStream returns a stream of words-word blocks into dst. With one
+// block it is inline: each full block replays on the producer's
+// goroutine, and the producer flushes the last one. With more, a replay
+// goroutine replays them; the caller must defer stop and finish with
 // close.
-func newStream(dst sink, words int) *stream {
+func newStream(dst sink, words, blocks int) *stream {
 	check.Assertf(words >= 5, "analytics: stream blocks of %d words cannot hold a run", words)
-	s := &stream{
-		dst: dst, blk: make([]uint64, words), n: 1,
-		full: make(chan []uint64, streamBlocks),
-		free: make(chan []uint64, streamBlocks),
-		done: make(chan struct{}),
+	mem := make([][]uint64, blocks)
+	for i := range mem {
+		mem[i] = make([]uint64, words)
 	}
-	for range streamBlocks - 1 {
-		s.free <- make([]uint64, words)
+	s := &stream{dst: dst, blk: mem[0], n: 1}
+	if blocks > 1 {
+		s.ring = sched.NewRing("kernel stream replay", s, mem)
 	}
-	go s.replay()
 	return s
 }
 
@@ -116,15 +107,14 @@ func (s *stream) run(va uint64, count int, stride uint64) {
 	s.n += 4
 }
 
-// flush hands the filled block to replay and opens the next one.
+// flush hands the filled block to the replay goroutine, or replays it
+// inline, and opens the next one.
 func (s *stream) flush() {
-	s.full <- s.seal()
-	select {
-	case s.blk = <-s.free:
-	case <-s.done:
-		s.raise()
+	if s.ring != nil {
+		s.blk = s.ring.Put(s.seal())
+	} else {
+		s.Consume(s.seal())
 	}
-	s.blk = s.blk[:cap(s.blk)]
 	s.seg, s.n = 0, 1
 }
 
@@ -139,13 +129,9 @@ func (s *stream) seal() []uint64 {
 // goroutine, if any, on the caller. After close the machine is the
 // caller's again.
 func (s *stream) close() {
-	s.full <- s.seal()
-	close(s.full)
-	s.closed = true
-	<-s.done
-	err := s.dst.StopCacheStage()
-	if s.fail != nil {
-		s.raise()
+	err := s.ring.Close(s.seal())
+	if serr := s.dst.StopCacheStage(); err == nil {
+		err = serr
 	}
 	if err != nil {
 		panic(check.Failf("%v", err))
@@ -153,53 +139,19 @@ func (s *stream) close() {
 }
 
 // stop ends a replay goroutine the kernel left without close — a
-// kernel-side panic — skipping the blocks still queued, then stops the
-// sink's cache stage. It is a no-op after close; callers defer it.
+// kernel-side panic — once it has replayed the blocks still queued,
+// then stops the sink's cache stage. It is a no-op after close; callers
+// defer it.
 func (s *stream) stop() {
-	if s.closed {
-		return
-	}
-	s.abort.Store(true)
-	close(s.full)
-	s.closed = true
-	<-s.done
+	_ = s.ring.Close(s.blk[:0])
 	_ = s.dst.StopCacheStage() // a panic is already unwinding
 }
 
-// raise re-raises the replay goroutine's panic on the kernel's
-// goroutine as a check.Failure: the panic's own message, then the
-// replay goroutine's stack, which shows the machine frame that failed
-// (the kernel's stack ends at its flush or close).
-func (s *stream) raise() {
-	panic(check.Failf("%v\n\nkernel stream replay goroutine:\n%s", s.fail, s.failAt))
-}
-
-// replay is the replay goroutine: it feeds each block to the sink in
-// order and returns it to the producer.
-func (s *stream) replay() {
-	defer s.exit()
-	for blk := range s.full {
-		if s.abort.Load() {
-			continue
-		}
-		replayBlock(s.dst, blk)
-		s.free <- blk
-	}
-}
-
-// exit records a replay panic and its stack for the producer and marks
-// the goroutine done. It is deferred by replay; as a named function it
-// keeps the simulation call graph free of unrelated func literals
-// (SL010).
-func (s *stream) exit() {
-	if v := recover(); v != nil {
-		s.fail, s.failAt = v, debug.Stack()
-	}
-	close(s.done)
-}
-
-// replayBlock feeds one block's ops to dst in order.
-func replayBlock(dst sink, blk []uint64) {
+// Consume feeds one block's ops to the sink in order: the replay
+// goroutine's work, or the producer's on an inline stream. It reads
+// s.dst once a block: the kernel writes s.n beside it on every access.
+func (s *stream) Consume(blk []uint64) {
+	dst := s.dst
 	for i := 0; i < len(blk); {
 		h := blk[i]
 		if h&runOp != 0 {

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"graphmem/internal/cache"
 	"graphmem/internal/check"
 	"graphmem/internal/memsys"
 	"graphmem/internal/tlb"
@@ -100,17 +99,11 @@ func (m *Machine) translateMiss(va uint64, size vm.PageSizeClass, res tlb.Result
 	trCycles := m.Model.STLBHit + uint64(pwcLv)*m.Model.WalkLevelPWC
 	if m.simPT {
 		// Fetch the walked entries through the cache hierarchy: the
-		// deepest memLv levels go to memory.
+		// deepest memLv levels go to memory, each charged its data
+		// cost less the access's compute.
 		addrs, _ := m.Space.WalkEntryAddrs(va, size)
 		for i := 0; i < memLv; i++ {
-			switch m.Cache.Access(addrs[i]) {
-			case cache.HitL1:
-				trCycles += m.Model.L1DHit
-			case cache.HitLLC:
-				trCycles += m.Model.LLCHit
-			default:
-				trCycles += m.Model.DRAM
-			}
+			trCycles += m.dataCycles(m.Cache.Access(addrs[i])) - m.Model.Compute
 		}
 	} else {
 		trCycles += uint64(memLv) * m.Model.WalkLevel

@@ -2,12 +2,12 @@ package machine
 
 import (
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"graphmem/internal/cache"
 	"graphmem/internal/check"
+	"graphmem/internal/sched"
 )
 
 // The cache stage (DESIGN.md §4g). While a kernel streams its accesses
@@ -17,7 +17,7 @@ import (
 // events; at the three probe sites (Access, bulkSegment, gatherSegment)
 // it appends the probe to a fixed block instead of calling the
 // hierarchy, and the cache goroutine applies the blocks to m.Cache in
-// order. A block is a run of words:
+// order, over a sched.Ring. A block is a run of words:
 //
 //	probe:   pa                  pa < repeatOp
 //	repeat:  repeatOp|n          n same-line L1 hits on the last probe's line
@@ -86,20 +86,12 @@ type cacheStage struct {
 	taken uint64 // overcharge already taken off the clock
 
 	mem  *stageMem
+	ring *sched.Ring
 	h    *cache.Hierarchy
 	over [4]uint64 // cMax minus the cost of a hit at each cache.AccessLevel
 
-	// full carries filled blocks in order and free returns them; both
-	// have room for every block, so a send never blocks while the cache
-	// goroutine lives. done is closed when it exits, after it stores any
-	// panic in fail.
-	full   chan []uint64
-	free   chan []uint64
-	done   chan struct{}
-	sum    uint64        // cache goroutine: overcharge of the applied probes
-	pub    atomic.Uint64 // sum as of the last applied block
-	fail   any
-	failAt []byte // the cache goroutine's stack at the panic
+	sum uint64        // cache goroutine: overcharge of the applied probes
+	pub atomic.Uint64 // sum as of the last applied block
 }
 
 // StartCacheStage starts the cache goroutine: from here to
@@ -115,24 +107,19 @@ func (m *Machine) StartCacheStage() {
 	if m.stage != nil || m.simPT || m.tracer != nil || runtime.GOMAXPROCS(0) < 2 {
 		return
 	}
-	md := m.Model
-	cMax := max(md.L1DHit, md.LLCHit, md.DRAM) + md.Compute
+	cMax := max(m.dataCycles(cache.HitL1), m.dataCycles(cache.HitLLC), m.dataCycles(cache.HitDRAM))
 	mem := stagePool.Get().(*stageMem)
-	st := &cacheStage{
-		blk: &mem[0], cMax: cMax, mem: mem, h: m.Cache,
-		full: make(chan []uint64, stageBlocks),
-		free: make(chan []uint64, stageBlocks),
-		done: make(chan struct{}),
+	st := &cacheStage{blk: &mem[0], cMax: cMax, mem: mem, h: m.Cache}
+	for lvl := cache.HitL1; lvl <= cache.HitDRAM; lvl++ {
+		st.over[lvl] = cMax - m.dataCycles(lvl)
 	}
-	st.over[cache.HitL1] = cMax - md.L1DHit - md.Compute
-	st.over[cache.HitLLC] = cMax - md.LLCHit - md.Compute
-	st.over[cache.HitDRAM] = cMax - md.DRAM - md.Compute
-	for i := 1; i < stageBlocks; i++ {
-		st.free <- mem[i][:]
+	blocks := make([][]uint64, stageBlocks)
+	for i := range blocks {
+		blocks[i] = mem[i][:]
 	}
+	st.ring = sched.NewRing("cache", st, blocks)
 	m.stage = st
 	m.stageStats.Starts++
-	go st.run()
 	m.armStage()
 }
 
@@ -148,14 +135,8 @@ func (m *Machine) StopCacheStage() error {
 	}
 	m.stage, m.handoff = nil, nil
 	m.stageStats.Drains++
-	select {
-	case st.full <- st.blk[:st.n]:
-	case <-st.done:
-	}
-	close(st.full)
-	<-st.done
-	if st.fail != nil {
-		return check.Failf(stageFailure, st.fail, st.failAt)
+	if err := st.ring.Close(st.blk[:st.n]); err != nil {
+		return err
 	}
 	m.uncharge(st.sum - st.taken)
 	stagePool.Put(st.mem)
@@ -258,25 +239,14 @@ func (st *cacheStage) repeat(pa, n uint64) {
 	}
 }
 
-// send hands the open block over and opens the next one.
+// send hands the open block over and opens the next one. It stays out
+// of line so that probe, which calls it once a block, inlines at the
+// three probe sites.
+//
+//go:noinline
 func (st *cacheStage) send() {
-	st.hand()
-	select {
-	case b := <-st.free:
-		st.blk = (*[stageBlockWords]uint64)(b[:stageBlockWords])
-	case <-st.done:
-		st.raise()
-	}
+	st.blk = (*[stageBlockWords]uint64)(st.ring.Put(st.blk[:st.n]))
 	st.n = 0
-}
-
-// hand queues the open block for the cache goroutine.
-func (st *cacheStage) hand() {
-	select {
-	case st.full <- st.blk[:st.n]:
-	case <-st.done:
-		st.raise()
-	}
 }
 
 // published returns the overcharge the cache goroutine has published
@@ -289,49 +259,19 @@ func (st *cacheStage) published() uint64 {
 }
 
 // drain hands the open block over, waits until the cache goroutine has
-// applied every probe and returned every block, and returns the
-// overcharge the clock has not yet taken.
+// applied every probe, and returns the overcharge the clock has not yet
+// taken.
 func (st *cacheStage) drain() uint64 {
-	st.hand()
-	for range stageBlocks {
-		select {
-		case <-st.free:
-		case <-st.done:
-			st.raise()
-		}
-	}
-	for i := 1; i < stageBlocks; i++ {
-		st.free <- st.mem[i][:]
-	}
-	st.blk, st.n = &st.mem[0], 0
+	st.blk = (*[stageBlockWords]uint64)(st.ring.Sync(st.blk[:st.n]))
+	st.n = 0
 	d := st.sum - st.taken
 	st.taken = st.sum
 	return d
 }
 
-// stageFailure formats the cache goroutine's panic as a check.Failure:
-// the panic's own message, then the cache goroutine's stack, which shows
-// the cache frame that failed.
-const stageFailure = "%v\n\ncache goroutine:\n%s"
-
-// raise re-raises the cache goroutine's panic on the replay goroutine.
-func (st *cacheStage) raise() {
-	panic(check.Failf(stageFailure, st.fail, st.failAt))
-}
-
-// run is the cache goroutine: it applies each block in order and
-// returns it.
-func (st *cacheStage) run() {
-	defer st.exit()
-	for blk := range st.full {
-		st.apply(blk)
-		st.free <- blk
-	}
-}
-
-// apply applies one block's probes to the hierarchy and publishes the
-// overcharge summed so far.
-func (st *cacheStage) apply(blk []uint64) {
+// Consume is the cache goroutine's work: it applies one block's probes
+// to the hierarchy and publishes the overcharge summed so far.
+func (st *cacheStage) Consume(blk []uint64) {
 	h, sum := st.h, st.sum
 	for i := 0; i < len(blk); i++ {
 		w := blk[i]
@@ -348,15 +288,4 @@ func (st *cacheStage) apply(blk []uint64) {
 	}
 	st.sum = sum
 	st.pub.Store(sum)
-}
-
-// exit records a panic of the cache goroutine and its stack and marks
-// the goroutine done. It is deferred by run; as a named function it
-// keeps the simulation call graph free of unrelated func literals
-// (SL010).
-func (st *cacheStage) exit() {
-	if v := recover(); v != nil {
-		st.fail, st.failAt = v, debug.Stack()
-	}
-	close(st.done)
 }

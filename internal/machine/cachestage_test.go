@@ -279,7 +279,7 @@ func TestCacheStageFailure(t *testing.T) {
 				if line, _, _ := strings.Cut(msg, "\n"); !strings.HasPrefix(line, "runtime error: invalid memory address") {
 					t.Fatalf("first line %q, want the nil dereference's message", line)
 				}
-				if !strings.Contains(msg, "cache goroutine:") || !strings.Contains(msg, "machine.(*cacheStage).apply") {
+				if !strings.Contains(msg, "cache goroutine:") || !strings.Contains(msg, "machine.(*cacheStage).Consume") {
 					t.Fatalf("failure does not carry the cache goroutine's stack:\n%s", msg)
 				}
 			}

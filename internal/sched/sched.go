@@ -30,6 +30,10 @@
 //     (graph generation and relabeling): each chunk writes its own range
 //     of a presized output, so the split cannot reach an output byte.
 //
+//   - Ring is the in-order block handoff between a producer goroutine
+//     and a consumer goroutine inside one cell: a streamed kernel's
+//     replay goroutine and its cache goroutine each consume one.
+//
 // Under `-tags simcheck` the pool and cache self-audit through
 // check.Audit: task conservation (submitted = queued + active +
 // completed), worker-count bounds, and promise-resolution accounting.

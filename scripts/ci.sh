@@ -114,11 +114,13 @@
 #                       split their work across GOMAXPROCS workers, and
 #                       the split must not reach a byte. So do the
 #                       analytics tests, whose stream oracle holds each
-#                       kernel's streamed run to a scalar twin, and the
+#                       kernel's streamed run to a scalar twin, the
 #                       machine tests, whose cache-stage oracle holds a
 #                       machine with a cache goroutine to one, however
 #                       the kernel, its replay goroutine and its cache
-#                       goroutine are scheduled
+#                       goroutine are scheduled, and the sched tests,
+#                       whose ring tests hold the block handoff both
+#                       goroutines run on to in-order, synced delivery
 #  19. code-line count (informational, not a gate)
 #                       scripts/loc.sh prints the non-blank, non-comment
 #                       line count of non-test Go under internal/ and
@@ -271,8 +273,8 @@ go run ./cmd/docsplice -doc EXPERIMENTS.md -results results/expdriver_full.txt -
 echo "== benchmark self-test (bench/ outputs vs golden digests)"
 (cd bench && go test -count=1 .)
 
-echo "== inputs and kernels independent of GOMAXPROCS (generators, CSR, reordering, kernel streams, cache stage)"
-go test -count=1 -cpu 1,2,4 ./internal/gen ./internal/graph ./internal/reorder ./internal/analytics ./internal/machine
+echo "== inputs and kernels independent of GOMAXPROCS (generators, CSR, reordering, kernel streams, cache stage, block ring)"
+go test -count=1 -cpu 1,2,4 ./internal/gen ./internal/graph ./internal/reorder ./internal/analytics ./internal/machine ./internal/sched
 
 echo "== code-line count (informational)"
 ./scripts/loc.sh || true
