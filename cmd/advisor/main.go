@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"graphmem/internal/analytics"
@@ -44,6 +45,10 @@ func main() {
 	ds, err := cli.ParseDataset(*dataset)
 	if err != nil && *file == "" {
 		fmt.Fprintf(os.Stderr, "advisor: %v\n", err)
+		os.Exit(2)
+	}
+	if *budgetMB > math.MaxUint64>>20 {
+		fmt.Fprintf(os.Stderr, "advisor: -budget-mb %d overflows a byte count\n", *budgetMB)
 		os.Exit(2)
 	}
 	if *budgetMB <= 0 {

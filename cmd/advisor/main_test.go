@@ -38,3 +38,19 @@ func TestBadCoverageExits2(t *testing.T) {
 	}
 	clitest.Expect(t, "plan for 50% access coverage:", bin, "-dataset", "wiki", "-scale", "test", "-coverage", "0.5")
 }
+
+// TestBadBudgetExits2 requires advisor to reject a -budget-mb whose
+// byte count overflows 64 bits with exit 2 and a message naming the
+// flag, before the default full-scale graph is generated; the largest
+// budget that fits still plans.
+func TestBadBudgetExits2(t *testing.T) {
+	bin := clitest.Build(t, "graphmem/cmd/advisor")
+	for _, b := range []string{"17592186044416", "9223372036854775807"} {
+		out, code := clitest.Run(t, bin, "-budget-mb", b)
+		want := "advisor: -budget-mb " + b + " overflows a byte count"
+		if code != 2 || !clitest.HasLine(out, want) {
+			t.Errorf("advisor -budget-mb %s: exit %d, want 2 and %q; output:\n%s", b, code, want, out)
+		}
+	}
+	clitest.Expect(t, "  regions: 1 of 1 (2.0MB of huge pages)", bin, "-dataset", "wiki", "-scale", "test", "-budget-mb", "17592186044415")
+}

@@ -36,9 +36,9 @@ import (
 	"strings"
 	"time"
 
+	"graphmem/internal/cli"
 	"graphmem/internal/core"
 	"graphmem/internal/exp"
-	"graphmem/internal/gen"
 )
 
 func main() {
@@ -93,16 +93,9 @@ func main() {
 		return
 	}
 
-	var sc gen.Scale
-	switch *scale {
-	case "full":
-		sc = gen.ScaleFull
-	case "bench":
-		sc = gen.ScaleBench
-	case "test":
-		sc = gen.ScaleTest
-	default:
-		fmt.Fprintf(os.Stderr, "expdriver: unknown scale %q\n", *scale)
+	sc, err := cli.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "expdriver: %v\n", err)
 		os.Exit(2)
 	}
 	if *workers < 0 {
@@ -112,6 +105,16 @@ func main() {
 	if *priters < 1 {
 		fmt.Fprintf(os.Stderr, "expdriver: -pr-iters %d: want at least 1 iteration\n", *priters)
 		os.Exit(2)
+	}
+	var ids []string
+	if *expIDs != "" {
+		ids = strings.Split(*expIDs, ",")
+	}
+	for _, id := range ids {
+		if _, ok := exp.Find(strings.TrimSpace(id)); !ok {
+			fmt.Fprintf(os.Stderr, "expdriver: unknown experiment %q (see -list)\n", id)
+			os.Exit(2)
+		}
 	}
 
 	if *workers == 0 {
@@ -130,13 +133,8 @@ func main() {
 	s.PRMaxIters = *priters
 
 	if *footprint {
-		// A fork is the staged node, or with GRAPHMEM_NO_SNAPSHOT set
-		// the replayed one, and reports the same footprint.
-		m, img, err := s.FullscaleCheckpoint().Fork()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "expdriver: footprint: %v\n", err)
-			os.Exit(1)
-		}
+		// A fork of the staged node reports the node's footprint.
+		m, img, _ := s.FullscaleCheckpoint().Fork() // the error is always nil
 		fp := core.Footprint(m, img)
 		fmt.Print(fp.Table().String())
 		fmt.Printf("\nfootprint_total_bytes=%d bytes_per_sim_gb=%.0f\n",
@@ -150,11 +148,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "host heap: %.2f MiB in use, %.2f MiB from OS\n",
 			float64(ms.HeapInuse)/(1<<20), float64(ms.Sys)/(1<<20))
 		return
-	}
-
-	var ids []string
-	if *expIDs != "" {
-		ids = strings.Split(*expIDs, ",")
 	}
 
 	start := time.Now()

@@ -14,9 +14,11 @@ import (
 	"graphmem/internal/gen"
 	"graphmem/internal/graph"
 	"graphmem/internal/machine"
+	"graphmem/internal/memsys"
 	"graphmem/internal/oskernel"
 	"graphmem/internal/tlb"
 	"graphmem/internal/vm"
+	"graphmem/internal/workload"
 )
 
 // streamConfig is one machine configuration of the stream oracle.
@@ -26,13 +28,15 @@ type streamConfig struct {
 	ticker  uint64 // a no-op ticker's interval, or 0
 	trace   bool   // attach a recording tracer
 	promote bool   // khugepaged promotes: run on streamGraph's whole regions
+	swap    bool   // memory pressure: the kernel swaps pages back in
 }
 
-// streamConfigs are the five standard configurations under which a
+// streamConfigs are the six standard configurations under which a
 // batch boundary could show if the stream moved one: khugepaged
 // promoting mid-run, heat-driven promotion (its scanner reads heat, so
 // flush order matters), a stale event deadline (events due on every
-// access), simulated page-table memory, and a tracer attached.
+// access), simulated page-table memory, a tracer attached, and memory
+// pressure that swaps pages back in mid-stream.
 func streamConfigs() []streamConfig {
 	smallTLB := tlb.Scaled(tlb.Haswell(), 16)
 	smallCache := cache.Scaled(cache.Haswell(), 8)
@@ -58,6 +62,7 @@ func streamConfigs() []streamConfig {
 		{name: "stale-deadline", cfg: machine.Config{MemoryBytes: mem, TLB: tlb.Haswell(), Cache: cache.Haswell(), Cost: cost.Fast(), Kernel: never}},
 		{name: "simulated-pt", cfg: machine.Config{MemoryBytes: mem, TLB: smallTLB, Cache: smallCache, Cost: cost.Default(), Kernel: khuge, SimulatePageTables: true}, promote: true},
 		{name: "tracer", cfg: machine.Config{MemoryBytes: mem, TLB: smallTLB, Cache: smallCache, Cost: cost.Default(), Kernel: oskernel.DefaultConfig()}, trace: true},
+		{name: "swapping", cfg: machine.Config{MemoryBytes: mem, TLB: smallTLB, Cache: smallCache, Cost: cost.Default(), Kernel: oskernel.DefaultConfig()}, swap: true},
 	}
 }
 
@@ -100,6 +105,7 @@ type streamRun struct {
 	Probe  ProbeResult
 	Cycles uint64
 	Promos uint64 // promotions while the kernel ran
+	Swaps  uint64 // swap-ins while the kernel ran
 	Phases []machine.PhaseStats
 	Arrays []machine.ArrayStats
 	TLB    tlb.Stats
@@ -126,12 +132,21 @@ func streamGraph(sc streamConfig, weighted bool) *graph.Graph {
 // machine of configuration sc. A promoting configuration initializes
 // under THP mode never and switches to its own mode for the kernel, as
 // the rollout experiment does, so its promotions land while the kernel
-// streams.
+// streams. A swapping configuration stages its node as a pressured run
+// does: a memhog leaves the image 256 KB short of its working set, 30%
+// of the memory left is fragmented, and a 1 MB page cache is resident,
+// so init swaps pages out and the kernel swaps them back in.
 func streamImage(t *testing.T, sc streamConfig, g *graph.Graph, app App) (*Image, *recorder) {
 	t.Helper()
 	m := machine.New(sc.cfg)
 	if sc.ticker != 0 {
 		m.AddTicker(sc.ticker, func(uint64) {})
+	}
+	if sc.swap {
+		need := WSSBytes(app, g) + MiscBytes - 256<<10
+		workload.NewMemhog(m.Mem, m.Mem.FreePages()*memsys.PageSize-need)
+		workload.Fragment(m.Mem, 0.3)
+		workload.NewPageCache(m.Mem).Fill(1 << 20)
 	}
 	img, err := NewImage(m, g, app)
 	if err != nil {
@@ -164,7 +179,7 @@ func streamVariant(t *testing.T, sc streamConfig, g *graph.Graph, app App, opt R
 	}
 	img, rec := streamImage(t, sc, g, kernelApp)
 	m := img.M
-	promos0 := m.Kernel.Stats().Promotions
+	os0 := m.Kernel.Stats()
 	var out streamRun
 	switch {
 	case dst == nil && probe:
@@ -186,7 +201,8 @@ func streamVariant(t *testing.T, sc streamConfig, g *graph.Graph, app App, opt R
 	out.TLB = m.TLB.Stats()
 	out.Cache = m.Cache.Stats()
 	out.OS = m.Kernel.Stats()
-	out.Promos = out.OS.Promotions - promos0
+	out.Promos = out.OS.Promotions - os0.Promotions
+	out.Swaps = out.OS.SwapIns - os0.SwapIns
 	for _, v := range []*vm.VMA{img.Vertex, img.Edge, img.Values, img.Prop, img.Work, img.Misc} {
 		if v != nil {
 			out.Heat = append(out.Heat, v.HeatCopy())
@@ -213,7 +229,8 @@ func oracleSink(m *machine.Machine) sink  { return scalarSink{m} }
 // deadline, not only when it stops: a stage that always probed inline
 // would match the twin too. Each promoting configuration must promote
 // while its kernels stream, where an event fired at the wrong cycle
-// shows in the counters.
+// shows in the counters, and under the swapping configuration every
+// kernel and the probe must swap pages in while they stream.
 func TestStreamMatchesScalar(t *testing.T) {
 	for _, sc := range streamConfigs() {
 		plain, weighted := streamGraph(sc, false), streamGraph(sc, true)
@@ -227,6 +244,9 @@ func TestStreamMatchesScalar(t *testing.T) {
 				}
 				want, _ := streamVariant(t, sc, g, app, opt, oracleSink, streamBlockWords)
 				promos += want.Promos
+				if sc.swap && want.Swaps == 0 {
+					t.Fatal("swapped no page in while the kernel streamed: the oracle never saw a fault mid-batch there")
+				}
 				for _, v := range []struct {
 					name  string
 					dst   func(*machine.Machine) sink

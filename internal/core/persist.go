@@ -38,13 +38,9 @@ func (p *prepared) encode(e *ckpt.Encoder) {
 // Save writes the checkpoint's frozen post-init machine state to w as a
 // versioned, checksummed ckpt container under the given key (the
 // staging identity, which LoadCheckpoint must be given back). It
-// returns the container size in bytes. Saving requires a resident
-// machine: with GRAPHMEM_NO_SNAPSHOT open there is nothing to persist.
+// returns the container size in bytes.
 func (cp *Checkpoint) Save(w io.Writer, key string) (int64, error) {
-	if cp.pre == nil {
-		return 0, fmt.Errorf("core: checkpoint holds no machine (GRAPHMEM_NO_SNAPSHOT is open); nothing to save")
-	}
-	return ckpt.Save(w, key, cp.pre.encode)
+	return ckpt.Save(w, key, cp.p.encode)
 }
 
 // LoadCheckpoint reconstructs a Checkpoint saved under key from r,
@@ -60,9 +56,6 @@ func (cp *Checkpoint) Save(w io.Writer, key string) (int64, error) {
 func LoadCheckpoint(spec RunSpec, key string, r io.Reader) (*Checkpoint, error) {
 	if !SnapshotSafe(spec) {
 		return nil, fmt.Errorf("core: spec registers machine tickers (churn or supply sampling); it cannot have been checkpointed")
-	}
-	if SnapshotsDisabled() {
-		return nil, fmt.Errorf("core: GRAPHMEM_NO_SNAPSHOT is open; checkpoints replay their load phase instead of loading")
 	}
 	d, err := ckpt.Load(r, key)
 	if err != nil {
@@ -93,11 +86,8 @@ func LoadCheckpoint(spec RunSpec, key string, r io.Reader) (*Checkpoint, error) 
 	if img.App != p.spec.App {
 		return nil, fmt.Errorf("core: checkpoint %s holds a %s image, spec runs %s", key, img.App, p.spec.App)
 	}
-	// The hatches are per-process environment, not machine state:
-	// normalize them exactly as prepare does for a fresh machine.
-	applyAccessHatches(m)
 	auditMachine(m)
 	p.m = m
 	p.img = img
-	return &Checkpoint{spec: spec, pre: p}, nil
+	return &Checkpoint{p: p}, nil
 }

@@ -307,9 +307,8 @@ func TestFootprintSumsToPayload(t *testing.T) {
 
 // TestFootprintIsState proves the footprint report is a function of
 // the machine's state, not of how that state was reached: a staged
-// checkpoint, a fork of it, a saved-then-loaded copy, and a checkpoint
-// prepared with the snapshot hatch open (which replays the load phase
-// to report it) must all report equal rows.
+// checkpoint, a fork of it, a saved-then-loaded copy, and a second
+// checkpoint prepared from the same spec must all report equal rows.
 func TestFootprintIsState(t *testing.T) {
 	spec := persistSpec(t, core.THPAlways())
 	const key = "persist:footprint"
@@ -334,19 +333,18 @@ func TestFootprintIsState(t *testing.T) {
 		t.Fatal(err)
 	}
 	loaded, _ := lcp.Footprint()
-	t.Setenv("GRAPHMEM_NO_SNAPSHOT", "1")
-	hcp, err := core.Prepare(spec)
+	rcp, err := core.Prepare(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, _ := hcp.Footprint()
+	replayed, _ := rcp.Footprint()
 	for _, c := range []struct {
 		name string
 		fp   stats.Footprint
 	}{
 		{"fork", core.Footprint(fm, fimg)},
 		{"saved-then-loaded", loaded},
-		{"hatch-open replay", replayed},
+		{"prepared again", replayed},
 	} {
 		if !reflect.DeepEqual(c.fp, staged) {
 			t.Errorf("%s footprint differs from the staged checkpoint's:\n%s\nstaged:\n%s", c.name, c.fp.Table(), staged.Table())

@@ -331,7 +331,6 @@ func prepare(spec RunSpec) (*prepared, error) {
 		Kernel:             kcfg,
 		SimulatePageTables: spec.SimulatePageTables,
 	})
-	applyAccessHatches(m)
 
 	// Stage the environment: age → memhog → frag → page cache.
 	workload.AgeSystem(m.Mem, spec.Env.AgedFraction, spec.Env.Seed)
@@ -407,14 +406,10 @@ func prepare(spec RunSpec) (*prepared, error) {
 // path) — and assembles the RunResult. It reads the prepared state but
 // never mutates it, so one Checkpoint can finish any number of forks.
 func (p *prepared) finish(m *machine.Machine, img *analytics.Image) *RunResult {
-	opts := p.spec.Run
-	if opts.Root == 0 && opts.PRMaxIters == 0 {
-		opts = analytics.DefaultRunOptions(p.g)
-	}
 	if p.spec.Shards > 1 {
-		return p.finishSharded(m, img, opts)
+		return p.finishSharded(m, img)
 	}
-	out := img.Run(opts)
+	out := img.Run(p.runOptions())
 	auditMachine(m) // end of kernel: final layout must balance
 
 	phases := m.FinishPhases()
@@ -452,6 +447,15 @@ func (p *prepared) finish(m *machine.Machine, img *analytics.Image) *RunResult {
 		}
 	}
 	return res
+}
+
+// runOptions returns the kernel options the spec asks for, or the
+// graph's defaults when it sets neither a root nor a PageRank cap.
+func (p *prepared) runOptions() analytics.RunOptions {
+	if opts := p.spec.Run; opts.Root != 0 || opts.PRMaxIters != 0 {
+		return opts
+	}
+	return analytics.DefaultRunOptions(p.g)
 }
 
 // auditMachine runs the simcheck invariant audits over every stateful

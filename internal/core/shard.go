@@ -13,46 +13,40 @@ import (
 
 // This file is the core half of the sharded machine engine (DESIGN.md
 // §5c): shard bring-up (forking the prepared machine once per extra
-// shard, or replaying the load phase when the GRAPHMEM_NO_SNAPSHOT
-// hatch is open), the worker pool that drives the shards between
-// barriers, and the deterministic merge of per-shard statistics into
-// one RunResult. The shard count is part of the spec
-// (RunSpec.Shards — it changes the modeled system); the worker count
-// is not (GOMAXPROCS — it may only change wall-clock time), so a
-// sharded run's output is byte-identical at any worker count, which
-// the differential tests and ci.sh step 12 verify.
+// shard), the worker pool that drives the shards between barriers, and
+// the deterministic merge of per-shard statistics into one RunResult.
+// The shard count is part of the spec (RunSpec.Shards — it changes the
+// modeled system); the worker count is not (GOMAXPROCS — it may only
+// change wall-clock time), so a sharded run's output is byte-identical
+// at any worker count, which TestShardedDeterministicAcrossWorkers and
+// ci.sh step 9 verify.
 
 // finishSharded runs the kernel phase as spec.Shards owner-computes
 // shards and merges the per-shard outcomes into one RunResult. m/img
 // are the prepared (or forked) pair positioned at the end of the load
 // phase; they become shard 0, and every extra shard is a ForkPair of
-// them — or, with the GRAPHMEM_NO_SNAPSHOT hatch open, an independent
-// replay of the load phase, the reference bring-up the CI equivalence
-// gate diffs against.
-func (p *prepared) finishSharded(m *machine.Machine, img *analytics.Image, opts analytics.RunOptions) *RunResult {
-	s := p.spec.Shards
+// them. TestShardedForkMatchesReplay holds this bring-up to shards that
+// each replay the load phase from the spec.
+func (p *prepared) finishSharded(m *machine.Machine, img *analytics.Image) *RunResult {
+	ms := make([]*machine.Machine, p.spec.Shards)
+	imgs := make([]*analytics.Image, p.spec.Shards)
+	ms[0], imgs[0] = m, img
+	for sh := 1; sh < len(ms); sh++ {
+		ms[sh], imgs[sh] = ForkPair(m, img)
+	}
+	return p.runShards(ms, imgs)
+}
+
+// runShards runs the kernel phase on the shard pairs ms/imgs, all
+// positioned at the end of the same load phase, and merges the
+// per-shard outcomes into one RunResult.
+func (p *prepared) runShards(ms []*machine.Machine, imgs []*analytics.Image) *RunResult {
+	s := len(ms)
 
 	// Every shard machine inherits the load phase's counters; the
 	// merge below subtracts the extra s−1 copies of this baseline.
-	baseArrays := m.ArrayStats()
-	baseOS := m.Kernel.Stats()
-
-	ms := make([]*machine.Machine, s)
-	imgs := make([]*analytics.Image, s)
-	ms[0], imgs[0] = m, img
-	for sh := 1; sh < s; sh++ {
-		if SnapshotsDisabled() {
-			q, err := prepare(p.spec)
-			if err != nil {
-				// Impossible: the identical spec already prepared once,
-				// and the load phase is deterministic.
-				panic(check.Failf("core: shard %d load-phase replay failed after the original succeeded: %v", sh, err))
-			}
-			ms[sh], imgs[sh] = q.m, q.img
-		} else {
-			ms[sh], imgs[sh] = ForkPair(m, img)
-		}
-	}
+	baseArrays := ms[0].ArrayStats()
+	baseOS := ms[0].Kernel.Stats()
 
 	serial := func(n int, fn func(i int)) {
 		for i := 0; i < n; i++ {
@@ -69,14 +63,14 @@ func (p *prepared) finishSharded(m *machine.Machine, img *analytics.Image, opts 
 		parallel = pool.RunN
 	}
 
-	out, makespan := analytics.RunSharded(imgs, p.cuts, opts, parallel)
+	out, makespan := analytics.RunSharded(imgs, p.cuts, p.runOptions(), parallel)
 	for _, sm := range ms {
 		auditMachine(sm) // end of kernel: every shard's layout must balance
 	}
 
 	// Per-shard phase extraction, in shard index order. The init phase
-	// is identical on every shard (forks and replays of one load
-	// phase), so shard 0's copy represents it.
+	// is identical on every shard (copies of one load phase), so shard
+	// 0's copy represents it.
 	shardKernel := make([]machine.PhaseStats, s)
 	shardCycles := make([]uint64, s)
 	var init machine.PhaseStats

@@ -56,14 +56,13 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedForkMatchesReplay is the sharded half of the
-// GRAPHMEM_NO_SNAPSHOT equivalence:
-// fork-based shard bring-up must be byte-identical to bringing every
-// shard up by replaying the load phase from the spec — the property
-// ci.sh step 12 verifies on a whole campaign. The Checkpoint path must
-// agree too (the campaign layer runs sharded cells through it).
+// TestShardedForkMatchesReplay holds fork-based shard bring-up, for
+// every app, to bringing every shard up by replaying the load phase
+// from the spec (RunReplayShards): the results must be deeply equal.
+// The Checkpoint path must agree too (the campaign layer runs sharded
+// cells through it).
 func TestShardedForkMatchesReplay(t *testing.T) {
-	for _, app := range []analytics.App{analytics.BFS, analytics.PR} {
+	for _, app := range analytics.ExtendedApps {
 		t.Run(string(app), func(t *testing.T) {
 			spec := shardedSpec(t, app, core.THPAlways(), 4)
 			ref, err := core.Run(spec)
@@ -84,8 +83,7 @@ func TestShardedForkMatchesReplay(t *testing.T) {
 					formatResult(ref), formatResult(got))
 			}
 
-			t.Setenv("GRAPHMEM_NO_SNAPSHOT", "1")
-			got, err = core.Run(spec)
+			got, err = core.RunReplayShards(spec)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,15 +26,9 @@ import (
 // kernel policy engine, TLB and cache hierarchies, and the frame owners
 // that live outside the machine (memhog, page cache) — so a forked
 // kernel produces bit-identical cycles and statistics to the monolithic
-// Run path. The GRAPHMEM_NO_SNAPSHOT escape hatch proves it: with the
-// variable set, Fork replays the load phase monolithically and CI diffs
-// the two campaign outputs byte for byte (scripts/ci.sh), exactly as
-// GRAPHMEM_NO_BULK and GRAPHMEM_NO_GATHER gate the access engines.
-
-// SnapshotsDisabled reports whether the GRAPHMEM_NO_SNAPSHOT escape
-// hatch is open (HatchDisabled): checkpoints then hold no machine and
-// every fork replays its load phase from the spec.
-func SnapshotsDisabled() bool { return HatchDisabled(HatchSnapshot) }
+// Run path. TestForkMatchesReplay holds every fork to Run, and
+// TestShardedForkMatchesReplay and exp's TestRolloutForkMatchesReplay
+// hold shard and mid-probe forks to machines prepared from the spec.
 
 // SnapshotSafe reports whether spec's load phase can be checkpointed
 // and forked. Specs that register machine tickers — a churning
@@ -49,51 +43,29 @@ func SnapshotSafe(spec RunSpec) bool {
 // moment init completed. Fork yields independent machine+image pairs
 // that all start from that state; Run executes the spec's own kernel
 // phase on such a fork.
-//
-// With GRAPHMEM_NO_SNAPSHOT set the checkpoint holds no machine at
-// all: Prepare defers the load phase, and each Fork replays it from
-// the spec — the pre-snapshot behaviour, preserved as the reference
-// side of the CI equivalence diff.
 type Checkpoint struct {
-	spec RunSpec
-	pre  *prepared // nil when snapshotting is disabled
+	p *prepared
 }
 
 // Prepare runs spec's load phase once and freezes it. It fails on
 // specs that are not SnapshotSafe and on any load-phase error Run
-// would report. When GRAPHMEM_NO_SNAPSHOT is set, the load phase is
-// deferred to Fork time instead (so disabling snapshots costs one
-// replay per fork, not one extra replay overall).
+// would report.
 func Prepare(spec RunSpec) (*Checkpoint, error) {
 	if !SnapshotSafe(spec) {
 		return nil, fmt.Errorf("core: spec registers machine tickers (churn or supply sampling); run it monolithically")
-	}
-	cp := &Checkpoint{spec: spec}
-	if SnapshotsDisabled() {
-		return cp, nil
 	}
 	p, err := prepare(spec)
 	if err != nil {
 		return nil, err
 	}
-	cp.pre = p
-	return cp, nil
+	return &Checkpoint{p: p}, nil
 }
 
 // Fork returns an independent machine+image pair positioned at the end
-// of the load phase. Snapshot-on, that is a ForkPair of the frozen
-// machine and its image.
-// Snapshot-off, the load phase is replayed from the spec — identical
-// state by the simulator's determinism, at full load-phase cost.
+// of the load phase: a ForkPair of the frozen machine and its image.
+// The error is always nil.
 func (cp *Checkpoint) Fork() (*machine.Machine, *analytics.Image, error) {
-	if cp.pre == nil {
-		p, err := prepare(cp.spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		return p.m, p.img, nil
-	}
-	fm, img := ForkPair(cp.pre.m, cp.pre.img)
+	fm, img := ForkPair(cp.p.m, cp.p.img)
 	return fm, img, nil
 }
 
@@ -207,35 +179,15 @@ func Footprint(m *machine.Machine, img *analytics.Image) stats.Footprint {
 }
 
 // Run executes the spec's kernel phase on a fresh Fork and assembles
-// the RunResult, exactly as the monolithic Run would have — fork
-// fidelity is what the CI equivalence gate verifies.
+// the RunResult, exactly as the monolithic Run would have. The error is
+// always nil.
 func (cp *Checkpoint) Run() (*RunResult, error) {
-	if cp.pre == nil {
-		p, err := prepare(cp.spec)
-		if err != nil {
-			return nil, err
-		}
-		return p.finish(p.m, p.img), nil
-	}
-	fm, img, err := cp.Fork()
-	if err != nil {
-		return nil, err
-	}
-	return cp.pre.finish(fm, img), nil
+	fm, img := ForkPair(cp.p.m, cp.p.img)
+	return cp.p.finish(fm, img), nil
 }
 
 // Footprint reports the frozen pair's simulator-side memory breakdown
-// (Footprint). With snapshotting disabled the checkpoint holds no
-// machine, so Footprint replays the load phase and reports the replayed
-// machine, whose state is identical. ok is false only when that replay
-// fails.
+// (Footprint). ok is always true.
 func (cp *Checkpoint) Footprint() (fp stats.Footprint, ok bool) {
-	p := cp.pre
-	if p == nil {
-		var err error
-		if p, err = prepare(cp.spec); err != nil {
-			return fp, false
-		}
-	}
-	return Footprint(p.m, p.img), true
+	return Footprint(cp.p.m, cp.p.img), true
 }

@@ -74,34 +74,6 @@ func TestForkMatchesReplay(t *testing.T) {
 	}
 }
 
-// TestForkMatchesReplayDisabled re-runs one fidelity case with the
-// GRAPHMEM_NO_SNAPSHOT escape hatch set: the checkpoint then replays
-// the load phase per Run, and the results must still be deeply equal —
-// the property the CI campaign byte-diff checks end to end.
-func TestForkMatchesReplayDisabled(t *testing.T) {
-	t.Setenv("GRAPHMEM_NO_SNAPSHOT", "1")
-	if !core.SnapshotsDisabled() {
-		t.Fatal("GRAPHMEM_NO_SNAPSHOT not observed")
-	}
-	spec := quickSpec(t, analytics.BFS, core.THPAlways(), stressedEnv())
-	ref, err := core.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := core.Prepare(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, got) {
-		t.Fatalf("disabled-snapshot replay diverged:\n--- monolithic ---\n%s--- replay ---\n%s",
-			formatResult(ref), formatResult(got))
-	}
-}
-
 // TestPrepareRejectsTickeredSpecs: specs that register machine tickers
 // (churn co-runner, supply sampler) close over state a deep copy
 // cannot capture, so Prepare must refuse them rather than fork a

@@ -110,28 +110,3 @@ func TestFullscaleGeometryGate(t *testing.T) {
 		t.Errorf("process took %d bytes from the OS, budget %d", ms.Sys, budget)
 	}
 }
-
-// TestFullscaleSameWithHatch renders ext-fullscale, whose footprint
-// table introspects a staged machine, with the snapshot hatch closed
-// and open. With the hatch open every extra shard replays its cell's
-// load phase instead of forking it, and the footprint replays the
-// flagship's load phase, so both renderings must carry the same bytes.
-func TestFullscaleSameWithHatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs one experiment twice")
-	}
-	t.Setenv("GRAPHMEM_NO_SNAPSHOT", "")
-	ids := []string{"ext-fullscale"}
-	ref := renderAll(t, gen.ScaleTest, ids, 1)
-	if !strings.Contains(ref.text, "simulator footprint") {
-		t.Fatal("ext-fullscale rendered no footprint table")
-	}
-	t.Setenv("GRAPHMEM_NO_SNAPSHOT", "1")
-	hatch := renderAll(t, gen.ScaleTest, ids, 1)
-	if hatch.text != ref.text {
-		t.Errorf("text with the snapshot hatch open differs:\n%s\nhatch closed:\n%s", hatch.text, ref.text)
-	}
-	if hatch.markdown != ref.markdown || hatch.csv != ref.csv {
-		t.Error("markdown or CSV with the snapshot hatch open differs")
-	}
-}

@@ -24,9 +24,6 @@ func TestCkptReloadSpeedup(t *testing.T) {
 	if os.Getenv("GRAPHMEM_SPEEDUP_GATE") == "" {
 		t.Skip("set GRAPHMEM_SPEEDUP_GATE=1 to run the wall-clock gate (ci.sh step 15)")
 	}
-	if core.SnapshotsDisabled() {
-		t.Skip("GRAPHMEM_NO_SNAPSHOT disables checkpoints")
-	}
 	s := NewSuite(gen.ScaleBench, nil)
 	c := s.fullscaleCfg()
 	spec := s.spec(c) // generates the graph outside the timers

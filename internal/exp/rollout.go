@@ -24,10 +24,10 @@ import (
 // with a short burst of the kernel's most translation-hostile traffic.
 // Every candidate is scored from the *same* starting state, and the
 // load phase — the expensive part — is paid once instead of once per
-// candidate. This experiment is also the wall-clock witness for the
-// snapshot layer: scripts/ci.sh step 11 times it with
-// GRAPHMEM_NO_SNAPSHOT on and off, diffs the outputs byte-for-byte, and
-// requires forking to cut the wall-clock by at least 2x.
+// candidate. TestRolloutForkMatchesReplay holds the tournament to
+// scoring every candidate on its own freshly prepared and warmed
+// machine, and TestRolloutForkSpeedup requires forking to cut the
+// tournament's wall-clock by at least 2x against that replay.
 
 // rolloutCandidate is one runtime page-size configuration applied to a
 // fresh fork before probing.
@@ -93,10 +93,38 @@ func probeBudget(n int) int {
 
 // warmupBudget sizes the shared pre-fork execution. The warmup stands
 // in for the application's already-elapsed run — the state a live
-// rollout would fork from — and it is the expensive phase the snapshot
-// layer amortizes: paid once per dataset with snapshots on, once per
-// candidate with GRAPHMEM_NO_SNAPSHOT set.
+// rollout would fork from — and it is, with the load phase, the
+// expensive part the forks amortize: paid once per dataset, not once
+// per candidate.
 func warmupBudget(n int) int { return 8 * probeBudget(n) }
+
+// rolloutSpec returns ds's shared load phase and the warmup and probe
+// budgets every candidate runs with.
+func (s *Suite) rolloutSpec(ds gen.Dataset) (spec core.RunSpec, warm, probe int) {
+	env := s.envFragmented(analytics.BFS, ds, rolloutSlackGB, rolloutFragLevel)
+	n := s.graph(ds, false, reorder.Identity).g.N
+	return s.spec(rolloutCfg(ds, env)), warmupBudget(n), probeBudget(n)
+}
+
+// rolloutScores runs ds's candidate tournament: one load phase and one
+// warmup, then one fork of the warmed pair per candidate, probed after
+// the candidate is applied. The scores are in rolloutCandidates order.
+func (s *Suite) rolloutScores(ds gen.Dataset) []analytics.ProbeResult {
+	spec, warm, probe := s.rolloutSpec(ds)
+	cp, err := core.Prepare(spec)
+	if err != nil {
+		panic(check.Failf("exp: rollout prepare %s: %v", ds, err))
+	}
+	fm0, img0, _ := cp.Fork() // the error is always nil
+	img0.RunProbe(warm)
+	scores := make([]analytics.ProbeResult, len(rolloutCandidates))
+	for i, cand := range rolloutCandidates {
+		fm, img := core.ForkPair(fm0, img0)
+		cand.apply(fm, img)
+		scores[i] = img.RunProbe(probe)
+	}
+	return scores
+}
 
 // Rollout runs the candidate tournament per dataset and reports each
 // candidate's probe score, marking the per-dataset winner. Its forks
@@ -111,66 +139,27 @@ func (s *Suite) Rollout() []*stats.Table {
 		"dataset", "candidate", "cyc/access", "walks/1k", "promoted", "img-huge", "pick")
 	t.Note = "one load+warmup phase per dataset, one fork per candidate; lowest cycles/access wins"
 	for _, ds := range gen.AllDatasets {
-		e := s.graph(ds, false, reorder.Identity)
-		env := s.envFragmented(analytics.BFS, ds, rolloutSlackGB, rolloutFragLevel)
-		cfg := rolloutCfg(ds, env)
-		cp, err := core.Prepare(s.spec(cfg))
-		if err != nil {
-			panic(check.Failf("exp: prepare %s: %v", cfg.key(), err))
-		}
-		warm, probe := warmupBudget(e.g.N), probeBudget(e.g.N)
-
-		type scored struct {
-			name string
-			r    analytics.ProbeResult
-		}
-		rows := make([]scored, 0, len(rolloutCandidates))
-		if core.SnapshotsDisabled() {
-			// Escape-hatch path: no machine is ever forked. Each candidate
-			// replays init (via the deferred checkpoint) and the warmup
-			// from scratch — determinism makes the replayed state
-			// identical to a fork, which is what the CI byte-diff checks.
-			for _, cand := range rolloutCandidates {
-				fm, img, err := cp.Fork()
-				if err != nil {
-					panic(check.Failf("exp: rollout replay %s/%s: %v", ds, cand.name, err))
-				}
-				img.RunProbe(warm)
-				cand.apply(fm, img)
-				rows = append(rows, scored{cand.name, img.RunProbe(probe)})
-			}
-		} else {
-			fm0, img0, err := cp.Fork()
-			if err != nil {
-				panic(check.Failf("exp: rollout fork %s: %v", ds, err))
-			}
-			img0.RunProbe(warm)
-			for _, cand := range rolloutCandidates {
-				fm, img := core.ForkPair(fm0, img0)
-				cand.apply(fm, img)
-				rows = append(rows, scored{cand.name, img.RunProbe(probe)})
-			}
-		}
+		scores := s.rolloutScores(ds)
 		best := 0
-		for i := range rows {
-			if rows[i].r.CyclesPerAccess() < rows[best].r.CyclesPerAccess() {
+		for i := range scores {
+			if scores[i].CyclesPerAccess() < scores[best].CyclesPerAccess() {
 				best = i
 			}
 		}
-		for i, sc := range rows {
+		for i, r := range scores {
 			pick := ""
 			if i == best {
 				pick = "<="
 			}
-			acc := sc.r.Accesses
+			acc := r.Accesses
 			if acc == 0 {
 				acc = 1
 			}
-			t.AddRow(string(ds), sc.name,
-				stats.F(sc.r.CyclesPerAccess(), 2),
-				stats.F(float64(sc.r.Walks)*1000/float64(acc), 1),
-				fmt.Sprint(sc.r.Promotions),
-				stats.MB(sc.r.HugeBytes),
+			t.AddRow(string(ds), rolloutCandidates[i].name,
+				stats.F(r.CyclesPerAccess(), 2),
+				stats.F(float64(r.Walks)*1000/float64(acc), 1),
+				fmt.Sprint(r.Promotions),
+				stats.MB(r.HugeBytes),
 				pick)
 		}
 	}

@@ -19,15 +19,14 @@ import (
 // and max/mean over ShardKernelCycles is the partition balance.
 //
 // Every ext-shard cell is sharded; the experiment deliberately has no
-// monolithic comparator cells, so the ci.sh shard-equivalence campaign
-// (step 12) measures fork-vs-replay bring-up undiluted.
+// monolithic comparator cells.
 
 // extShards is the shard count the ext-shard experiment models.
 // Sixteen is large enough that partition balance and barrier overlap
 // are non-trivial on every dataset, and it makes shard bring-up a
-// first-order cost: the NO_SNAPSHOT reference replays the load phase per
-// shard where the engine forks it, which is exactly the margin the
-// ci.sh step-12 speedup gate measures.
+// first-order cost: replaying the load phase per shard where the
+// engine forks it is exactly the margin TestShardBringupSpeedup
+// measures.
 const extShards = 16
 
 // shardNodeBytes is the modeled node memory of the ext-shard cells.

@@ -10,67 +10,62 @@ import (
 	"graphmem/internal/gen"
 )
 
-// TestShardBringupSpeedup is the ci.sh step-12 performance gate: on a
+// TestShardBringupSpeedup is the ci.sh step-10 performance gate: on a
 // big-memory cell, fork-based shard bring-up must cut single-run
-// wall-clock at least 2x against the GRAPHMEM_NO_SNAPSHOT=1 reference,
-// which replays the load phase once per shard. The cell is the
+// wall-clock at least 2x against replay bring-up, which prepares every
+// extra shard from the spec instead of forking it. The cell is the
 // ext-shard kr25 configuration — the largest working set in the
 // suite, so bring-up dominates and the ratio is stable.
 //
-// The gate times one simulation in-process (min of three runs per
-// side, fork and replay interleaved) rather than a whole campaign
-// from the shell: dataset generation, process start-up, and sibling
-// cells would otherwise dilute the margin under measurement, and on a
-// busy host the min-of-N of a paired in-process comparison is far
-// less noisy than one subprocess wall-clock sample.
+// The replay side is not run: it is the forking run's time plus, for
+// each of its extShards-1 extra shards, a load phase (core.Prepare) in
+// place of a fork (Checkpoint.Fork). Each term is the min of three
+// in-process timings, which on a busy host is far less noisy than one
+// subprocess wall-clock sample of a whole campaign, whose dataset
+// generation and sibling cells would dilute the margin.
 //
 // Wall-clock assertions are meaningless under -race or on an
 // arbitrarily loaded host, so the test skips unless
-// GRAPHMEM_SPEEDUP_GATE is set; ci.sh step 12 opts in.
+// GRAPHMEM_SPEEDUP_GATE is set; ci.sh step 10 opts in.
 func TestShardBringupSpeedup(t *testing.T) {
 	if os.Getenv("GRAPHMEM_SPEEDUP_GATE") == "" {
-		t.Skip("set GRAPHMEM_SPEEDUP_GATE=1 to run the wall-clock gate (ci.sh step 12)")
-	}
-	if os.Getenv("GRAPHMEM_NO_SNAPSHOT") != "" {
-		t.Fatal("GRAPHMEM_NO_SNAPSHOT is set; the gate toggles the hatch itself")
+		t.Skip("set GRAPHMEM_SPEEDUP_GATE=1 to run the wall-clock gate (ci.sh step 10)")
 	}
 	// Measure with 4 shard workers (GOMAXPROCS 4). The worker count
 	// cannot change output and barely moves single-core timing;
 	// pinning it just makes the recorded figure reproducible. The
-	// deferred call and t.Setenv restore GOMAXPROCS and the hatch when
-	// the test ends, however it ends; an empty GRAPHMEM_NO_SNAPSHOT is a
-	// closed hatch.
+	// deferred call restores GOMAXPROCS however the test ends.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	s := NewSuite(gen.ScaleBench, nil)
 	spec := s.spec(s.shardCfg(gen.Kron25))
-	oneRun := func() time.Duration {
+	timed := func(f func() error) time.Duration {
 		start := time.Now()
-		if _, err := core.Run(spec); err != nil {
+		if err := f(); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)
 	}
-	oneRun() // warm-up: page in the dataset and settle the heap
+	run := func() error { _, err := core.Run(spec); return err }
+	var cp *core.Checkpoint
+	prepare := func() (err error) { cp, err = core.Prepare(spec); return err }
+	fork := func() error { _, _, err := cp.Fork(); return err }
+	timed(run) // warm-up: page in the dataset and settle the heap
 
 	const reps = 3
-	fork := time.Duration(1 << 62)
-	replay := time.Duration(1 << 62)
+	minRun := time.Duration(1 << 62)
+	minPrepare := time.Duration(1 << 62)
+	minFork := time.Duration(1 << 62)
 	for i := 0; i < reps; i++ {
-		if d := oneRun(); d < fork {
-			fork = d
-		}
-		t.Setenv("GRAPHMEM_NO_SNAPSHOT", "1")
-		d := oneRun()
-		t.Setenv("GRAPHMEM_NO_SNAPSHOT", "")
-		if d < replay {
-			replay = d
-		}
+		minRun = min(minRun, timed(run))
+		minPrepare = min(minPrepare, timed(prepare))
+		minFork = min(minFork, timed(fork))
 	}
-	speedup := float64(replay) / float64(fork)
-	t.Logf("shard_bringup fork_ms=%d replay_ms=%d speedup=%.2f",
-		fork.Milliseconds(), replay.Milliseconds(), speedup)
+	replay := minRun + time.Duration(extShards-1)*(minPrepare-minFork)
+	speedup := float64(replay) / float64(minRun)
+	t.Logf("shard_bringup run=%v prepare=%v fork=%v replay=%v speedup=%.2f",
+		minRun, minPrepare, minFork, replay, speedup)
 	if speedup < 2 {
-		t.Errorf("fork bring-up speedup %.2fx (fork=%v replay=%v), want >= 2x: forks are not amortizing shard bring-up",
-			speedup, fork, replay)
+		t.Errorf("fork bring-up speedup %.2fx (run=%v replay=%v), want >= 2x: forks are not amortizing shard bring-up",
+			speedup, minRun, replay)
 	}
 }

@@ -45,16 +45,13 @@ import (
 //     attaching a tracer mid-batch degrades the rest of the batch;
 //     flushing before runEvents means no gather state is in flight when
 //     it does.
-//
-// GRAPHMEM_NO_GATHER=1 or SetGather(false) degrade the whole batch to
-// scalar dispatch; the CI gate diffs a campaign run both ways.
 func (m *Machine) AccessGather(vas []uint64) {
 	i, n := 0, len(vas)
 	for i < n {
-		// Per-batch dispatch when batching is off or unsound: gather
-		// disabled, a tracer attached, or a zero-cost hit model (the
-		// event-split division needs cHit > 0).
-		if m.noGather || m.tracer != nil || m.Model.L1DHit+m.Model.Compute == 0 {
+		// Per-batch dispatch when batching is unsound: a tracer
+		// attached, or a zero-cost hit model (the event-split division
+		// needs cHit > 0).
+		if m.tracer != nil || m.Model.L1DHit+m.Model.Compute == 0 {
 			m.accessEach(vas[i:]) //simlint:ignore SL012 per-batch fallback; Access waives its own fault/event escapes
 			return
 		}
@@ -75,9 +72,9 @@ func (m *Machine) AccessGather(vas []uint64) {
 
 // gatherSegment batches accesses from vas[i:] while they stay inside the
 // translation cache's current page, returning the index of the first
-// unprocessed address. The caller established: gather enabled, no
-// tracer, vas[i] inside the cached page, L1 TLB capacity for its
-// size, and cycles < nextEvent.
+// unprocessed address. The caller established: no tracer, vas[i]
+// inside the cached page, L1 TLB capacity for its size, and cycles <
+// nextEvent.
 func (m *Machine) gatherSegment(vas []uint64, i int) int {
 	// The segment's first access takes the full scalar path: it does
 	// the real TLB lookup — installing (or refreshing) L1 residency the

@@ -14,10 +14,10 @@ import (
 
 // The gather engine's contract mirrors the bulk engine's: AccessGather
 // must leave the machine in exactly the state len(vas) scalar Access
-// calls would. SetGather(false) routes AccessGather through the scalar
-// loop, so a differential run is the same op script replayed on two
-// machines that differ only in that switch. The configs, VMA layout,
-// and snapshot are shared with access_run_test.go.
+// calls would. A differential run is the same op script replayed on two
+// machines, one through the engine and one through that scalar loop.
+// The configs, VMA layout, and snapshot are shared with
+// access_run_test.go.
 
 // gatherRef is one collected address: a VMA index plus a byte offset
 // (reduced mod the VMA size at replay).
@@ -44,7 +44,6 @@ type gatherOp struct {
 // selects the engine under test.
 func replayGatherDiff(dc diffConfig, ops []gatherOp, gather bool) diffSnapshot {
 	m := New(dc.cfg)
-	m.SetGather(gather)
 	if dc.ticker != 0 {
 		m.AddTicker(dc.ticker, func(now uint64) {})
 	}
@@ -79,7 +78,7 @@ func replayGatherDiff(dc diffConfig, ops []gatherOp, gather bool) diffSnapshot {
 			v := vmas[int(r.vma)%len(vmas)]
 			buf = append(buf, v.Base+r.off%v.Bytes)
 		}
-		m.AccessGather(buf)
+		accessGather(m, gather, buf)
 	}
 
 	snap := diffSnapshot{

@@ -38,10 +38,10 @@ import (
 //     before runEvents means no bulk state is in flight when it does.
 func (m *Machine) AccessRun(va uint64, count int, stride uint64) {
 	for count > 0 {
-		// Per-access dispatch when batching is off or unsound: bulk
-		// disabled, degenerate stride, a tracer attached, or a
-		// zero-cost hit model (the event-split division needs cHit > 0).
-		if m.noBulk || stride == 0 || m.tracer != nil || m.Model.L1DHit+m.Model.Compute == 0 {
+		// Per-access dispatch when batching is unsound: a degenerate
+		// stride, a tracer attached, or a zero-cost hit model (the
+		// event-split division needs cHit > 0).
+		if stride == 0 || m.tracer != nil || m.Model.L1DHit+m.Model.Compute == 0 {
 			for ; count > 0; count-- {
 				m.Access(va) //simlint:ignore SL012 scalar fallback; Access waives its own fault/event escapes
 				va += stride
@@ -65,8 +65,8 @@ func (m *Machine) AccessRun(va uint64, count int, stride uint64) {
 
 // bulkSegment batches accesses while they stay inside the translation
 // cache's current page, returning the updated (va, count). The caller
-// established: bulk enabled, no tracer, stride > 0, va inside the
-// cached page, L1 TLB capacity for its size, and cycles < nextEvent.
+// established: no tracer, stride > 0, va inside the cached page, L1 TLB
+// capacity for its size, and cycles < nextEvent.
 func (m *Machine) bulkSegment(va uint64, count int, stride uint64) (uint64, int) {
 	// The segment's first access takes the full scalar path: it does
 	// the real TLB lookup — installing (or refreshing) L1 residency the

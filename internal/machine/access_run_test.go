@@ -14,9 +14,34 @@ import (
 
 // The bulk engine's contract is arithmetic identity: AccessRun(va, n, s)
 // must leave the machine in exactly the state n scalar Access calls
-// would. SetBulk(false) routes AccessRun through the scalar loop, so a
-// differential run is the same op script replayed on two machines that
-// differ only in that switch.
+// would. A differential run is the same op script replayed on two
+// machines, one through the engine and one through that scalar loop.
+
+// accessRun issues a strided run through the bulk engine, or, with bulk
+// unset, as the loop of scalar Access calls the engine must equal.
+func accessRun(m *Machine, bulk bool, va uint64, count int, stride uint64) {
+	if bulk {
+		m.AccessRun(va, count, stride)
+		return
+	}
+	for ; count > 0; count-- {
+		m.Access(va)
+		va += stride
+	}
+}
+
+// accessGather issues a batch through the gather engine, or, with
+// gather unset, as the loop of scalar Access calls the engine must
+// equal.
+func accessGather(m *Machine, gather bool, vas []uint64) {
+	if gather {
+		m.AccessGather(vas)
+		return
+	}
+	for _, va := range vas {
+		m.Access(va)
+	}
+}
 
 // diffOp is one scripted step of a differential run.
 type diffOp struct {
@@ -75,7 +100,6 @@ type diffSnapshot struct {
 // and snapshots the final state. bulk selects the engine under test.
 func replayDiff(dc diffConfig, ops []diffOp, bulk bool) diffSnapshot {
 	m := New(dc.cfg)
-	m.SetBulk(bulk)
 	if dc.ticker != 0 {
 		m.AddTicker(dc.ticker, func(now uint64) {})
 	}
@@ -101,7 +125,7 @@ func replayDiff(dc diffConfig, ops []diffOp, bulk bool) diffSnapshot {
 				count = int(fit)
 			}
 		}
-		m.AccessRun(va, count, op.stride)
+		accessRun(m, bulk, va, count, op.stride)
 	}
 
 	snap := diffSnapshot{

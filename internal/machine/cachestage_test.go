@@ -74,12 +74,13 @@ func stageConfigs() []stageConfig {
 
 // replayStage runs ops on a fresh machine of sc and snapshots it. With
 // staged set, every phase runs with a cache stage open (stopped and
-// restarted around each phase change), bulk and gather as given;
-// otherwise the machine is the twin: no stage, every access scalar.
+// restarted around each phase change), and runs and gathers go through
+// the bulk and gather engines where bulk and gather are set, as scalar
+// loops where not; otherwise the machine is the twin: no stage, every
+// access scalar.
 func replayStage(t testing.TB, sc stageConfig, ops []gatherOp, staged, bulk, gather bool) (stageSnapshot, CacheStageStats) {
 	m := New(sc.cfg)
-	m.SetBulk(bulk && staged)
-	m.SetGather(gather && staged)
+	bulk, gather = bulk && staged, gather && staged
 	if sc.ticker != 0 {
 		m.AddTicker(sc.ticker, func(uint64) {})
 	}
@@ -118,7 +119,7 @@ func replayStage(t testing.TB, sc stageConfig, ops []gatherOp, staged, bulk, gat
 					count = int(fit)
 				}
 			}
-			m.AccessRun(va, count, op.stride)
+			accessRun(m, bulk, va, count, op.stride)
 			continue
 		}
 		buf = buf[:0]
@@ -126,7 +127,7 @@ func replayStage(t testing.TB, sc stageConfig, ops []gatherOp, staged, bulk, gat
 			v := vmas[int(r.vma)%len(vmas)]
 			buf = append(buf, v.Base+r.off%v.Bytes)
 		}
-		m.AccessGather(buf)
+		accessGather(m, gather, buf)
 	}
 	stop()
 

@@ -115,17 +115,6 @@ type Machine struct {
 	cycles uint64
 	simPT  bool
 
-	// noBulk forces AccessRun onto the per-access path (access_run.go).
-	// Bulk charging is cycle-identical by construction, so this exists
-	// only to prove it: the CI gate diffs a campaign run both ways. Set
-	// by SetBulk (core opens it via the GRAPHMEM_NO_BULK hatch).
-	noBulk bool
-
-	// noGather forces AccessGather onto the per-access path
-	// (access_gather.go). Like noBulk it exists to prove equivalence:
-	// set by SetGather (core opens it via the GRAPHMEM_NO_GATHER hatch).
-	noGather bool
-
 	// Event layer state (events.go): the earliest cycle at which any
 	// background actor is due. The fast path compares cycles against
 	// this once per access.
@@ -189,18 +178,6 @@ func (m *Machine) AddCycles(c uint64) {
 	m.cycles += c
 	m.phase.Cycles += c
 }
-
-// SetBulk enables or disables the bulk access engine (AccessRun's
-// coalesced path). Disabling is observationally invisible — bulk
-// charging is cycle-identical to per-access dispatch — and exists for
-// the equivalence gate in CI and for differential tests.
-func (m *Machine) SetBulk(enabled bool) { m.noBulk = !enabled }
-
-// SetGather enables or disables the gather access engine (AccessGather's
-// batched path). Like SetBulk, disabling is observationally invisible —
-// gather charging is cycle-identical to per-access dispatch — and exists
-// for the equivalence gate in CI and for differential tests.
-func (m *Machine) SetGather(enabled bool) { m.noGather = !enabled }
 
 // Touch faults in (and accesses) every page of the byte range
 // [va, va+bytes), in ascending order — the simulator's equivalent of an

@@ -21,7 +21,7 @@ import (
 // cache hierarchies, phase and per-array accounting) and the shard's
 // functional translation cache, as opposed to per-machine
 // infrastructure (memory, address space, kernel) and cross-shard
-// configuration (cost model, hatches).
+// configuration (cost model).
 type shardState struct {
 	TLB   *tlb.Hierarchy
 	Cache *cache.Hierarchy

@@ -57,10 +57,6 @@ func (m *Machine) state(w *ckpt.Walker, owner memsys.OwnerFunc) {
 			len(m.tickers), m.tracer != nil)
 		return
 	}
-	// The access-engine hatches are per-process switches, not state: a
-	// fork's shallow copy keeps the original's, and a loader applies its
-	// own (core's applyAccessHatches).
-	_, _ = m.noBulk, m.noGather
 	// A cache stage lives only while a kernel streams, and no walk runs
 	// then; its counters are host-side diagnostics.
 	_, _, _ = m.stage, m.handoff, m.stageStats

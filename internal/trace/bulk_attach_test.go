@@ -21,6 +21,7 @@ import (
 // state and the remaining accesses dispatch per access.
 func TestTracerAttachMidBulkRun(t *testing.T) {
 	const attachAt = 200_000 // cycles: mid-way through the bulk run below
+	const n, stride = 1 << 19, 4
 
 	run := func(bulk bool) ([]trace.Event, uint64) {
 		m := machine.New(machine.Config{
@@ -30,7 +31,6 @@ func TestTracerAttachMidBulkRun(t *testing.T) {
 			Cost:        cost.Default(),
 			Kernel:      oskernel.DefaultConfig(),
 		})
-		m.SetBulk(bulk)
 		v := m.Space.Mmap("arr", 4<<20)
 		m.RegisterArray(v)
 		m.Touch(v.Base, v.Bytes)
@@ -43,7 +43,15 @@ func TestTracerAttachMidBulkRun(t *testing.T) {
 				m.SetTracer(col)
 			}
 		})
-		m.AccessRun(v.Base, 1<<19, 4) // one long sequential stream
+		// One long sequential stream, through the bulk engine or as
+		// the scalar loop it must equal.
+		if bulk {
+			m.AccessRun(v.Base, n, stride)
+		} else {
+			for i := uint64(0); i < n; i++ {
+				m.Access(v.Base + i*stride)
+			}
+		}
 		return col.events, m.Cycles()
 	}
 
@@ -56,7 +64,7 @@ func TestTracerAttachMidBulkRun(t *testing.T) {
 	if len(bulkEvents) == 0 {
 		t.Fatal("tracer never attached: the ticker did not fire mid-run")
 	}
-	if len(bulkEvents) >= 1<<19 {
+	if len(bulkEvents) >= n {
 		t.Fatalf("tracer saw all %d accesses: attach was not mid-run", len(bulkEvents))
 	}
 	if !reflect.DeepEqual(bulkEvents, scalarEvents) {

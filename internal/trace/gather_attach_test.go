@@ -46,7 +46,6 @@ func TestTracerAttachMidGather(t *testing.T) {
 			Cost:        cost.Default(),
 			Kernel:      oskernel.DefaultConfig(),
 		})
-		m.SetGather(gather)
 		v := m.Space.Mmap("arr", 4<<20)
 		m.RegisterArray(v)
 		m.Touch(v.Base, v.Bytes)
@@ -64,7 +63,13 @@ func TestTracerAttachMidGather(t *testing.T) {
 				m.SetTracer(col)
 			}
 		})
-		m.AccessGather(abs)
+		if gather {
+			m.AccessGather(abs)
+		} else {
+			for _, va := range abs {
+				m.Access(va)
+			}
+		}
 		return col.events, m.Cycles()
 	}
 

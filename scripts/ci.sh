@@ -36,48 +36,46 @@
 #                       cache goroutine, with event deadlines a few
 #                       hundred cycles apart, to match a scalar twin
 #                       that probes inline on every counter. Every fuzz
-#                       run (here and in step 15) bounds minimization at
+#                       run (here and in step 13) bounds minimization at
 #                       10 execs per input
 #                       (-fuzzminimizetime 10x): under the 60s default
 #                       three of the four stalled minimizing their first
 #                       new inputs and stopped exploring within seconds
-#   8. expdriver -j diff
-#                       a bench-scale campaign subset run at -j 1 and
-#                       -j 4 must be byte-identical on every surface,
-#                       and so must a -j 1 run at GOMAXPROCS=1, where
-#                       each monolithic kernel and the goroutine that
-#                       replays its access stream take turns on one
-#                       processor
-#   9. bulk-engine equivalence
-#                       the same campaign subset with the bulk path
-#                       force-disabled (GRAPHMEM_NO_BULK=1) must be
-#                       byte-identical to the bulk-enabled run
-#  10. gather-engine equivalence
-#                       the same campaign subset with the gather path
-#                       force-disabled (GRAPHMEM_NO_GATHER=1) must be
-#                       byte-identical to the gather-enabled run
-#  11. snapshot-layer equivalence
-#                       the rollout-bearing campaign subset with the
-#                       checkpoint/fork layer disabled
-#                       (GRAPHMEM_NO_SNAPSHOT=1) must be byte-identical
-#                       to the forking run at -j 1 and -j 4, and forking
-#                       must cut the subset's wall-clock by >= 2x; its
-#                       unforked fig5 and pagecache cells check that the
-#                       hatch leaves them alone
-#  12. sharded-engine equivalence
-#                       the ext-shard campaign with fork bring-up
-#                       disabled (GRAPHMEM_NO_SNAPSHOT=1, every extra
-#                       shard replays its load phase) must be byte-identical
-#                       to the forking run across GOMAXPROCS (which sizes
-#                       each sharded cell's worker pool) and -j worker
-#                       counts, and fork bring-up must cut single-run
-#                       wall-clock by >= 2x (TestShardBringupSpeedup,
-#                       in-process paired timing)
-#  13. frame-metadata budget
+#   8. fast-path inlining
+#                       go build -gcflags=-m ./internal/machine
+#                       ./internal/analytics must report the cache
+#                       stage's probe and the data-cycle charge inlined
+#                       into the scalar, bulk and gather engines
+#                       (access.go, access_run.go, access_gather.go) and
+#                       the stream's append inlined into every kernel
+#                       file (bfs, sssp, pagerank, cc, bc, probe,
+#                       shard_kernels): a loop-head edit that pushes one
+#                       past the inliner's budget costs a call per
+#                       simulated access and fails here
+#   9. campaign determinism
+#                       a bench-scale campaign over fig5, pagecache,
+#                       ext-rollout (forked candidates) and ext-shard
+#                       (16-shard cells) at GOMAXPROCS=4 -j 1 is the
+#                       reference; runs at GOMAXPROCS=4 -j 4,
+#                       GOMAXPROCS=2 -j 4 and GOMAXPROCS=1 -j 1 must be
+#                       byte-identical to it on every surface. GOMAXPROCS
+#                       sizes each sharded cell's worker pool, and at 1
+#                       each monolithic kernel, the goroutine that
+#                       replays its access stream and its cache goroutine
+#                       take turns on one processor
+#  10. fork gates
+#                       forking must cut the wall-clock at least 2x
+#                       against replaying the load phase: for the
+#                       rollout's candidate tournament
+#                       (TestRolloutForkSpeedup, bench scale, every
+#                       dataset) and for shard bring-up
+#                       (TestShardBringupSpeedup, the ext-shard kr25
+#                       cell); both time in-process, min of 3 per side
+#  11. frame-metadata budget
 #                       unsafe.Sizeof(frameInfo{}) <= 8 (compile-time
 #                       array assert plus TestFrameInfoSize), and the
 #                       packed/unpacked differential property test
-#  14. paper-geometry gate
+#  12. paper-geometry gate
 #                       the ext-fullscale campaign ({Kron25,Twit} x
 #                       {BFS,PR} x {THP,4KB}) stages >= 100 GB nodes,
 #                       finishes inside its wall/host-memory budgets,
@@ -87,7 +85,7 @@
 #                       bytes-per-simulated-GiB ceiling is
 #                       TestFullscaleFootprintCeiling, which needs no
 #                       opt-in and runs in step 6 (it skips under -race)
-#  15. checkpoint reload + fork fuzzing
+#  13. checkpoint reload + fork fuzzing
 #                       the in-process perf gate (TestCkptReloadSpeedup)
 #                       requires loading a saved container to beat
 #                       re-staging the node by >= 3x, and a 30s
@@ -98,15 +96,15 @@
 #                       and requires the original and a replaying fork
 #                       to end byte-identical and an idle fork to keep
 #                       its fork-time image
-#  16. docsplice -check
+#  14. docsplice -check
 #                       EXPERIMENTS.md's measured blocks match results/
-#  17. benchmark self-test
+#  15. benchmark self-test
 #                       the benchmark module's own tests (cd bench &&
 #                       go test .) run every workload at test size and
 #                       check its outputs against bench/testdata's
 #                       golden digests, so a change that moves a
 #                       simulated counter fails here
-#  18. inputs and kernels independent of GOMAXPROCS
+#  16. inputs and kernels independent of GOMAXPROCS
 #                       the generator, CSR and reordering packages'
 #                       tests (the sequential reference oracles and the
 #                       graph digests recorded from them) pass at
@@ -121,15 +119,15 @@
 #                       goroutine are scheduled, and the sched tests,
 #                       whose ring tests hold the block handoff both
 #                       goroutines run on to in-order, synced delivery
-#  19. code-line count (informational, not a gate)
+#  17. code-line count (informational, not a gate)
 #                       scripts/loc.sh prints the non-blank, non-comment
 #                       line count of non-test Go under internal/ and
 #                       cmd/ that ROADMAP.md records
 #
-# Steps 8-12 compare campaigns through one helper, campaign, that runs
+# Step 9 compares campaigns through one helper, campaign, that runs
 # expdriver into stdout, markdown and CSV and diffs all three against a
-# reference run. The wall-clock gates (steps 7, 11, 12 and 15)
-# are same-host ratios; the Go tests among them run only when
+# reference run. The wall-clock gates (steps 7, 10 and 13) are
+# same-host ratios timed in-process; they run only when
 # GRAPHMEM_SPEEDUP_GATE is set, which this script does.
 #
 # Run from the repository root: ./scripts/ci.sh
@@ -181,6 +179,25 @@ go test -run '^$' -fuzz '^FuzzLevelMatchesReference$' -fuzztime 30s -fuzzminimiz
 go test -run '^$' -fuzz '^FuzzSetsMatchReference$' -fuzztime 30s -fuzzminimizetime 10x ./internal/lru
 go test -run '^$' -fuzz '^FuzzCacheStageMatchesScalar$' -fuzztime 30s -fuzzminimizetime 10x ./internal/machine
 
+echo "== fast-path inlining (cache-stage probe, data-cycle charge, stream append)"
+go build -gcflags=-m ./internal/machine ./internal/analytics > "$tmp/inline.txt" 2>&1
+inline_ok=true
+# inlined FILE CALL: the compiler must report CALL inlined in FILE.
+inlined() {
+    if ! grep -F "inlining call to $2" "$tmp/inline.txt" | grep -q "^$1:"; then
+        echo "$1: $2 is no longer inlined" >&2
+        inline_ok=false
+    fi
+}
+for f in access access_run access_gather; do
+    inlined "internal/machine/$f.go" '(*cacheStage).probe'
+    inlined "internal/machine/$f.go" '(*Machine).dataCycles'
+done
+for f in bfs sssp pagerank cc bc probe shard_kernels; do
+    inlined "internal/analytics/$f.go" '(*stream).access'
+done
+$inline_ok
+
 go build -o "$tmp/expdriver" ./cmd/expdriver
 expdriver="$tmp/expdriver"
 
@@ -201,52 +218,18 @@ campaign() {
     fi
 }
 
-echo "== expdriver determinism: bench-scale -j 1 vs -j 4 and GOMAXPROCS=1"
-subset="fig5,pagecache"
-campaign j1 - "$expdriver" -exp "$subset" -j 1
-campaign j4 j1 "$expdriver" -exp "$subset" -j 4
-campaign gmp1 j1 GOMAXPROCS=1 "$expdriver" -exp "$subset" -j 1
+echo "== campaign determinism: bench-scale, across -j and GOMAXPROCS"
+subset="fig5,pagecache,ext-rollout,ext-shard"
+campaign ref - GOMAXPROCS=4 "$expdriver" -exp "$subset" -j 1
+campaign j4 ref GOMAXPROCS=4 "$expdriver" -exp "$subset" -j 4
+campaign gmp2 ref GOMAXPROCS=2 "$expdriver" -exp "$subset" -j 4
+campaign gmp1 ref GOMAXPROCS=1 "$expdriver" -exp "$subset" -j 1
 
-echo "== bulk-engine equivalence: GRAPHMEM_NO_BULK=1 vs bulk-enabled"
-campaign nobulk j1 GRAPHMEM_NO_BULK=1 "$expdriver" -exp "$subset" -j 1
-
-echo "== gather-engine equivalence: GRAPHMEM_NO_GATHER=1 vs gather-enabled"
-campaign nogather j1 GRAPHMEM_NO_GATHER=1 "$expdriver" -exp "$subset" -j 1
-
-echo "== snapshot-layer equivalence: GRAPHMEM_NO_SNAPSHOT=1 vs forking"
-# ext-rollout is the fork-heavy experiment (one load phase, five forked
-# candidates per dataset). fig5+pagecache ride along; their cells run
-# unforked (core.Run), so they check that the hatch leaves such cells
-# alone. Fork fidelity for full runs with a page cache is
-# TestForkMatchesReplay's (its stressedEnv carries memhog, fragmentation
-# and a resident page cache).
-snap_subset="fig5,pagecache,ext-rollout"
-snap_start=$(date +%s)
-campaign snap1 - "$expdriver" -exp "$snap_subset" -j 1
-snap_elapsed=$(( $(date +%s) - snap_start ))
-campaign snap4 snap1 "$expdriver" -exp "$snap_subset" -j 4
-nosnap_start=$(date +%s)
-campaign nosnap snap1 GRAPHMEM_NO_SNAPSHOT=1 "$expdriver" -exp "$snap_subset" -j 1
-nosnap_elapsed=$(( $(date +%s) - nosnap_start ))
-echo "snapshot on: ${snap_elapsed}s, off: ${nosnap_elapsed}s"
-if [ "$nosnap_elapsed" -lt $(( 2 * snap_elapsed )) ]; then
-    echo "snapshot layer speedup below 2x (on=${snap_elapsed}s off=${nosnap_elapsed}s): forks are not amortizing the load phase" >&2
-    exit 1
-fi
-
-echo "== sharded-engine equivalence: GRAPHMEM_NO_SNAPSHOT=1 vs fork bring-up"
-# ext-shard is the sharded-engine experiment: every cell runs its kernel
-# phase as 16 owner-computes shards on a big-memory staged node, so the
-# fork-vs-replay margin the hatch controls is first-order. GOMAXPROCS
-# (which sizes each sharded cell's worker pool) and -j (the campaign
-# knob) are both varied to prove neither changes a byte of output.
-campaign shard1 - GOMAXPROCS=4 "$expdriver" -exp ext-shard -j 1
-campaign shard4 shard1 GOMAXPROCS=2 "$expdriver" -exp ext-shard -j 4
-campaign noshard shard1 GRAPHMEM_NO_SNAPSHOT=1 GOMAXPROCS=4 "$expdriver" -exp ext-shard -j 1
-# The speedup gate times a single run in-process (min-of-3 per side):
-# a whole-campaign subprocess wall-clock would fold dataset generation
-# and sibling cells into both sides and drown the margin in host noise.
-GRAPHMEM_SPEEDUP_GATE=1 go test -run '^TestShardBringupSpeedup$' -count=1 -v ./internal/exp
+echo "== fork gates: rollout tournament and shard bring-up vs replay"
+# Both gates time single runs in-process (min-of-3 per side): a
+# whole-campaign subprocess wall-clock would fold dataset generation and
+# sibling cells into both sides and drown the margin in host noise.
+GRAPHMEM_SPEEDUP_GATE=1 go test -run '^(TestRolloutForkSpeedup|TestShardBringupSpeedup)$' -count=1 -v ./internal/exp
 
 echo "== frame-metadata budget: 8 bytes per frame, packed == unpacked"
 go test -run 'TestFrameInfoSize|TestFrameInfoPackRoundTrip' -count=1 ./internal/memsys
