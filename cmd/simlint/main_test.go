@@ -37,7 +37,8 @@ func TestCleanDirExitsZero(t *testing.T) {
 	}
 }
 
-// TestRulesListing checks the table includes the interprocedural rules.
+// TestRulesListing checks the table includes the interprocedural rules
+// and none of the retired IDs.
 func TestRulesListing(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-rules"}, &stdout, &stderr); code != 0 {
@@ -50,6 +51,11 @@ func TestRulesListing(t *testing.T) {
 	}
 	if strings.Contains(stdout.String(), "SL015") {
 		t.Error("-rules output still lists SL015, which SL013 absorbed")
+	}
+	for _, id := range []string{"SL008", "SL009"} {
+		if strings.Contains(stdout.String(), id) {
+			t.Errorf("-rules output still lists the retired %s", id)
+		}
 	}
 }
 

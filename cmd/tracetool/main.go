@@ -42,40 +42,47 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tracetool: %v\n", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  tracetool record -app <bfs|sssp|pr|cc> -dataset <kr25|twit|web|wiki> [-scale test|bench|full] -o FILE
+  tracetool record -app <bfs|sssp|pr|cc|bc> -dataset <kr25|twit|web|wiki> [-scale test|bench|full] -o FILE
   tracetool analyze FILE`)
 	os.Exit(2)
 }
 
+// usageError is a bad invocation: tracetool exits 2 on it, as on a flag
+// it does not know, and before it generates any graph.
+type usageError struct{ error }
+
 func cmdRecord(args []string) error {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	app := fs.String("app", "bfs", "workload")
+	app := fs.String("app", "bfs", "workload: bfs, sssp, pr, cc, bc")
 	dataset := fs.String("dataset", "wiki", "dataset")
 	scale := fs.String("scale", "test", "scale (traces grow large: test/bench recommended)")
 	out := fs.String("o", "", "output trace file")
 	_ = fs.Parse(args)
 	if *out == "" {
-		return errors.New("record: -o is required")
+		return usageError{errors.New("record: -o is required")}
 	}
-
 	a, err := cli.ParseApp(*app)
 	if err != nil {
-		return err
+		return usageError{err}
 	}
 	sc, err := cli.ParseScale(*scale)
 	if err != nil {
-		return err
+		return usageError{err}
 	}
 	ds, err := cli.ParseDataset(*dataset)
 	if err != nil {
-		return err
+		return usageError{err}
 	}
+
 	gr, err := cli.LoadGraph("", ds, sc, a == analytics.SSSP)
 	if err != nil {
 		return err
@@ -85,7 +92,7 @@ func cmdRecord(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer f.Close() // for the error paths; the success path checks Close
 	w, err := trace.NewWriter(f)
 	if err != nil {
 		return err
@@ -107,10 +114,11 @@ func cmdRecord(args []string) error {
 		return err
 	}
 	img.Init(analytics.Natural)
-	m.SetTracer(w) // record only the kernel phase
-	img.Run(analytics.DefaultRunOptions(gr))
-	m.SetTracer(nil)
+	img.RunTraced(analytics.DefaultRunOptions(gr), w) // the kernel phase only
 	if err := w.Close(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("recorded %d kernel-phase accesses to %s\n", w.Events(), *out)
@@ -123,7 +131,7 @@ func cmdRecord(args []string) error {
 
 func cmdAnalyze(args []string) error {
 	if len(args) != 1 {
-		return errors.New("analyze: exactly one trace file expected")
+		return usageError{errors.New("analyze: exactly one trace file expected")}
 	}
 	f, err := os.Open(args[0])
 	if err != nil {

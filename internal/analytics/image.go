@@ -209,10 +209,21 @@ func (img *Image) Init(order AllocOrder) {
 // The kernel streams its accesses to the machine (stream.go); Run
 // returns only after the machine has replayed every one of them.
 func (img *Image) Run(opt RunOptions) Result {
+	return img.run(img.M, opt)
+}
+
+// RunTraced is Run with every access of the kernel handed to t, in
+// order, each just before the machine simulates it (traceSink).
+func (img *Image) RunTraced(opt RunOptions, t Tracer) Result {
+	return img.run(traceSink{img.M, t}, opt)
+}
+
+// run streams the kernel into dst, which drives img's machine.
+func (img *Image) run(dst sink, opt RunOptions) Result {
 	if !img.initialized {
 		panic(check.Failf("analytics: Run before Init"))
 	}
-	s := newStream(img.M, streamBlockWords, streamBlocks)
+	s := newStream(dst, streamBlockWords, streamBlocks)
 	defer s.stop()
 	return img.kernel(s, opt.withDefaults())
 }

@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"graphmem/internal/check"
+	"graphmem/internal/machine"
 	"graphmem/internal/sched"
 )
 
@@ -42,8 +43,9 @@ const (
 	runOp = 1 << 63
 )
 
-// sink is what a stream replays into: the image's machine, or in tests
-// a machine driven one scalar Access at a time. A monolithic kernel
+// sink is what a stream replays into: the image's machine, a traced
+// kernel's traceSink, or in tests a machine driven one scalar Access at
+// a time. A monolithic kernel
 // starts the sink's cache stage (machine/cachestage.go) once it has
 // begun its phase, and the stream stops it after the replay goroutine
 // has exited.
@@ -52,6 +54,41 @@ type sink interface {
 	AccessGather(vas []uint64)
 	StartCacheStage()
 	StopCacheStage() error
+}
+
+// Tracer receives the accesses of a traced kernel (Image.RunTraced):
+// each access's virtual address and the StatsTag of the array it falls
+// in, 0xFF when that is untagged or beyond a byte. It is called on the
+// replay goroutine, one access at a time.
+type Tracer interface{ Trace(va uint64, tag uint8) }
+
+// traceSink is a traced kernel's sink: the image's machine, with each
+// op's addresses handed to t before the op is forwarded to it.
+type traceSink struct {
+	*machine.Machine
+	t Tracer
+}
+
+func (s traceSink) AccessRun(va uint64, count int, stride uint64) {
+	for i, a := 0, va; i < count; i, a = i+1, a+stride {
+		s.trace(a)
+	}
+	s.Machine.AccessRun(va, count, stride)
+}
+
+func (s traceSink) AccessGather(vas []uint64) {
+	for _, va := range vas {
+		s.trace(va)
+	}
+	s.Machine.AccessGather(vas)
+}
+
+func (s traceSink) trace(va uint64) {
+	tag := uint8(0xFF)
+	if v := s.Space.FindVMA(va); v != nil && v.StatsTag >= 0 && v.StatsTag < 0xFF {
+		tag = uint8(v.StatsTag)
+	}
+	s.t.Trace(va, tag)
 }
 
 // stream carries one kernel's accesses from the kernel's goroutine to

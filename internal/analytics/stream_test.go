@@ -26,7 +26,7 @@ type streamConfig struct {
 	name    string
 	cfg     machine.Config
 	ticker  uint64 // a no-op ticker's interval, or 0
-	trace   bool   // attach a recording tracer
+	trace   bool   // trace the kernel (RunTraced, the trace sink)
 	promote bool   // khugepaged promotes: run on streamGraph's whole regions
 	swap    bool   // memory pressure: the kernel swaps pages back in
 }
@@ -35,7 +35,7 @@ type streamConfig struct {
 // batch boundary could show if the stream moved one: khugepaged
 // promoting mid-run, heat-driven promotion (its scanner reads heat, so
 // flush order matters), a stale event deadline (events due on every
-// access), simulated page-table memory, a tracer attached, and memory
+// access), simulated page-table memory, a traced kernel, and memory
 // pressure that swaps pages back in mid-stream.
 func streamConfigs() []streamConfig {
 	smallTLB := tlb.Scaled(tlb.Haswell(), 16)
@@ -67,27 +67,44 @@ func streamConfigs() []streamConfig {
 }
 
 // scalarSink drives a machine one scalar Access at a time: the oracle
-// every batched replay must match.
-type scalarSink struct{ m *machine.Machine }
+// every batched replay must match. With a recorder it also records each
+// address it issues and the tag of the array it falls in.
+type scalarSink struct {
+	m   *machine.Machine
+	rec *recorder
+}
 
 func (s scalarSink) AccessRun(va uint64, count int, stride uint64) {
 	for ; count > 0; count-- {
-		s.m.Access(va)
+		s.access(va)
 		va += stride
 	}
 }
 
 func (s scalarSink) AccessGather(vas []uint64) {
 	for _, va := range vas {
-		s.m.Access(va)
+		s.access(va)
 	}
+}
+
+func (s scalarSink) access(va uint64) {
+	if s.rec != nil {
+		tag := uint8(0xFF)
+		for _, v := range s.m.Space.VMAs() {
+			if va >= v.Base && va < v.End() && v.StatsTag >= 0 && v.StatsTag < 0xFF {
+				tag = uint8(v.StatsTag)
+			}
+		}
+		s.rec.Trace(va, tag)
+	}
+	s.m.Access(va)
 }
 
 // The scalar twin probes its caches inline: it starts no cache stage.
 func (scalarSink) StartCacheStage()      {}
 func (scalarSink) StopCacheStage() error { return nil }
 
-// recorder is a tracer that keeps every access.
+// recorder is a Tracer that keeps every access.
 type recorder struct {
 	vas  []uint64
 	tags []uint8
@@ -136,7 +153,7 @@ func streamGraph(sc streamConfig, weighted bool) *graph.Graph {
 // does: a memhog leaves the image 256 KB short of its working set, 30%
 // of the memory left is fragmented, and a 1 MB page cache is resident,
 // so init swaps pages out and the kernel swaps them back in.
-func streamImage(t *testing.T, sc streamConfig, g *graph.Graph, app App) (*Image, *recorder) {
+func streamImage(t *testing.T, sc streamConfig, g *graph.Graph, app App) *Image {
 	t.Helper()
 	m := machine.New(sc.cfg)
 	if sc.ticker != 0 {
@@ -157,37 +174,44 @@ func streamImage(t *testing.T, sc streamConfig, g *graph.Graph, app App) (*Image
 	}
 	img.Init(Natural)
 	m.Kernel.SetMode(sc.cfg.Kernel.Mode)
-	var rec *recorder
-	if sc.trace {
-		rec = &recorder{}
-		m.SetTracer(rec)
-	}
-	return img, rec
+	return img
 }
 
 // streamVariant runs app's kernel (or, for app "probe", the rollout
 // probe on a BFS image) on a fresh image, and returns what it produced
 // and the machine's cache-stage counters. A nil dst streams through
-// Image.Run or RunProbe as callers do; otherwise the kernel streams to
-// dst(img's machine) in words-word blocks.
+// Image.Run, RunTraced or RunProbe as callers do; otherwise the kernel
+// streams to dst(img's machine, the recorder) in words-word blocks. A
+// traced configuration records the accesses into the run's Trace; as
+// RunProbe has no traced form, its probe streams into the trace sink
+// as RunProbe streams into the machine.
 func streamVariant(t *testing.T, sc streamConfig, g *graph.Graph, app App, opt RunOptions,
-	dst func(*machine.Machine) sink, words int) (streamRun, machine.CacheStageStats) {
+	dst func(*machine.Machine, *recorder) sink, words int) (streamRun, machine.CacheStageStats) {
 	t.Helper()
 	kernelApp, probe := app, app == "probe"
 	if probe {
 		kernelApp = BFS
 	}
-	img, rec := streamImage(t, sc, g, kernelApp)
+	img := streamImage(t, sc, g, kernelApp)
 	m := img.M
+	var rec *recorder
+	if sc.trace {
+		rec = &recorder{}
+		if dst == nil && probe {
+			dst, words = machineSink, streamBlockWords
+		}
+	}
 	os0 := m.Kernel.Stats()
 	var out streamRun
 	switch {
 	case dst == nil && probe:
 		out.Probe = img.RunProbe(probeBudget)
+	case dst == nil && sc.trace:
+		out.Result = img.RunTraced(opt, rec)
 	case dst == nil:
 		out.Result = img.Run(opt)
 	default:
-		s := newStream(dst(m), words, streamBlocks)
+		s := newStream(dst(m, rec), words, streamBlocks)
 		defer s.stop()
 		if probe {
 			out.Probe = img.probe(s, probeBudget)
@@ -214,23 +238,33 @@ func streamVariant(t *testing.T, sc streamConfig, g *graph.Graph, app App, opt R
 
 const probeBudget = 50_000
 
-func machineSink(m *machine.Machine) sink { return m }
-func oracleSink(m *machine.Machine) sink  { return scalarSink{m} }
+// machineSink is the sink Run streams into, or with a recorder the one
+// RunTraced does.
+func machineSink(m *machine.Machine, rec *recorder) sink {
+	if rec != nil {
+		return traceSink{m, rec}
+	}
+	return m
+}
+
+func oracleSink(m *machine.Machine, rec *recorder) sink { return scalarSink{m, rec} }
 
 // TestStreamMatchesScalar is the stream's oracle: for every monolithic
 // kernel and the rollout probe, under each standard configuration, a
-// streamed run — through Image.Run or RunProbe, and again in blocks of
-// a few words, so that gathers split and every op lands near a block
-// boundary — must equal a twin machine fed the same ops one scalar
-// Access at a time, with its caches probed inline, in its result and in
-// every counter. Each streamed run must start one cache goroutine
-// unless page tables are simulated, a tracer is attached or GOMAXPROCS
-// is 1, and under a promoting configuration must drain it at an event
-// deadline, not only when it stops: a stage that always probed inline
-// would match the twin too. Each promoting configuration must promote
-// while its kernels stream, where an event fired at the wrong cycle
-// shows in the counters, and under the swapping configuration every
-// kernel and the probe must swap pages in while they stream.
+// streamed run — through Image.Run (RunTraced when traced) or RunProbe,
+// and again in blocks of a few words, so that gathers split and every
+// op lands near a block boundary — must equal a twin machine fed the
+// same ops one scalar Access at a time, with its caches probed inline,
+// in its result and in every counter, and a traced run's trace must
+// hold exactly the addresses and tags the twin issued. Each streamed
+// run must start one cache goroutine unless page tables are simulated
+// or GOMAXPROCS is 1, and under a promoting configuration must drain it
+// at an event deadline, not only when it stops: a stage that always
+// probed inline would match the twin too. Each promoting configuration
+// must promote while its kernels stream, where an event fired at the
+// wrong cycle shows in the counters, and under the swapping
+// configuration every kernel and the probe must swap pages in while
+// they stream.
 func TestStreamMatchesScalar(t *testing.T) {
 	for _, sc := range streamConfigs() {
 		plain, weighted := streamGraph(sc, false), streamGraph(sc, true)
@@ -244,12 +278,15 @@ func TestStreamMatchesScalar(t *testing.T) {
 				}
 				want, _ := streamVariant(t, sc, g, app, opt, oracleSink, streamBlockWords)
 				promos += want.Promos
+				if sc.trace && len(want.Trace.vas) == 0 {
+					t.Fatal("the traced twin recorded no access")
+				}
 				if sc.swap && want.Swaps == 0 {
 					t.Fatal("swapped no page in while the kernel streamed: the oracle never saw a fault mid-batch there")
 				}
 				for _, v := range []struct {
 					name  string
-					dst   func(*machine.Machine) sink
+					dst   func(*machine.Machine, *recorder) sink
 					words int
 				}{
 					{"Run", nil, 0},
@@ -260,7 +297,7 @@ func TestStreamMatchesScalar(t *testing.T) {
 						t.Fatalf("%s diverged from the scalar twin:\ngot  %+v\nwant %+v", v.name, got, want)
 					}
 					starts := uint64(1)
-					if sc.cfg.SimulatePageTables || sc.trace || runtime.GOMAXPROCS(0) < 2 {
+					if sc.cfg.SimulatePageTables || runtime.GOMAXPROCS(0) < 2 {
 						starts = 0
 					}
 					if stage.Starts != starts {
@@ -275,6 +312,39 @@ func TestStreamMatchesScalar(t *testing.T) {
 		if sc.promote && promos == 0 && !raceEnabled {
 			t.Fatalf("%s promoted no huge page while its kernels streamed: the oracle never saw a shootdown there", sc.name)
 		}
+	}
+}
+
+// TestTracerReceivesAccesses: the trace sink hands the tracer every
+// address of each op, in op order, tagged with its array's StatsTag, or
+// 0xFF in an array that is not registered (the image's process
+// overhead), and forwards every op to the machine.
+func TestTracerReceivesAccesses(t *testing.T) {
+	g := gen.Generate(gen.Kron25, gen.ScaleTest, false)
+	m := testMachine(t, oskernel.BaselineConfig())
+	img, err := NewImage(m, g, BFS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Init(Natural)
+	m.BeginPhase("traced")
+	rec := &recorder{}
+	s := traceSink{m, rec}
+	s.AccessGather([]uint64{img.Vertex.Base + 100, img.Misc.Base + 8})
+	s.AccessRun(img.Prop.Base, 3, 64)
+	want := &recorder{
+		vas:  []uint64{img.Vertex.Base + 100, img.Misc.Base + 8, img.Prop.Base, img.Prop.Base + 64, img.Prop.Base + 128},
+		tags: []uint8{uint8(img.Vertex.StatsTag), 0xFF, uint8(img.Prop.StatsTag), uint8(img.Prop.StatsTag), uint8(img.Prop.StatsTag)},
+	}
+	if !reflect.DeepEqual(rec, want) {
+		t.Fatalf("trace = %+v, want %+v", rec, want)
+	}
+	if img.Misc.StatsTag >= 0 || img.Prop.StatsTag <= 0 {
+		t.Fatalf("tags %d (process) and %d (prop) do not tell an unregistered array from a registered one", img.Misc.StatsTag, img.Prop.StatsTag)
+	}
+	m.FinishPhases()
+	if p, _ := m.Phase("traced"); p.Accesses != 5 {
+		t.Fatalf("the machine simulated %d accesses, want the 5 traced", p.Accesses)
 	}
 }
 

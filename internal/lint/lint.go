@@ -8,17 +8,15 @@
 // hygiene rules (cost constants live in internal/cost; library packages
 // fail through check.Failf, never bare panic) and one concurrency rule
 // (experiment-suite caches mutate only through the sched.Cache promise
-// API, never as plain maps), and three performance-contract rules
-// (files tagged //simlint:fastpath stay free of allocation risks, never
-// dispatch a constant-stride access stream through the scalar path, and
-// never walk a collected VA slice through scalar Access instead of the
-// gather path).
+// API, never as plain maps), and one performance-contract rule (files
+// tagged //simlint:fastpath stay free of allocation risks).
 //
 // Each rule is a table entry with a stable ID (SL001…SL014) so tests
 // can seed violations in testdata fixtures and assert exact
 // diagnostics, and so waivers in code review can name the rule they
-// waive. Test files are exempt from every rule: tests may time
-// themselves, seed global rand, or panic freely.
+// waive. Retired IDs stay unused: SL008 and SL009 policed scalar
+// Access loops in fastpath files. Test files are exempt from every
+// rule: tests may time themselves, seed global rand, or panic freely.
 //
 // The implementation is stdlib-only (go/parser, go/types, go/build,
 // go/importer) — no analysis framework dependency. Type information is

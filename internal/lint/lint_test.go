@@ -40,8 +40,6 @@ func TestRuleFixtures(t *testing.T) {
 		{dir: "sl005", want: []want{{"SL005", 13}, {"SL005", 20}}},
 		{dir: "sl006", want: []want{{"SL006", 17}, {"SL006", 18}}},
 		{dir: "sl007", want: []want{{"SL007", 17}, {"SL007", 18}, {"SL007", 19}, {"SL007", 21}}},
-		{dir: "sl008", want: []want{{"SL008", 15}, {"SL008", 18}}},
-		{dir: "sl009", want: []want{{"SL009", 15}, {"SL009", 18}, {"SL009", 21}}},
 		// The fixture's stampWaived leaf (line 58) is reachable from Run
 		// too, but its SL001 waiver also covers SL010's echo at that
 		// line, so no diagnostic is expected there.

@@ -91,27 +91,6 @@ func AllRules() []Rule {
 			Check:   checkFastPath,
 		},
 		{
-			ID:   "SL008",
-			Name: "scalarstream",
-			Doc: "no scalar Access loops over a constant address delta in files " +
-				"tagged //simlint:fastpath: a loop whose post statement steps a " +
-				"variable by a constant and whose body calls Access on an " +
-				"address derived from that variable is a sequential stream " +
-				"that belongs on the bulk AccessRun path",
-			Applies: internalOnly,
-			Check:   checkScalarStream,
-		},
-		{
-			ID:   "SL009",
-			Name: "gatherstream",
-			Doc: "no scalar Access loops over collected VA slices in files " +
-				"tagged //simlint:fastpath: a loop that walks a []uint64 of " +
-				"addresses and dispatches each element through Access is the " +
-				"irregular batch that belongs on the AccessGather path",
-			Applies: internalOnly,
-			Check:   checkGatherStream,
-		},
-		{
 			ID:   "SL010",
 			Name: "simpath",
 			Doc: "no nondeterminism reachable from a simulation entrypoint: no " +
@@ -573,205 +552,6 @@ func reportClosureCaptures(p *Pass, lit *ast.FuncLit) {
 		p.Reportf(id.Pos(), "closure capturing %q in fast-path file: captured locals escape to the heap; pass state explicitly or hoist the function", v.Name())
 		return true
 	})
-}
-
-// --- SL008: scalarstream ------------------------------------------------
-
-// checkScalarStream keeps the engine honest about its own streams: in a
-// //simlint:fastpath file, a for loop whose post statement advances a
-// variable by a compile-time-constant step, with a body calling Access
-// on an address derived from that variable, is exactly the sequential
-// scan AccessRun coalesces — dispatching it scalar forfeits the bulk
-// engine. Loops that step a plain counter while the address advances by
-// a runtime stride in the body (AccessRun's own fallback shape) are not
-// flagged: their post-updated variable never feeds the address.
-func checkScalarStream(p *Pass) {
-	for _, file := range p.Files {
-		if !hasFastPathDirective(file) {
-			continue
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			loop, ok := n.(*ast.ForStmt)
-			if !ok || loop.Post == nil {
-				return true
-			}
-			iv := postStepVar(p.Info, loop.Post)
-			if iv == nil {
-				return true
-			}
-			ast.Inspect(loop.Body, func(b ast.Node) bool {
-				call, ok := b.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				f := calleeFunc(p.Info, call)
-				if f == nil || f.Name() != "Access" {
-					return true
-				}
-				for _, arg := range call.Args {
-					if !exprUsesVar(p.Info, arg, iv) {
-						continue
-					}
-					if indexedUint64Slice(p.Info, arg, iv) {
-						// The variable feeds the address through a
-						// collected VA slice, not stride arithmetic:
-						// that is SL009's gatherstream shape.
-						continue
-					}
-					p.Reportf(call.Pos(), "scalar Access in a constant-stride loop over %q: a sequential stream belongs on the bulk AccessRun path", iv.Name())
-					break
-				}
-				return true
-			})
-			return true
-		})
-	}
-}
-
-// --- SL009: gatherstream ------------------------------------------------
-
-// checkGatherStream is checkScalarStream's irregular twin: in a
-// //simlint:fastpath file, a loop that walks a []uint64 of collected
-// addresses and dispatches each element through scalar Access is
-// exactly the batch AccessGather coalesces. Both walking shapes are
-// flagged: range statements over the slice (whether the body uses the
-// value variable or indexes through the key), and for loops whose
-// post-stepped variable indexes the slice. The engines' own
-// precondition-gated fallback loops advance their index in the loop
-// body, not the post statement — degradation must re-check batching
-// preconditions per element, and that is the shape the rule exempts.
-func checkGatherStream(p *Pass) {
-	for _, file := range p.Files {
-		if !hasFastPathDirective(file) {
-			continue
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch loop := n.(type) {
-			case *ast.RangeStmt:
-				if !isUint64Slice(p.Info, loop.X) {
-					return true
-				}
-				value := identVar(p.Info, loop.Value)
-				key := identVar(p.Info, loop.Key)
-				reportGatherAccess(p, loop.Body, func(arg ast.Expr) bool {
-					return (value != nil && exprUsesVar(p.Info, arg, value)) ||
-						(key != nil && indexedUint64Slice(p.Info, arg, key))
-				})
-			case *ast.ForStmt:
-				if loop.Post == nil {
-					return true
-				}
-				iv := postStepVar(p.Info, loop.Post)
-				if iv == nil {
-					return true
-				}
-				reportGatherAccess(p, loop.Body, func(arg ast.Expr) bool {
-					return indexedUint64Slice(p.Info, arg, iv)
-				})
-			}
-			return true
-		})
-	}
-}
-
-// reportGatherAccess flags every Access call in body that has an
-// argument matching isVA.
-func reportGatherAccess(p *Pass, body *ast.BlockStmt, isVA func(ast.Expr) bool) {
-	ast.Inspect(body, func(b ast.Node) bool {
-		call, ok := b.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		f := calleeFunc(p.Info, call)
-		if f == nil || f.Name() != "Access" {
-			return true
-		}
-		for _, arg := range call.Args {
-			if isVA(arg) {
-				p.Reportf(call.Pos(), "scalar Access over a collected VA slice: an irregular batch belongs on the AccessGather path")
-				break
-			}
-		}
-		return true
-	})
-}
-
-// isUint64Slice reports whether expr's type is (or underlies) []uint64
-// — the address-slice type every gather batch uses.
-func isUint64Slice(info *types.Info, expr ast.Expr) bool {
-	tv, ok := info.Types[expr]
-	if !ok {
-		return false
-	}
-	s, ok := tv.Type.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Uint64
-}
-
-// indexedUint64Slice reports whether expr contains an index into a
-// []uint64-typed operand whose index expression mentions v.
-func indexedUint64Slice(info *types.Info, expr ast.Expr, v *types.Var) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if idx, ok := n.(*ast.IndexExpr); ok &&
-			isUint64Slice(info, idx.X) && exprUsesVar(info, idx.Index, v) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// postStepVar returns the variable a loop post statement advances by a
-// compile-time-constant step (i++, i--, a += 64), or nil when the step
-// is not constant or the statement has another shape.
-func postStepVar(info *types.Info, post ast.Stmt) *types.Var {
-	switch s := post.(type) {
-	case *ast.IncDecStmt:
-		return identVar(info, s.X)
-	case *ast.AssignStmt:
-		if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
-			return nil
-		}
-		switch s.Tok {
-		case token.ADD_ASSIGN, token.SUB_ASSIGN:
-		default:
-			return nil
-		}
-		if tv, ok := info.Types[s.Rhs[0]]; !ok || tv.Value == nil {
-			return nil // step is not a compile-time constant
-		}
-		return identVar(info, s.Lhs[0])
-	}
-	return nil
-}
-
-// identVar resolves expr to the variable it names, or nil.
-func identVar(info *types.Info, expr ast.Expr) *types.Var {
-	id, ok := ast.Unparen(expr).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if v, ok := info.Uses[id].(*types.Var); ok {
-		return v
-	}
-	v, _ := info.Defs[id].(*types.Var)
-	return v
-}
-
-// exprUsesVar reports whether expr mentions v.
-func exprUsesVar(info *types.Info, expr ast.Expr, v *types.Var) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == types.Object(v) {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // isCheckFailf reports whether expr is a call to

@@ -18,8 +18,7 @@ import "graphmem/internal/memsys"
 //   - the TLB probe and the data-cache probe are straight calls whose
 //     miss handling lives in access_slow.go;
 //   - phase, heat, and per-array accounting are plain field increments;
-//   - background actors cost one compare (m.cycles >= m.nextEvent);
-//   - the tracer is called only when attached.
+//   - background actors cost one compare (m.cycles >= m.nextEvent).
 //
 // The file is tagged //simlint:fastpath: rule SL007 rejects appends, map
 // writes, and allocating closure captures here.
@@ -66,10 +65,6 @@ func (m *Machine) Access(va uint64) {
 	m.cycles += cycles
 	m.phase.Cycles += cycles
 	m.phase.Accesses++
-
-	if m.tracer != nil {
-		m.trace(va, tr.VMA)
-	}
 
 	// Event layer: dispatch background actors only when one is due.
 	if m.cycles >= m.nextEvent {

@@ -15,7 +15,7 @@ import (
 //	for _, va := range vas { m.Access(va) }
 //
 // in every observable: Cycles, phase stats, heat, per-array attribution,
-// TLB/cache counters and LRU state, event dispatch, and traces. Where
+// TLB/cache counters and LRU state, and event dispatch. Where
 // AccessRun exploits a constant stride, the gather engine exploits the
 // locality irregular batches still carry: power-law neighbor lists
 // revisit a few hot property pages (amplified by DBG reordering), and
@@ -39,22 +39,13 @@ import (
 //   - the nextEvent cycle deadline: the line run is truncated to the
 //     access that first reaches the deadline, accumulated accounting is
 //     flushed, and events run at the same cycle the scalar loop would
-//     run them;
-//   - a tracer attached: per-access dispatch so traces stay
-//     byte-identical. Re-checked after every event dispatch, so a ticker
-//     attaching a tracer mid-batch degrades the rest of the batch;
-//     flushing before runEvents means no gather state is in flight when
-//     it does.
+//     run them.
+//
+// As in AccessRun, the event split divides by the cost of an L1 hit,
+// which New and the decoder hold above zero.
 func (m *Machine) AccessGather(vas []uint64) {
 	i, n := 0, len(vas)
 	for i < n {
-		// Per-batch dispatch when batching is unsound: a tracer
-		// attached, or a zero-cost hit model (the event-split division
-		// needs cHit > 0).
-		if m.tracer != nil || m.Model.L1DHit+m.Model.Compute == 0 {
-			m.accessEach(vas[i:]) //simlint:ignore SL012 per-batch fallback; Access waives its own fault/event escapes
-			return
-		}
 		// Scalar dispatch for any access the gather engine cannot
 		// batch: a translation-cache miss (new page, unmapped/faulting
 		// page, shootdown), a due or stale event deadline (a
@@ -72,9 +63,8 @@ func (m *Machine) AccessGather(vas []uint64) {
 
 // gatherSegment batches accesses from vas[i:] while they stay inside the
 // translation cache's current page, returning the index of the first
-// unprocessed address. The caller established: no tracer, vas[i]
-// inside the cached page, L1 TLB capacity for its size, and cycles <
-// nextEvent.
+// unprocessed address. The caller established: vas[i] inside the
+// cached page, L1 TLB capacity for its size, and cycles < nextEvent.
 func (m *Machine) gatherSegment(vas []uint64, i int) int {
 	// The segment's first access takes the full scalar path: it does
 	// the real TLB lookup — installing (or refreshing) L1 residency the
@@ -84,9 +74,9 @@ func (m *Machine) gatherSegment(vas []uint64, i int) int {
 	i++
 	n := len(vas)
 	// Re-establish the batching preconditions: the event dispatch inside
-	// Access may have shot down the translation, attached a tracer,
-	// or left a stale deadline.
-	if i == n || vas[i]-m.trBase >= m.trSpan || m.cycles >= m.nextEvent || m.tracer != nil {
+	// Access may have shot down the translation or left a stale
+	// deadline.
+	if i == n || vas[i]-m.trBase >= m.trSpan || m.cycles >= m.nextEvent {
 		return i
 	}
 

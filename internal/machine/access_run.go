@@ -15,7 +15,7 @@ import (
 //	for ; count > 0; count-- { m.Access(va); va += stride }
 //
 // in every observable: Cycles, phase stats, heat, per-array attribution,
-// TLB/cache counters and LRU state, event dispatch, and traces. The bulk
+// TLB/cache counters and LRU state, and event dispatch. The bulk
 // engine merely exploits what the scalar loop would rediscover one
 // access at a time: consecutive same-page references are L1 TLB hits
 // after the first, and consecutive same-line references are L1 data hits
@@ -31,17 +31,14 @@ import (
 //     split access goes through the scalar path;
 //   - the nextEvent cycle deadline: the batch is truncated to the access
 //     that first reaches the deadline, accumulated accounting is flushed,
-//     and events run at the same cycle the scalar loop would run them;
-//   - a tracer attached: per-access dispatch so traces stay
-//     byte-identical. Re-checked after every event dispatch, so a ticker
-//     attaching a tracer mid-run degrades the rest of the run; flushing
-//     before runEvents means no bulk state is in flight when it does.
+//     and events run at the same cycle the scalar loop would run them.
+//
+// The event split divides by the cost of an L1 hit, which New and the
+// decoder hold above zero.
 func (m *Machine) AccessRun(va uint64, count int, stride uint64) {
 	for count > 0 {
-		// Per-access dispatch when batching is unsound: a degenerate
-		// stride, a tracer attached, or a zero-cost hit model (the
-		// event-split division needs cHit > 0).
-		if stride == 0 || m.tracer != nil || m.Model.L1DHit+m.Model.Compute == 0 {
+		// A zero stride repeats one address: dispatch it per access.
+		if stride == 0 {
 			for ; count > 0; count-- {
 				m.Access(va) //simlint:ignore SL012 scalar fallback; Access waives its own fault/event escapes
 				va += stride
@@ -65,8 +62,8 @@ func (m *Machine) AccessRun(va uint64, count int, stride uint64) {
 
 // bulkSegment batches accesses while they stay inside the translation
 // cache's current page, returning the updated (va, count). The caller
-// established: no tracer, stride > 0, va inside the cached page, L1 TLB
-// capacity for its size, and cycles < nextEvent.
+// established: stride > 0, va inside the cached page, L1 TLB capacity
+// for its size, and cycles < nextEvent.
 func (m *Machine) bulkSegment(va uint64, count int, stride uint64) (uint64, int) {
 	// The segment's first access takes the full scalar path: it does
 	// the real TLB lookup — installing (or refreshing) L1 residency the
@@ -76,9 +73,9 @@ func (m *Machine) bulkSegment(va uint64, count int, stride uint64) (uint64, int)
 	va += stride
 	count--
 	// Re-establish the batching preconditions: the event dispatch inside
-	// Access may have shot down the translation, attached a tracer,
-	// or left a stale deadline.
-	if count == 0 || va-m.trBase >= m.trSpan || m.cycles >= m.nextEvent || m.tracer != nil {
+	// Access may have shot down the translation or left a stale
+	// deadline.
+	if count == 0 || va-m.trBase >= m.trSpan || m.cycles >= m.nextEvent {
 		return va, count
 	}
 

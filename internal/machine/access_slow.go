@@ -75,17 +75,6 @@ func (m *Machine) setPrimary(tr vm.Translation) {
 	m.trSpan = tr.Size.Bytes()
 }
 
-// accessEach dispatches every address of a gather batch through the
-// scalar Access path — AccessGather's degradation loop. It lives in this
-// untagged file because looping scalar Access over a collected VA slice
-// is exactly what rule SL009 forbids in fastpath-tagged files; here it
-// is the deliberate fallback, not a missed batching opportunity.
-func (m *Machine) accessEach(vas []uint64) {
-	for _, va := range vas {
-		m.Access(va)
-	}
-}
-
 // translateMiss charges the translation cost beyond an L1 TLB hit: an
 // STLB hit, or a full page walk (page-walk-cache-accelerated, with the
 // deepest levels either costed by the constant model or fetched through

@@ -36,8 +36,8 @@ import (
 // bound below the deadline, so the exact clock first reached it at this
 // access, exactly where the scalar loop dispatches. A drain that leaves
 // the deadline within near cycles hands the cache back to the replay
-// goroutine, which probes inline until the events have run; a tracer
-// or a stale deadline keeps it inline too.
+// goroutine, which probes inline until the events have run; a stale
+// deadline keeps it inline too.
 
 const (
 	// stageBlockWords sizes one block (32 KB); stageBlocks blocks
@@ -98,13 +98,12 @@ type cacheStage struct {
 // StopCacheStage, Access, AccessRun and AccessGather may hand their
 // data-cache probes to it. Nothing else may touch the machine in
 // between. It does nothing when page tables are simulated (a walk's
-// fetches go through the data cache and charge translation cycles), a
-// tracer is attached, or GOMAXPROCS is 1: on one processor the handoff
-// only adds work (on a 2-vCPU Xeon host at GOMAXPROCS 1, paper-full's
-// wall_s read 11.07 s inline and 11.83 s with the stage, which won 1
-// of 10 pairs).
+// fetches go through the data cache and charge translation cycles) or
+// GOMAXPROCS is 1: on one processor the handoff only adds work (on a
+// 2-vCPU Xeon host at GOMAXPROCS 1, paper-full's wall_s read 11.07 s
+// inline and 11.83 s with the stage, which won 1 of 10 pairs).
 func (m *Machine) StartCacheStage() {
-	if m.stage != nil || m.simPT || m.tracer != nil || runtime.GOMAXPROCS(0) < 2 {
+	if m.stage != nil || m.simPT || runtime.GOMAXPROCS(0) < 2 {
 		return
 	}
 	cMax := max(m.dataCycles(cache.HitL1), m.dataCycles(cache.HitLLC), m.dataCycles(cache.HitDRAM))
@@ -144,12 +143,12 @@ func (m *Machine) StopCacheStage() error {
 }
 
 // pickProbes hands probes to the cache goroutine, if one is open, unless
-// a tracer is attached or the deadline is stale or within near cycles.
-// The caller has the clock exact and the stage drained.
+// the deadline is stale or within near cycles. The caller has the clock
+// exact and the stage drained.
 func (m *Machine) pickProbes() {
 	m.handoff = nil
 	st := m.stage
-	if st == nil || m.tracer != nil || m.nextEvent <= m.cycles {
+	if st == nil || m.nextEvent <= m.cycles {
 		return
 	}
 	if gap := m.nextEvent - m.cycles; gap >= st.near {

@@ -20,12 +20,11 @@
 //     (data-dependent) address vectors, exploiting same-page and
 //     same-line runs inside a batch. Tagged //simlint:fastpath.
 //   - access_slow.go   everything rare: page faults, STLB probes, page
-//     walks, simulated-PTE fetches, TLB fills, scalar degradation loops.
+//     walks, simulated-PTE fetches, TLB fills.
 //   - events.go       the event layer: background actors (khugepaged,
 //     tickers) register cycle deadlines; the fast path pays a single
 //     compare per access and dispatches only when a deadline is due.
-//   - stats.go        phases, per-array attribution, and the tracer
-//     hook.
+//   - stats.go        phases and per-array attribution.
 //   - cachestage.go   the cache stage: while a kernel streams, the data
 //     caches run on a goroutine of their own, one step behind the
 //     probe sites, and event deadlines read a clock bound (§4g).
@@ -35,6 +34,7 @@ package machine
 
 import (
 	"graphmem/internal/cache"
+	"graphmem/internal/check"
 	"graphmem/internal/cost"
 	"graphmem/internal/memsys"
 	"graphmem/internal/oskernel"
@@ -121,10 +121,6 @@ type Machine struct {
 	nextEvent uint64
 	tickers   []ticker
 
-	// tracer receives every access while attached (stats.go). The fast
-	// path tests it for nil only.
-	tracer Tracer
-
 	// stage is the open cache stage (cachestage.go), or nil; handoff is
 	// stage while the probe sites hand their probes to it, and nil
 	// while they probe inline. The fast path tests handoff for nil only.
@@ -135,8 +131,15 @@ type Machine struct {
 	shardState
 }
 
-// New builds a machine.
+// freeHit is why a cost model that charges nothing for an L1 hit is
+// refused: the bulk and gather engines split a batch at an event
+// deadline by dividing by that cost.
+const freeHit = "cost model charges 0 cycles for an L1 hit (L1DHit+Compute); the engines divide by it"
+
+// New builds a machine. It panics with a check.Failure when cfg.Cost
+// charges nothing for an L1 hit.
 func New(cfg Config) *Machine {
+	check.Assertf(cfg.Cost.L1DHit+cfg.Cost.Compute > 0, "machine: %s", freeHit)
 	mem := memsys.New(cfg.MemoryBytes)
 	space := vm.NewAddressSpace(mem)
 	space.SimPageTables = cfg.SimulatePageTables
@@ -169,15 +172,6 @@ func (m *Machine) shootdown(va uint64, size vm.PageSizeClass) {
 
 // Cycles returns total simulated time so far.
 func (m *Machine) Cycles() uint64 { return m.cycles }
-
-// AddCycles charges pure compute time (no memory access) to the current
-// phase, used for modelling non-memory work such as preprocessing CPU
-// time. It does not dispatch background events: only Access drives them,
-// matching the pre-event-layer engine.
-func (m *Machine) AddCycles(c uint64) {
-	m.cycles += c
-	m.phase.Cycles += c
-}
 
 // Touch faults in (and accesses) every page of the byte range
 // [va, va+bytes), in ascending order — the simulator's equivalent of an

@@ -3,9 +3,11 @@ package machine
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"graphmem/internal/cache"
+	"graphmem/internal/check"
 	"graphmem/internal/ckpt"
 	"graphmem/internal/cost"
 	"graphmem/internal/memsys"
@@ -61,6 +63,40 @@ func TestRepeatAccessCheap(t *testing.T) {
 	fast := cost.Fast()
 	if delta != fast.L1DHit+fast.Compute {
 		t.Fatalf("hot access cost %d, want %d", delta, fast.L1DHit+fast.Compute)
+	}
+}
+
+// TestFreeHitModelRefused: a cost model that charges nothing for an L1
+// hit, which the bulk and gather engines divide by at an event
+// deadline, is refused wherever a machine comes to be: New panics with
+// a check.Failure, and a saved machine whose model was zeroed after New
+// fails to decode with an error.
+func TestFreeHitModelRefused(t *testing.T) {
+	free := cost.Fast()
+	free.L1DHit, free.Compute = 0, 0
+	v := func() (v any) {
+		defer func() { v = recover() }()
+		New(Config{MemoryBytes: 64 << 20, TLB: tlb.Haswell(), Cache: cache.Haswell(), Cost: free, Kernel: oskernel.BaselineConfig()})
+		return nil
+	}()
+	if f, ok := v.(check.Failure); !ok || !strings.Contains(f.Error(), "L1 hit") {
+		t.Fatalf("New with a free L1 hit panicked with %T %v, want a check.Failure naming the L1 hit", v, v)
+	}
+
+	m := newTestMachine(t, oskernel.BaselineConfig())
+	m.Model = free
+	var buf bytes.Buffer
+	if _, err := ckpt.Save(&buf, "free", func(e *ckpt.Encoder) { Walk(e.Walker(), &m, nil) }); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ckpt.Load(bytes.NewReader(buf.Bytes()), "free")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l *Machine
+	Walk(d.Walker(), &l, nil)
+	if err := d.Finish(); err == nil || !strings.Contains(err.Error(), "L1 hit") {
+		t.Fatalf("decoding a machine with a free L1 hit: error %v, want one naming the L1 hit", err)
 	}
 }
 
@@ -174,17 +210,6 @@ func TestHugeMappingReducesWalks(t *testing.T) {
 	}
 }
 
-func TestAddCycles(t *testing.T) {
-	m := newTestMachine(t, oskernel.BaselineConfig())
-	m.BeginPhase("p")
-	m.AddCycles(12345)
-	m.FinishPhases()
-	p, _ := m.Phase("p")
-	if p.Cycles != 12345 {
-		t.Fatalf("phase cycles = %d", p.Cycles)
-	}
-}
-
 func TestTranslationShare(t *testing.T) {
 	p := PhaseStats{Cycles: 200, TranslationCycles: 50}
 	if p.TranslationShare() != 0.25 {
@@ -193,38 +218,6 @@ func TestTranslationShare(t *testing.T) {
 	var zero PhaseStats
 	if zero.TranslationShare() != 0 {
 		t.Fatal("zero-phase share not zero")
-	}
-}
-
-type recordingTracer struct {
-	vas  []uint64
-	tags []uint8
-}
-
-func (r *recordingTracer) Trace(va uint64, tag uint8) {
-	r.vas = append(r.vas, va)
-	r.tags = append(r.tags, tag)
-}
-
-func TestTracerReceivesAccesses(t *testing.T) {
-	m := newTestMachine(t, oskernel.BaselineConfig())
-	v := m.Space.Mmap("a", memsys.HugeSize)
-	m.RegisterArray(v)
-	rec := &recordingTracer{}
-	m.SetTracer(rec)
-	m.Access(v.Base + 100)
-	m.Access(v.Base + 5000)
-	if len(rec.vas) != 2 || rec.vas[0] != v.Base+100 {
-		t.Fatalf("trace = %v", rec.vas)
-	}
-	if rec.tags[0] != 0 {
-		t.Fatalf("tag = %d, want registered array tag 0", rec.tags[0])
-	}
-	// Untracked VMAs carry the sentinel tag.
-	w := m.Space.Mmap("b", memsys.HugeSize)
-	m.Access(w.Base)
-	if rec.tags[2] != 0xFF {
-		t.Fatalf("untracked tag = %d", rec.tags[2])
 	}
 }
 

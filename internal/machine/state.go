@@ -17,9 +17,9 @@ import (
 // then the kernel (bound to both), and finally the per-shard simulation
 // state.
 //
-// Machines carrying tickers or a tracer can be neither forked nor
-// saved: both reach state outside the machine, which no walk can
-// capture, so the walk fails rather than silently dropping an actor.
+// Machines carrying tickers can be neither forked nor saved: a ticker
+// reaches state outside the machine, which no walk can capture, so the
+// walk fails rather than silently dropping an actor.
 // core.Prepare refuses the specs that register tickers
 // (core.SnapshotSafe), so such runs stay on the monolithic core.Run
 // path.
@@ -32,9 +32,9 @@ const (
 )
 
 // Forkable reports whether the machine can be forked or saved: it
-// carries no registered tickers and no tracer.
+// carries no registered tickers.
 func (m *Machine) Forkable() bool {
-	return len(m.tickers) == 0 && m.tracer == nil
+	return len(m.tickers) == 0
 }
 
 // Walk forks, encodes, or decodes the machine *p owns. A fork is an
@@ -53,8 +53,8 @@ func Walk(w *ckpt.Walker, p **Machine, owner memsys.OwnerFunc) {
 
 func (m *Machine) state(w *ckpt.Walker, owner memsys.OwnerFunc) {
 	if !m.Forkable() {
-		w.Failf("machine: %d tickers registered, tracer attached %t: actors outside the machine cannot be deep-copied or serialized",
-			len(m.tickers), m.tracer != nil)
+		w.Failf("machine: %d tickers registered: actors outside the machine cannot be deep-copied or serialized",
+			len(m.tickers))
 		return
 	}
 	// A cache stage lives only while a kernel streams, and no walk runs
@@ -104,17 +104,21 @@ func (m *Machine) state(w *ckpt.Walker, owner memsys.OwnerFunc) {
 // bind is the fork and decode bind step: the walked space attaches to
 // the walked node and routes its shootdowns to this machine's
 // translation cache, exactly as New wires them, and the machine starts
-// with no tickers and no tracer.
+// with no tickers.
 func (m *Machine) bind() {
 	m.Space.Bind(m.Mem, m.shootdown)
 	m.tickers = nil
-	m.tracer = nil
 }
 
-// validate fails the decoder unless the per-array attribution and the
-// page-table flag agree with the decoded address space.
+// validate fails the decoder unless the cost model charges for an L1
+// hit and the per-array attribution and the page-table flag agree with
+// the decoded address space.
 func (m *Machine) validate(d *ckpt.Decoder) {
 	if d.Err() != nil {
+		return
+	}
+	if m.Model.L1DHit+m.Model.Compute == 0 {
+		d.Failf("machine: %s", freeHit)
 		return
 	}
 	// Per-array attribution indexes m.arrays by VMA.StatsTag without a

@@ -6,10 +6,9 @@ import (
 	"graphmem/internal/vm"
 )
 
-// This file is the accounting and observation layer of the access
-// engine: phase bookkeeping, the two built-in zero-alloc accounting
-// hooks (region heat, per-array attribution), and the tracer hook that
-// trace capture attaches.
+// This file is the accounting layer of the access engine: phase
+// bookkeeping and the two built-in zero-alloc accounting hooks (region
+// heat, per-array attribution).
 
 // ArrayStats attributes memory behaviour to one registered array (VMA),
 // reproducing the paper's per-data-structure analysis (Fig. 4/5).
@@ -149,25 +148,4 @@ func (m *Machine) accountArray(v *vm.VMA, res tlb.Result) {
 			a.Walks++
 		}
 	}
-}
-
-// --- tracer -----------------------------------------------------------
-
-// Tracer receives every access (virtual address and the VMA's StatsTag)
-// — the hook trace capture uses.
-type Tracer interface{ Trace(va uint64, tag uint8) }
-
-// SetTracer installs t as the machine's tracer (replacing any previous
-// one); nil detaches. While a tracer is attached, the bulk and gather
-// engines dispatch per access, so the trace sees every access in order.
-func (m *Machine) SetTracer(t Tracer) { m.tracer = t }
-
-// trace hands the access to the tracer, the VMA's StatsTag clamped to a
-// byte (0xFF for untagged or out-of-range tags).
-func (m *Machine) trace(va uint64, v *vm.VMA) {
-	tag := uint8(0xFF)
-	if v.StatsTag >= 0 && v.StatsTag < 0xFF {
-		tag = uint8(v.StatsTag)
-	}
-	m.tracer.Trace(va, tag)
 }

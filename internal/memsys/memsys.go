@@ -318,16 +318,6 @@ func (m *Memory) ownerAt(r ownerRef) Owner {
 	return m.owners[r]
 }
 
-// Owners returns the interned owner table minus the nil slot, in
-// interning order (deterministic). Intended for introspection such as
-// the footprint report, not hot paths; the slice is a copy.
-func (m *Memory) Owners() []Owner {
-	if len(m.owners) <= 1 {
-		return nil
-	}
-	return append([]Owner(nil), m.owners[1:]...)
-}
-
 // queueIndexFor returns which reclaim queue (if any) a frame with the
 // given type/owner belongs to.
 func queueIndexFor(mt MigrateType, owner Owner) int {

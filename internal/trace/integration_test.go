@@ -43,10 +43,7 @@ func TestReusePredictionMatchesTLBSimulation(t *testing.T) {
 	img.Init(analytics.Natural)
 
 	col := &collector{}
-	m.SetTracer(col)
-	m.BeginPhase("kernel-measured")
-	img.Run(analytics.DefaultRunOptions(g))
-	m.SetTracer(nil)
+	img.RunTraced(analytics.DefaultRunOptions(g), col)
 	m.FinishPhases()
 
 	ph, ok := m.Phase("kernel")

@@ -44,8 +44,8 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return &Writer{bw: bw}, nil
 }
 
-// Trace records one access; it implements the machine layer's Tracer
-// hook. Errors are sticky and surfaced by Close.
+// Trace records one access; it implements analytics.Tracer, the hook
+// Image.RunTraced feeds. Errors are sticky and surfaced by Close.
 func (w *Writer) Trace(va uint64, tag uint8) {
 	if w.err != nil {
 		return

@@ -3,7 +3,8 @@
 #
 #   1. gofmt            formatting drift
 #   2. go vet           stdlib static checks
-#   3. simlint          project determinism rules (SL001..SL014),
+#   3. simlint          project determinism rules (SL001..SL014;
+#                       SL008 and SL009 are retired and unused),
 #                       timed: the interprocedural facts engine must
 #                       keep the full-module sweep under 60s
 #   4. go build         both build-tag variants compile
